@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decoding import DEVICE_CACHE
 from .errors import SpaError
 from .model import BaseParams, GateParams, ModelConfig, SideParams, SpaModel
 
@@ -37,7 +38,6 @@ MAGIC = b"SPA1"
 FORMAT_VERSION = 1
 
 KINDS = ("full", "base", "cloud", "side")
-_CACHE_NAMES = ("cache.tok_emb", "cache.pos_emb", "cache.out_proj")
 
 
 class CheckpointError(SpaError):
@@ -141,7 +141,7 @@ def _expected_names(config: ModelConfig, kind: str) -> set[str]:
     if kind in ("full", "cloud", "side"):
         names |= {f"gate.{n}" for n in model.gate.names()}
     if kind == "side":
-        names |= set(_CACHE_NAMES)
+        names |= {f"cache.{n}" for n in DEVICE_CACHE}
     return names
 
 
@@ -191,15 +191,8 @@ class LoadedCheckpoint:
         side = SpaModel.create(self.config, seed=0).side
         side.load_arrays(_strip(self.arrays, "side."))
         side.freeze()
-        if self.kind == "side":
-            cache = {n.split(".", 1)[1]: self.arrays[n] for n in _CACHE_NAMES}
-        else:
-            cache = {
-                "tok_emb": self.arrays["base.tok_emb"],
-                "pos_emb": self.arrays["base.pos_emb"],
-                "out_proj": self.arrays["base.out_proj"],
-            }
-        return side, cache
+        prefix = "cache." if self.kind == "side" else "base."
+        return side, {n: self.arrays[prefix + n] for n in DEVICE_CACHE}
 
 
 def _strip(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -223,9 +216,7 @@ def save_model(
     if kind in ("full", "cloud", "side"):
         arrays.update({f"gate.{n}": t.data for n, t in model.gate.named()})
     if kind == "side":
-        arrays["cache.tok_emb"] = model.base["tok_emb"].data
-        arrays["cache.pos_emb"] = model.base["pos_emb"].data
-        arrays["cache.out_proj"] = model.base["out_proj"].data
+        arrays.update({f"cache.{n}": model.base[n].data for n in DEVICE_CACHE})
     base_digest = model.base_digest()
     meta = {
         "kind": kind,

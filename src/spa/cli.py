@@ -32,19 +32,14 @@ from .training import (
     run_lr_grid,
     train_side_and_gate,
 )
+from .wire import POLICIES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
 
-POLICY_FLAGS = {
-    "spa": "spa",
-    "lst": "lst",
-    "base-only": "base_only",
-    "always-side": "always_side",
-    "device-only": "device_only",
-}
+POLICY_FLAGS = {p.replace("_", "-"): p for p in POLICIES}
 
 
 class UsageError(SpaError):

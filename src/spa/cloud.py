@@ -132,17 +132,10 @@ class CloudEndpoint:
             record.error = str(e)
             self._fail(transport, ErrorCode.INTERNAL, str(e))
         finally:
-            counter = TransmissionCounter(
-                policy=record.policy or "base_only", n_layers=self.config.n_layers
+            record.counter = TransmissionCounter.build(
+                record.policy or "base_only", self.config.n_layers, record.emitted_tokens,
+                record.emitted_trace, record.base_hiddens_sent, transport,
             )
-            counter.frames_sent = transport.frames_sent
-            counter.frames_received = transport.frames_received
-            counter.bytes_sent = transport.bytes_sent
-            counter.bytes_received = transport.bytes_received
-            counter.hidden_round_trips = record.base_hiddens_sent
-            counter.tokens_generated = len(record.emitted_tokens)
-            counter.gate_trace = list(record.emitted_trace)
-            record.counter = counter
             try:
                 transport.close()
             except SpaError:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ContractError
+from .metrics import usage_percentage
 from .model import (
     ModelConfig,
     SpaModel,
@@ -21,9 +22,10 @@ from .model import (
     side_step_layers,
     side_step_rolled,
 )
+from .wire import POLICIES, STRATEGIES, WIRE_MODES
 
-POLICY_CHOICES = ("spa", "always_side", "device_only", "lst", "base_only")
-ARCH_CHOICES = ("lora", "adapter", "lst", "spa", "always_side", "base_only", "device_only")
+# base arrays a device caches for device-only decoding
+DEVICE_CACHE = ("tok_emb", "pos_emb", "out_proj")
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,11 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ContractError("beam_width must be >= 1")
-        if self.strategy not in ("greedy", "beam"):
+        if self.strategy not in STRATEGIES:
             raise ContractError(f"unknown strategy {self.strategy!r}")
-        if self.policy not in POLICY_CHOICES:
+        if self.policy not in POLICIES:
             raise ContractError(f"unknown policy {self.policy!r}")
-        if self.wire_mode not in ("final", "all_layers"):
+        if self.wire_mode not in WIRE_MODES:
             raise ContractError(f"unknown wire mode {self.wire_mode!r}")
 
 
@@ -65,10 +67,7 @@ def count_transmissions(policy: str, n_layers: int, tokens_generated: int, gate_
             )
         if not trace.size:
             return 0.0
-        # routed through the percentage form so usage_percentage(trace) / 100
-        # is bit-for-bit equal; the direct fraction differs by an ulp for
-        # some trace lengths
-        return 100.0 * (float(trace.sum()) / trace.size) / 100.0
+        return usage_percentage(trace) / 100.0
     raise ContractError(f"unknown architecture {policy!r}")
 
 
@@ -83,6 +82,25 @@ class TransmissionCounter:
     hidden_round_trips: int = 0
     tokens_generated: int = 0
     gate_trace: list[int] = field(default_factory=list)
+
+    @classmethod
+    def build(
+        cls, policy: str, n_layers: int, tokens, gate_trace, round_trips: int, transport=None
+    ) -> "TransmissionCounter":
+        """Counter for a finished session; frame and byte counts come from `transport`."""
+        counter = cls(
+            policy=policy,
+            n_layers=n_layers,
+            hidden_round_trips=round_trips,
+            tokens_generated=len(tokens),
+            gate_trace=list(gate_trace),
+        )
+        if transport is not None:
+            counter.frames_sent = transport.frames_sent
+            counter.frames_received = transport.frames_received
+            counter.bytes_sent = transport.bytes_sent
+            counter.bytes_received = transport.bytes_received
+        return counter
 
     @property
     def transmissions_per_token(self) -> float:
@@ -161,8 +179,9 @@ class CloudStepModel:
 class DeviceOnlyStepModel:
     """Fully separated decoding: the side ladder over cached embeddings.
 
-    Every layer's down-projection reads the embedded current position; the
-    cached output projection produces logits. No cloud contact, ever.
+    Every layer's down-projection reads the embedded current position and
+    nothing seeds layer 0; the cached output projection produces logits. No
+    cloud contact, ever.
     """
 
     def __init__(self, config: ModelConfig, side, cache: dict[str, np.ndarray]):
@@ -178,10 +197,21 @@ class DeviceOnlyStepModel:
         ctx = np.asarray(ctx_ids, dtype=np.int64)[-self.config.max_seq_len :]
         pos = ctx.size - 1
         vec = self.tok_emb[ctx[-1]] + self.pos_emb[pos]
-        vecs = np.tile(vec, (self.config.n_layers, 1))
-        side_vec = side_step_layers(self.config, self.side, vecs)
+        side_vec, _ = side_step_rolled(self.config, self.side, vec, None)
         self.gate_log.append(1)
         return (vec + side_vec) @ self.out_proj, 1
+
+
+def local_step_model(model: SpaModel, policy: str, wire_mode: str):
+    """Step model with the side computed in this process (no wire)."""
+    cfg = model.config
+    if policy == "device_only":
+        cache = {name: model.base[name].data for name in DEVICE_CACHE}
+        return DeviceOnlyStepModel(cfg, model.side, cache)
+    return CloudStepModel(
+        cfg, model.base, model.gate, policy, wire_mode,
+        local_side_provider(cfg, model.side, wire_mode), StepCounter(),
+    )
 
 
 @dataclass
@@ -296,20 +326,10 @@ def beam_search(
     eos_id=None,
 ) -> DecodeOutcome:
     """Model-level convenience wrapper around beam_decode."""
-    cfg = model.config
-    if policy == "device_only":
-        cache = {
-            "tok_emb": model.base["tok_emb"].data,
-            "pos_emb": model.base["pos_emb"].data,
-            "out_proj": model.base["out_proj"].data,
-        }
-        step_model = DeviceOnlyStepModel(cfg, model.side, cache)
-    else:
-        step_model = CloudStepModel(
-            cfg, model.base, model.gate, policy, wire_mode,
-            local_side_provider(cfg, model.side, wire_mode), StepCounter(),
-        )
-    return beam_decode(step_model, prompt_ids, width, max_new_tokens, cfg.vocab_size, eos_id)
+    return beam_decode(
+        local_step_model(model, policy, wire_mode),
+        prompt_ids, width, max_new_tokens, model.config.vocab_size, eos_id,
+    )
 
 
 @dataclass
@@ -326,27 +346,14 @@ def decode_monolithic(
 ) -> MonolithicResult:
     """The split pipeline's mathematics executed in one process."""
     cfg = model.config
-    if dcfg.policy == "device_only":
-        cache = {
-            "tok_emb": model.base["tok_emb"].data,
-            "pos_emb": model.base["pos_emb"].data,
-            "out_proj": model.base["out_proj"].data,
-        }
-        step_model = DeviceOnlyStepModel(cfg, model.side, cache)
-    else:
-        provider = local_side_provider(cfg, model.side, dcfg.wire_mode)
-        step_model = CloudStepModel(
-            cfg, model.base, model.gate, dcfg.policy, dcfg.wire_mode, provider, StepCounter()
-        )
+    step_model = local_step_model(model, dcfg.policy, dcfg.wire_mode)
     outcome = run_decode(step_model, prompt_ids, dcfg, cfg.vocab_size, eos_id)
-    counter = TransmissionCounter(policy=dcfg.policy, n_layers=cfg.n_layers)
-    counter.tokens_generated = len(outcome.tokens)
-    counter.gate_trace = list(outcome.gate_trace)
-    counter.hidden_round_trips = outcome.hidden_calls
     return MonolithicResult(
         tokens=outcome.tokens,
         gate_trace=outcome.gate_trace,
         stopped_by_eos=outcome.stopped_by_eos,
-        counter=counter,
+        counter=TransmissionCounter.build(
+            dcfg.policy, cfg.n_layers, outcome.tokens, outcome.gate_trace, outcome.hidden_calls
+        ),
         gate_log=list(step_model.gate_log),
     )

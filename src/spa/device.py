@@ -81,15 +81,14 @@ def _device_only(bundle: SideBundle, prompt_ids, dcfg: DecodeConfig) -> Generati
     step_model = DeviceOnlyStepModel(bundle.config, bundle.side, bundle.cache)
     eos = EOS if bundle.config.vocab_size == VOCAB_SIZE else None
     outcome = run_decode(step_model, prompt_ids, dcfg, bundle.config.vocab_size, eos)
-    counter = TransmissionCounter(policy="device_only", n_layers=bundle.config.n_layers)
-    counter.tokens_generated = len(outcome.tokens)
-    counter.gate_trace = list(outcome.gate_trace)
     return GenerationResult(
         text=_decode_text(bundle.config, outcome.tokens),
         prompt_ids=list(prompt_ids),
         tokens=outcome.tokens,
         gate_trace=outcome.gate_trace,
-        counter=counter,
+        counter=TransmissionCounter.build(
+            "device_only", bundle.config.n_layers, outcome.tokens, outcome.gate_trace, 0
+        ),
         completed=True,
         stopped_by_eos=outcome.stopped_by_eos,
     )
@@ -197,20 +196,14 @@ def run_device(
         except SpaError:
             pass
 
-    counter = TransmissionCounter(policy=dcfg.policy, n_layers=bundle.config.n_layers)
-    counter.frames_sent = transport.frames_sent
-    counter.frames_received = transport.frames_received
-    counter.bytes_sent = transport.bytes_sent
-    counter.bytes_received = transport.bytes_received
-    counter.hidden_round_trips = answered
-    counter.tokens_generated = len(tokens)
-    counter.gate_trace = list(trace)
     return GenerationResult(
         text=_decode_text(bundle.config, tokens),
         prompt_ids=prompt_ids,
         tokens=tokens,
         gate_trace=trace,
-        counter=counter,
+        counter=TransmissionCounter.build(
+            dcfg.policy, bundle.config.n_layers, tokens, trace, answered, transport
+        ),
         completed=completed,
         stopped_by_eos=stopped_by_eos,
         error=error,

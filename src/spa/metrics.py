@@ -56,8 +56,8 @@ class UndefinedMetricError(ContractError):
 def usage_percentage(gate_trace) -> float:
     """100 x (decisions that used the side path) / (total decisions).
 
-    Must stay the exact float expression count_transmissions uses for the
-    spa policy: the two are asserted bit-for-bit equal across modules.
+    count_transmissions defines the spa policy's M as this value / 100, so
+    the two agree bit for bit by construction.
     """
     trace = np.asarray(gate_trace, dtype=np.float64)
     if trace.size == 0:

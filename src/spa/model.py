@@ -10,6 +10,12 @@ whether the side output is fused in:
 
     fused = base_final + gate * side_out
     logits = fused @ out_proj          (out_proj stays frozen)
+
+`ladder` is the only implementation of that network. Training and the
+`all_layers` wire mode feed rung i the layer-i base hidden. The `final`
+wire mode feeds every rung the final hidden and seeds layer 0 with the
+last rung of the previous consulted step; device-only decoding feeds every
+rung the embedded token, with no seed.
 """
 
 from __future__ import annotations
@@ -283,20 +289,29 @@ def base_forward(config: ModelConfig, base: BaseParams, token_ids) -> BaseTrace:
     return trace
 
 
-def side_forward(config: ModelConfig, side: SideParams, hiddens: list[Tensor]) -> Tensor:
-    """Ladder over per-layer base hiddens; uses only base hiddens + side params."""
-    if len(hiddens) != config.n_layers:
-        raise ContractError(
-            f"side_forward: expected {config.n_layers} layer hiddens, got {len(hiddens)}"
-        )
-    rung: Tensor | None = None
-    for i in range(config.n_layers):
-        z = nc.add(nc.matmul(hiddens[i], side[f"down.{i}.w"]), side[f"down.{i}.b"])
+def ladder(
+    config: ModelConfig, side: SideParams, rows: list[Tensor], rung: Tensor | None = None
+) -> tuple[Tensor, Tensor]:
+    """The side ladder: one input row block per layer, returns (side_out, last_rung).
+
+    Each layer down-projects its row and runs the two-layer GELU mixer; from
+    layer 1 on, the previous rung is added scaled by `mix.{i}`. A given `rung`
+    seeds layer 0 and is added unscaled.
+    """
+    if len(rows) != config.n_layers:
+        raise ContractError(f"ladder: expected {config.n_layers} layer inputs, got {len(rows)}")
+    for i, row in enumerate(rows):
+        z = nc.add(nc.matmul(row, side[f"down.{i}.w"]), side[f"down.{i}.b"])
         if rung is not None:
-            z = nc.add(z, nc.tsmul(rung, side[f"mix.{i}"]))
+            z = nc.add(z, nc.tsmul(rung, side[f"mix.{i}"]) if i > 0 else rung)
         h1 = nc.gelu(nc.add(nc.matmul(z, side[f"mixer.{i}.w1"]), side[f"mixer.{i}.b1"]))
         rung = nc.add(nc.matmul(h1, side[f"mixer.{i}.w2"]), side[f"mixer.{i}.b2"])
-    return nc.add(nc.matmul(rung, side["up.w"]), side["up.b"])
+    return nc.add(nc.matmul(rung, side["up.w"]), side["up.b"]), rung
+
+
+def side_forward(config: ModelConfig, side: SideParams, hiddens: list[Tensor]) -> Tensor:
+    """Ladder over per-layer base hiddens; uses only base hiddens + side params."""
+    return ladder(config, side, hiddens)[0]
 
 
 def side_step_layers(config: ModelConfig, side: SideParams, layer_vecs: np.ndarray) -> np.ndarray:
@@ -306,9 +321,8 @@ def side_step_layers(config: ModelConfig, side: SideParams, layer_vecs: np.ndarr
         raise DimensionError(
             f"side_step_layers: need shape ({config.n_layers}, {config.d_model}), got {vecs.shape}"
         )
-    rows = [Tensor(vecs[i : i + 1]) for i in range(config.n_layers)]
     with nc.no_grad():
-        out = side_forward(config, side, rows)
+        out, _ = ladder(config, side, [Tensor(vecs[i : i + 1]) for i in range(config.n_layers)])
     return out.data[0]
 
 
@@ -318,28 +332,19 @@ def side_step_rolled(
     final_vec: np.ndarray,
     summary: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-position side output from the final hidden only.
+    """Single-position side output from one vector read by every rung.
 
-    Every layer's down-projection reads the same final hidden; the ladder is
-    seeded with the rolling summary from the previous consulted step and the
-    new summary (the last rung) is returned alongside the output.
+    The ladder is seeded with `summary` (the last rung of the previous
+    consulted step, or None) and the new last rung is returned alongside
+    the output.
     """
-    z_in = np.asarray(final_vec, dtype=np.float64).reshape(1, config.d_model)
-    z_t = Tensor(z_in)
-    rung_t = None if summary is None else Tensor(
+    row = Tensor(np.asarray(final_vec, dtype=np.float64).reshape(1, config.d_model))
+    seed = None if summary is None else Tensor(
         np.asarray(summary, dtype=np.float64).reshape(1, config.side_width)
     )
     with nc.no_grad():
-        for i in range(config.n_layers):
-            z = nc.add(nc.matmul(z_t, side[f"down.{i}.w"]), side[f"down.{i}.b"])
-            if rung_t is not None:
-                # the rolling summary enters layer 0 unscaled; later layers
-                # reuse the ladder's own mixing scalars
-                z = nc.add(z, nc.tsmul(rung_t, side[f"mix.{i}"]) if i > 0 else rung_t)
-            h1 = nc.gelu(nc.add(nc.matmul(z, side[f"mixer.{i}.w1"]), side[f"mixer.{i}.b1"]))
-            rung_t = nc.add(nc.matmul(h1, side[f"mixer.{i}.w2"]), side[f"mixer.{i}.b2"])
-        out = nc.add(nc.matmul(rung_t, side["up.w"]), side["up.b"])
-    return out.data[0], rung_t.data[0]
+        out, rung = ladder(config, side, [row] * config.n_layers, seed)
+    return out.data[0], rung.data[0]
 
 
 def gate_logits(gate: GateParams, base_final: Tensor) -> tuple[Tensor, Tensor]:

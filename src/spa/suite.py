@@ -21,7 +21,7 @@ import numpy as np
 from . import numcore as nc
 from .checkpoint import CheckpointError, load_checkpoint
 from .corpus import make_synthetic_personalized_corpus
-from .decoding import DecodeConfig, DeviceOnlyStepModel, count_transmissions, decode_monolithic
+from .decoding import DecodeConfig, count_transmissions, decode_monolithic, local_step_model
 from .errors import ContractError
 from .latency import LatencyProfile, build_comparison_table, format_rows
 from .metrics import perplexity, rouge_l, usage_percentage
@@ -67,12 +67,7 @@ class SuiteReport:
 
 
 def _device_only_nll(model: SpaModel, ids: np.ndarray) -> tuple[float, int]:
-    cache = {
-        "tok_emb": model.base["tok_emb"].data,
-        "pos_emb": model.base["pos_emb"].data,
-        "out_proj": model.base["out_proj"].data,
-    }
-    step_model = DeviceOnlyStepModel(model.config, model.side, cache)
+    step_model = local_step_model(model, "device_only", "final")
     total = 0.0
     for i in range(1, ids.size):
         logits, _ = step_model.logits_for(ids[:i])

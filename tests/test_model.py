@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spa import numcore as nc
+from spa.decoding import DeviceOnlyStepModel
 from spa.errors import ContractError, DimensionError
 from spa.model import (
     ModelConfig,
@@ -17,6 +18,7 @@ from spa.model import (
     gate_logits,
     side_forward,
     side_step_layers,
+    side_step_rolled,
     token_loss,
 )
 from spa.numcore import Tape, Tensor
@@ -131,6 +133,64 @@ class TestSideForward:
             TINY, tiny_model.side, [Tensor(h.data[1:2]) for h in trace.hiddens]
         ).data[0]
         assert np.array_equal(single, full)
+
+
+# three layers so both mixing scalars (mix.1, mix.2) take part
+LADDER_CFG = ModelConfig(
+    n_layers=3, d_model=32, n_heads=4, d_ff=64, vocab_size=40, max_seq_len=32, side_reduction=4
+)
+
+
+def seeded_side_model(seed=9):
+    """A model whose side net has non-zero biases and mixing scalars."""
+    model = SpaModel.create(LADDER_CFG, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, t in model.side.named():
+        t.data = t.data + rng.standard_normal(t.shape) * 0.3
+    return model
+
+
+def ladder_ref(side, rows, rung=None):
+    """The side ladder in plain numpy: (side_out, last_rung) for 1-D inputs."""
+    p = {name: t.data for name, t in side.named()}
+    for i, row in enumerate(rows):
+        z = row @ p[f"down.{i}.w"] + p[f"down.{i}.b"]
+        if rung is not None:
+            z = z + (rung if i == 0 else p[f"mix.{i}"][0] * rung)
+        a = z @ p[f"mixer.{i}.w1"] + p[f"mixer.{i}.b1"]
+        a = 0.5 * a * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (a + 0.044715 * a**3)))
+        rung = a @ p[f"mixer.{i}.w2"] + p[f"mixer.{i}.b2"]
+    return rung @ p["up.w"] + p["up.b"], rung
+
+
+class TestLadderReference:
+    def test_rolled_steps_match_plain_numpy_recurrence(self):
+        model = seeded_side_model()
+        rng = np.random.default_rng(4)
+        summary = ref_summary = None
+        for step in range(6):
+            final = rng.standard_normal(LADDER_CFG.d_model)
+            out, summary = side_step_rolled(LADDER_CFG, model.side, final, summary)
+            ref_out, ref_summary = ladder_ref(
+                model.side, [final] * LADDER_CFG.n_layers, ref_summary
+            )
+            assert summary.shape == (LADDER_CFG.side_width,)
+            np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12, err_msg=f"step {step}")
+            np.testing.assert_allclose(summary, ref_summary, rtol=1e-10, atol=1e-12)
+
+    def test_device_only_logits_match_ladder_over_embedding(self):
+        model = seeded_side_model()
+        base = {name: model.base[name].data for name in ("tok_emb", "pos_emb", "out_proj")}
+        step_model = DeviceOnlyStepModel(LADDER_CFG, model.side, base)
+        ctx = [3, 17, 5, 29, 11]
+        for n in range(1, len(ctx) + 1):
+            logits, used = step_model.logits_for(ctx[:n])
+            e = base["tok_emb"][ctx[n - 1]] + base["pos_emb"][n - 1]
+            side_out, _ = ladder_ref(model.side, [e] * LADDER_CFG.n_layers)
+            assert used == 1
+            np.testing.assert_allclose(
+                logits, (e + side_out) @ base["out_proj"], rtol=1e-10, atol=1e-12
+            )
 
 
 class TestGate:

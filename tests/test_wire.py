@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spa.wire import (
     HEADER_LEN,
     MAX_PAYLOAD,
+    POLICIES,
     BadFrameError,
     BaseHiddens,
     Eos,
@@ -36,7 +37,7 @@ def random_message(rng: np.random.Generator):
         n = int(rng.integers(1, 30))
         return Prompt(
             token_ids=tuple(int(t) for t in rng.integers(0, 60000, size=n)),
-            policy=["spa", "always_side", "device_only", "lst", "base_only"][rng.integers(5)],
+            policy=POLICIES[rng.integers(len(POLICIES))],
             strategy=["greedy", "beam"][rng.integers(2)],
             beam_width=int(rng.integers(1, 64)),
             max_new_tokens=int(rng.integers(1, 500)),

@@ -44,6 +44,11 @@ from .wire import (
 )
 
 
+# widest beam a PROMPT may ask for: bounds the hypotheses, and so the K/V
+# windows, that one session keeps per step
+MAX_BEAM_WIDTH = 16
+
+
 class SessionAborted(SpaError):
     pass
 
@@ -181,6 +186,12 @@ class CloudEndpoint:
                 ErrorCode.PROTOCOL_VIOLATION,
                 f"prompt token {max(prompt.token_ids)} out of range "
                 f"for vocab {self.config.vocab_size}",
+            )
+        if not 1 <= prompt.beam_width <= MAX_BEAM_WIDTH:
+            self._abort(
+                transport,
+                ErrorCode.PROTOCOL_VIOLATION,
+                f"beam width {prompt.beam_width} outside 1..{MAX_BEAM_WIDTH}",
             )
         record.policy = prompt.policy
         record.prompt_len = len(prompt.token_ids)

@@ -4,6 +4,12 @@ One step engine backs every path. The cloud session and the monolithic
 decoder run the same `CloudStepModel` code on the same array shapes; the
 only difference is where the side vector comes from (a wire round trip vs
 a local call), so split and in-process decoding agree bit for bit.
+
+Decoding is incremental: `CloudStepModel` keeps the attention K/V of the
+windows it evaluated on the previous step, and a context that extends one
+of them by a token runs the base over that token alone. When the window
+slides past max_seq_len every absolute position shifts, so that step falls
+back to a full recompute of the window.
 """
 
 from __future__ import annotations
@@ -136,7 +142,18 @@ def local_side_provider(config: ModelConfig, side, wire_mode: str):
 
 
 class CloudStepModel:
-    """One decode step: base forward, gate decision, optional side fusion."""
+    """One decode step: base forward, gate decision, optional side fusion.
+
+    The base runs incrementally. The per-layer K/V of every window evaluated
+    on the previous step is kept, keyed by the window's token tuple (the K/V
+    of a window depend on nothing else, so a hit is exact by construction).
+    A window that extends a kept one by a token forwards only that token;
+    any other window (the first step, or one that slid past max_seq_len and
+    so shifted every absolute position) is recomputed in full. A step is one
+    context length: greedy makes one call per step, beam search one per live
+    hypothesis. Windows of max_seq_len tokens cannot be extended and are not
+    kept.
+    """
 
     def __init__(self, config, base, gate, policy, wire_mode, side_provider, steps: StepCounter):
         if policy == "device_only":
@@ -150,11 +167,29 @@ class CloudStepModel:
         self.steps = steps
         self.gate_log: list[int] = []  # every decision, hypothesis steps included
         self.hidden_calls = 0
+        self._ctx_len = 0  # context length of the current step
+        self._kv_prev: dict[tuple, list] = {}  # windows of the previous step -> K/V
+        self._kv_cur: dict[tuple, list] = {}  # windows of the current step -> K/V
+
+    def _base_trace(self, ctx_ids):
+        ctx = tuple(ctx_ids)
+        if len(ctx) != self._ctx_len:
+            self._kv_prev = self._kv_cur if len(ctx) == self._ctx_len + 1 else {}
+            self._kv_cur = {}
+            self._ctx_len = len(ctx)
+        window = ctx[-self.config.max_seq_len :]
+        past = self._kv_prev.get(window[:-1])
+        with nc.no_grad():
+            if past is None:
+                trace = base_forward(self.config, self.base, window)
+            else:
+                trace = base_forward(self.config, self.base, window[-1:], past)
+        if len(window) < self.config.max_seq_len:
+            self._kv_cur[window] = trace.kv
+        return trace
 
     def logits_for(self, ctx_ids) -> tuple[np.ndarray, int]:
-        ctx = np.asarray(ctx_ids, dtype=np.int64)[-self.config.max_seq_len :]
-        with nc.no_grad():
-            trace = base_forward(self.config, self.base, ctx)
+        trace = self._base_trace(ctx_ids)
         final_row = trace.final.data[-1]
         if self.policy == "base_only":
             use_side = 0

@@ -252,24 +252,45 @@ class SpaModel:
 
 @dataclass
 class BaseTrace:
-    """Per-layer residual-stream states plus the post-norm final hidden."""
+    """Per-layer residual-stream states plus the post-norm final hidden.
+
+    `kv` holds each layer's attention keys and values over every position
+    attended (past and new), ready to be passed back as `past`.
+    """
 
     hiddens: list[Tensor] = field(default_factory=list)
     final: Tensor | None = None
     logits: Tensor | None = None
+    kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def base_forward(config: ModelConfig, base: BaseParams, token_ids) -> BaseTrace:
+def base_forward(
+    config: ModelConfig,
+    base: BaseParams,
+    token_ids,
+    past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> BaseTrace:
+    """Forward `token_ids` through the base.
+
+    With `past` (the `kv` of an earlier trace over the preceding positions)
+    the ids are the next positions: they are embedded at absolute positions
+    past_len.. and attend over the past keys plus their own. The trace then
+    covers only the new positions. Past keys are constants, so `past` is for
+    decoding under `no_grad`.
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size < 1:
         raise ContractError(f"base_forward: need a non-empty 1-D id sequence, got {ids.shape}")
-    t_len = ids.shape[0]
+    past_len = 0 if past is None else past[0][0].shape[0]
+    if past is not None and nc.recording():
+        raise ContractError("base_forward: past keys carry no gradient; decode under no_grad")
+    t_len = past_len + ids.shape[0]
     if t_len > config.max_seq_len:
         raise ContractError(f"sequence length {t_len} exceeds max_seq_len {config.max_seq_len}")
 
     x = nc.add(
         nc.embedding(base["tok_emb"], ids),
-        nc.embedding(base["pos_emb"], np.arange(t_len)),
+        nc.embedding(base["pos_emb"], np.arange(past_len, t_len)),
     )
     trace = BaseTrace()
     for i in range(config.n_layers):
@@ -278,6 +299,10 @@ def base_forward(config: ModelConfig, base: BaseParams, token_ids) -> BaseTrace:
         q = nc.add(nc.matmul(a, base[f"{p}.attn.wq"]), base[f"{p}.attn.bq"])
         k = nc.add(nc.matmul(a, base[f"{p}.attn.wk"]), base[f"{p}.attn.bk"])
         v = nc.add(nc.matmul(a, base[f"{p}.attn.wv"]), base[f"{p}.attn.bv"])
+        if past is not None:
+            k = Tensor(np.concatenate([past[i][0], k.data]))
+            v = Tensor(np.concatenate([past[i][1], v.data]))
+        trace.kv.append((k.data, v.data))
         att = nc.causal_attention(q, k, v, config.n_heads)
         x = nc.add(x, nc.add(nc.matmul(att, base[f"{p}.attn.wo"]), base[f"{p}.attn.bo"]))
         m = nc.layer_norm(x, base[f"{p}.ln2.g"], base[f"{p}.ln2.b"])

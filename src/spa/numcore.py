@@ -23,6 +23,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "no_grad",
+    "recording",
     "backward",
     "zero_grad",
     "add",
@@ -195,6 +196,11 @@ def no_grad():
         yield
     finally:
         _TAPE_STACK.pop()
+
+
+def recording() -> bool:
+    """True when operations are being recorded on a tape."""
+    return _current_tape() is not None
 
 
 def backward(loss: Tensor) -> None:
@@ -420,44 +426,51 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal self-attention over (T, d) projections.
+    """Multi-head causal attention of (Tq, d) queries over (Tk, d) keys/values.
 
-    Fused into one tape op with a hand-written backward so the graph stays
-    small; verified against finite differences like every other op.
+    Tk >= Tq: the queries are the last Tq of the Tk positions, so query i
+    sees keys 0..Tk-Tq+i (the square case is ordinary causal self-attention;
+    Tq < Tk is a cached decode step). Heads are batched through `np.matmul`
+    on (heads, T, head_dim) views. Fused into one tape op with a hand-written
+    backward so the graph stays small; verified against finite differences
+    like every other op.
     """
-    if not (q.shape == k.shape == v.shape) or q.data.ndim != 2:
+    if q.data.ndim != 2 or k.shape != v.shape or k.data.ndim != 2 or k.shape[1] != q.shape[1]:
         raise DimensionError(
-            f"causal_attention: q/k/v must share a (T, d) shape, got {q.shape}, {k.shape}, {v.shape}"
+            f"causal_attention: need (Tq, d) queries and (Tk, d) keys/values, "
+            f"got {q.shape}, {k.shape}, {v.shape}"
         )
-    t_len, d_model = q.shape
+    q_len, d_model = q.shape
+    k_len = k.shape[0]
+    if k_len < q_len:
+        raise DimensionError(f"causal_attention: {k_len} keys for {q_len} queries")
     if d_model % n_heads:
         raise DimensionError(f"causal_attention: d={d_model} not divisible by {n_heads} heads")
     head = d_model // n_heads
     scale = 1.0 / math.sqrt(head)
 
-    qh = q.data.reshape(t_len, n_heads, head)
-    kh = k.data.reshape(t_len, n_heads, head)
-    vh = v.data.reshape(t_len, n_heads, head)
-    scores = np.einsum("ihd,jhd->ihj", qh, kh) * scale
-    mask = np.triu(np.full((t_len, t_len), -np.inf), k=1)
-    scores = scores + mask[:, None, :]
+    def heads(x: np.ndarray) -> np.ndarray:  # (T, d) -> (heads, T, head)
+        return x.reshape(x.shape[0], n_heads, head).transpose(1, 0, 2)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (heads, T, head) -> (T, d)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d_model)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+    scores += np.triu(np.full((q_len, k_len), -np.inf), k=k_len - q_len + 1)
     scores -= scores.max(axis=2, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=2, keepdims=True)
-    out = np.einsum("ihj,jhd->ihd", weights, vh).reshape(t_len, d_model)
+    out = merge(np.matmul(weights, vh))
 
     def bw(go):
-        goh = go.reshape(t_len, n_heads, head)
-        d_weights = np.einsum("ihd,jhd->ihj", goh, vh)
+        goh = heads(go)
+        d_weights = np.matmul(goh, vh.transpose(0, 2, 1))
         d_scores = weights * (d_weights - (weights * d_weights).sum(axis=2, keepdims=True))
-        dq = scale * np.einsum("ihj,jhd->ihd", d_scores, kh)
-        dk = scale * np.einsum("ihj,ihd->jhd", d_scores, qh)
-        dv = np.einsum("ihj,ihd->jhd", weights, goh)
-        return (
-            dq.reshape(t_len, d_model),
-            dk.reshape(t_len, d_model),
-            dv.reshape(t_len, d_model),
-        )
+        dq = scale * np.matmul(d_scores, kh)
+        dk = scale * np.matmul(d_scores.transpose(0, 2, 1), qh)
+        dv = np.matmul(weights.transpose(0, 2, 1), goh)
+        return merge(dq), merge(dk), merge(dv)
 
     return _apply(out, (q, k, v), bw)
 

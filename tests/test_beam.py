@@ -113,3 +113,25 @@ class TestDeterminism:
         second = decode_monolithic(model, [2, 3], dcfg, eos_id=EOS_ID)
         assert first.tokens == second.tokens
         assert first.gate_trace == second.gate_trace
+
+
+class TestKVCache:
+    def test_step_model_keeps_at_most_beam_width_windows_per_step(self):
+        model = make_model(3)
+        step_model = fresh_step_model(model)
+        width = 4
+        sizes = []
+        real_logits_for = step_model.logits_for
+
+        def logits_for(ctx):
+            out = real_logits_for(ctx)
+            sizes.append((len(step_model._kv_prev), len(step_model._kv_cur)))
+            return out
+
+        step_model.logits_for = logits_for
+        # 2 + 20 tokens slide past max_seq_len = 16
+        beam_decode(step_model, [3, 5], width, 20, CFG.vocab_size)
+        assert max(prev for prev, _ in sizes) == width
+        assert max(cur for _, cur in sizes) == width
+        # slid windows are never kept, so nothing older than one step is left
+        assert sizes[-1] == (0, 0)

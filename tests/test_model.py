@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import spa.decoding
 from spa import numcore as nc
-from spa.decoding import DeviceOnlyStepModel
+from spa.decoding import (
+    CloudStepModel,
+    DeviceOnlyStepModel,
+    StepCounter,
+    beam_decode,
+    greedy_decode,
+    local_side_provider,
+)
 from spa.errors import ContractError, DimensionError
 from spa.model import (
     ModelConfig,
@@ -90,6 +98,27 @@ class TestBaseForward:
     def test_too_long_sequence_rejected(self, tiny_model):
         with pytest.raises(ContractError):
             base_forward(TINY, tiny_model.base, [0] * (TINY.max_seq_len + 1))
+
+    def test_past_continues_the_full_forward(self, tiny_model):
+        ids = [3, 1, 4, 1, 5, 9, 2, 6]
+        with nc.no_grad():
+            full = base_forward(TINY, tiny_model.base, ids)
+            head = base_forward(TINY, tiny_model.base, ids[:5])
+            tail = base_forward(TINY, tiny_model.base, ids[5:], head.kv)
+            with pytest.raises(ContractError):
+                base_forward(TINY, tiny_model.base, list(range(TINY.max_seq_len - 4)), head.kv)
+        np.testing.assert_allclose(tail.logits.data, full.logits.data[5:], rtol=1e-12, atol=1e-14)
+        for (k, v), (full_k, full_v) in zip(tail.kv, full.kv):
+            assert k.shape == full_k.shape == (len(ids), TINY.d_model)
+            np.testing.assert_allclose(k, full_k, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(v, full_v, rtol=1e-12, atol=1e-14)
+
+    def test_past_under_a_tape_rejected(self, tiny_model):
+        with nc.no_grad():
+            head = base_forward(TINY, tiny_model.base, [3, 1])
+        tiny_model.base.thaw()
+        with Tape(), pytest.raises(ContractError):
+            base_forward(TINY, tiny_model.base, [4], head.kv)
 
     def test_records_one_hidden_per_layer(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
@@ -191,6 +220,78 @@ class TestLadderReference:
             np.testing.assert_allclose(
                 logits, (e + side_out) @ base["out_proj"], rtol=1e-10, atol=1e-12
             )
+
+
+class FullRecompute:
+    """Reference step model: a fresh CloudStepModel per call, so every base
+    forward covers the whole window."""
+
+    def __init__(self, model, policy, wire_mode):
+        self.model, self.policy, self.wire_mode = model, policy, wire_mode
+        self.provider = local_side_provider(model.config, model.side, wire_mode)
+        self.steps = StepCounter()
+        self.gate_log: list[int] = []
+
+    def logits_for(self, ctx):
+        m = self.model
+        step = CloudStepModel(
+            m.config, m.base, m.gate, self.policy, self.wire_mode, self.provider, self.steps
+        )
+        logits, used = step.logits_for(ctx)
+        self.gate_log.append(used)
+        return logits, used
+
+
+class Lockstep:
+    """Runs the cached step model and the full recompute on every call and
+    checks that the logits agree to 1e-12 relative and the gate bits exactly."""
+
+    def __init__(self, cached, reference):
+        self.cached, self.reference = cached, reference
+
+    def logits_for(self, ctx):
+        got, used = self.cached.logits_for(ctx)
+        want, want_used = self.reference.logits_for(ctx)
+        assert used == want_used, f"gate bit differs at context length {len(ctx)}"
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), len(ctx)
+        return got, used
+
+
+class TestIncrementalDecode:
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("wire_mode", ["final", "all_layers"])
+    @pytest.mark.parametrize("policy", ["spa", "always_side", "lst", "base_only"])
+    def test_cached_steps_match_full_recompute(self, policy, wire_mode, width, monkeypatch):
+        model = seeded_side_model()
+        model.gate["w"].data[:] = np.random.default_rng(3).standard_normal(model.gate["w"].shape)
+        forwards = []
+        real_forward = spa.decoding.base_forward
+
+        def counting_forward(config, base, ids, past=None):
+            forwards.append((len(ids), past is not None))
+            return real_forward(config, base, ids, past)
+
+        monkeypatch.setattr(spa.decoding, "base_forward", counting_forward)
+        rng = np.random.default_rng(11)
+        window = LADDER_CFG.max_seq_len
+        # the long prompt slides past max_seq_len after 4 new tokens
+        for prompt_len in (5, window - 3):
+            prompt = [int(t) for t in rng.integers(0, LADDER_CFG.vocab_size, prompt_len)]
+
+            def decode(step_model):
+                if width == 1:
+                    return greedy_decode(step_model, prompt, 8)
+                return beam_decode(step_model, prompt, width, 8, LADDER_CFG.vocab_size)
+
+            cached = spa.decoding.local_step_model(model, policy, wire_mode)
+            got = decode(Lockstep(cached, FullRecompute(model, policy, wire_mode)))
+            reference = FullRecompute(model, policy, wire_mode)
+            want = decode(reference)
+            assert got.tokens == want.tokens
+            assert got.gate_trace == want.gate_trace
+            assert cached.gate_log == reference.gate_log
+        assert (1, True) in forwards, "no step was served from the cache"
+        assert (window, False) in forwards, "no slid window was recomputed"
 
 
 class TestGate:

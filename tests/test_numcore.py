@@ -247,8 +247,35 @@ DIFFERENTIABLE_OPS = [
     ("gelu", lambda r: (lambda x: nc.mul(nc.gelu(x), nc.gelu(x)).sum(), [Tensor(r.standard_normal(7))])),
     ("embedding", lambda r: (lambda w: nc.mul(nc.embedding(w, [0, 2, 2, 1]), nc.embedding(w, [0, 2, 2, 1])).sum(), [Tensor(r.standard_normal((4, 3)))])),
     ("attention", lambda r: (lambda q, k, v: nc.mul(nc.causal_attention(q, k, v, 2), nc.causal_attention(q, k, v, 2)).sum(), [Tensor(r.standard_normal((4, 6))), Tensor(r.standard_normal((4, 6))), Tensor(r.standard_normal((4, 6)))])),
+    ("attention_cached", lambda r: (lambda q, k, v: nc.mul(nc.causal_attention(q, k, v, 2), nc.causal_attention(q, k, v, 2)).sum(), [Tensor(r.standard_normal((2, 6))), Tensor(r.standard_normal((5, 6))), Tensor(r.standard_normal((5, 6)))])),
     ("cross_entropy", lambda r: ((lambda ids: lambda x: nc.cross_entropy(x, ids))(r.integers(0, 5, size=3)), [Tensor(r.standard_normal((3, 5)))])),
 ]
+
+
+class TestCausalAttention:
+    def test_key_prefix_equals_last_rows_of_full_call(self):
+        r = rng_for(7)
+        q, k, v = (r.standard_normal((9, 8)) for _ in range(3))
+        full = nc.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+        for n in range(1, 10):
+            for m in range(1, n + 1):
+                out = nc.causal_attention(Tensor(q[n - m : n]), Tensor(k[:n]), Tensor(v[:n]), 2)
+                np.testing.assert_allclose(out.data, full[n - m : n], rtol=1e-12, atol=1e-15)
+
+    def test_fewer_keys_than_queries_rejected(self):
+        r = rng_for(8)
+        q, kv = Tensor(r.standard_normal((4, 6))), Tensor(r.standard_normal((3, 6)))
+        with pytest.raises(DimensionError):
+            nc.causal_attention(q, kv, kv, 2)
+
+    def test_width_mismatch_rejected(self):
+        r = rng_for(9)
+        q, kv = Tensor(r.standard_normal((2, 6))), Tensor(r.standard_normal((3, 4)))
+        with pytest.raises(DimensionError):
+            nc.causal_attention(q, kv, kv, 2)
+        k, v = Tensor(r.standard_normal((3, 6))), Tensor(r.standard_normal((4, 6)))
+        with pytest.raises(DimensionError):
+            nc.causal_attention(q, k, v, 2)
 
 
 @pytest.mark.parametrize("name,builder", DIFFERENTIABLE_OPS, ids=[n for n, _ in DIFFERENTIABLE_OPS])

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from spa.cloud import CloudEndpoint, CloudServer
+from spa.cloud import MAX_BEAM_WIDTH, CloudEndpoint, CloudServer
 from spa.decoding import DecodeConfig, decode_monolithic
 from spa.device import GenerationResult, SideBundle, run_device
 from spa.checkpoint import compat_digest
@@ -230,6 +230,32 @@ class TestProtocolViolations:
         t.join(timeout=5)
         assert isinstance(reply, ErrorFrame)
         assert reply.code == ErrorCode.PROTOCOL_VIOLATION
+
+    def test_beam_width_outside_cap_rejected_before_any_forward(self):
+        model = make_model(9)
+        bundle = make_bundle(model)
+        dcfg = DecodeConfig(
+            max_new_tokens=2, strategy="beam", beam_width=MAX_BEAM_WIDTH, policy="base_only"
+        )
+        result, _, _ = loopback_session(model, bundle, [1], dcfg)
+        assert result.completed and result.error is None
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
+        for width in (MAX_BEAM_WIDTH + 1, 0):
+            dev_end, cloud_end = LoopbackTransport.pair()
+            box = {}
+            t = threading.Thread(
+                target=lambda: box.update(record=endpoint.handle_session(cloud_end))
+            )
+            t.start()
+            dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+            assert isinstance(dev_end.recv(timeout=5), Hello)
+            dev_end.send(Prompt((1,), "always_side", "beam", width, 3))
+            reply = dev_end.recv(timeout=5)
+            t.join(timeout=5)
+            assert not t.is_alive()
+            assert isinstance(reply, ErrorFrame), width
+            assert reply.code == ErrorCode.PROTOCOL_VIOLATION, width
+            assert box["record"].gate_log == []
 
     def test_device_only_prompt_rejected_by_cloud(self):
         model = make_model(9)

@@ -47,6 +47,11 @@ from .wire import (
 # widest beam a PROMPT may ask for: bounds the hypotheses, and so the K/V
 # windows, that one session keeps per step
 MAX_BEAM_WIDTH = 16
+# most tokens a PROMPT may ask to generate: bounds a session's steps, frames
+# and retained history
+MAX_NEW_TOKENS = 1024
+# longest prompt a PROMPT may carry: bounds the context the cloud holds
+MAX_PROMPT_TOKENS = 4096
 
 
 class SessionAborted(SpaError):
@@ -180,6 +185,12 @@ class CloudEndpoint:
             )
         if not prompt.token_ids:
             self._abort(transport, ErrorCode.PROTOCOL_VIOLATION, "prompt must not be empty")
+        if len(prompt.token_ids) > MAX_PROMPT_TOKENS:
+            self._abort(
+                transport,
+                ErrorCode.PROTOCOL_VIOLATION,
+                f"prompt of {len(prompt.token_ids)} tokens exceeds {MAX_PROMPT_TOKENS}",
+            )
         if max(prompt.token_ids) >= self.config.vocab_size:
             self._abort(
                 transport,
@@ -192,6 +203,12 @@ class CloudEndpoint:
                 transport,
                 ErrorCode.PROTOCOL_VIOLATION,
                 f"beam width {prompt.beam_width} outside 1..{MAX_BEAM_WIDTH}",
+            )
+        if prompt.max_new_tokens > MAX_NEW_TOKENS:
+            self._abort(
+                transport,
+                ErrorCode.PROTOCOL_VIOLATION,
+                f"max_new_tokens {prompt.max_new_tokens} exceeds {MAX_NEW_TOKENS}",
             )
         record.policy = prompt.policy
         record.prompt_len = len(prompt.token_ids)

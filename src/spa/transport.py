@@ -3,6 +3,12 @@
 Both carry encoded frames, so the loopback exercises the same codec as the
 socket path. Transports count frames and payload bytes in each direction
 for the transmission accounting.
+
+A `SocketTransport` sets `TCP_NODELAY` on the socket it wraps, which covers
+both the device's connected socket and the cloud's accepted one. The cloud
+announces each token as two small frames (GATE_DECISION, then TOKEN) and
+then reads; with Nagle's algorithm on, the second frame would wait for the
+peer's delayed ACK (about 40 ms) on every gated round trip.
 """
 
 from __future__ import annotations
@@ -102,6 +108,7 @@ def _decode_whole(frame: bytes) -> tuple[WireMessage, int]:
 class SocketTransport(_Counting):
     def __init__(self, sock: socket.socket):
         super().__init__()
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
 
     @classmethod

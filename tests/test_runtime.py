@@ -3,11 +3,18 @@ handshake rejection, accounting agreement, timeouts, TCP robustness."""
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from spa.cloud import MAX_BEAM_WIDTH, CloudEndpoint, CloudServer
+from spa.cloud import (
+    MAX_BEAM_WIDTH,
+    MAX_NEW_TOKENS,
+    MAX_PROMPT_TOKENS,
+    CloudEndpoint,
+    CloudServer,
+)
 from spa.decoding import DecodeConfig, decode_monolithic
 from spa.device import GenerationResult, SideBundle, run_device
 from spa.checkpoint import compat_digest
@@ -231,6 +238,21 @@ class TestProtocolViolations:
         assert isinstance(reply, ErrorFrame)
         assert reply.code == ErrorCode.PROTOCOL_VIOLATION
 
+    @staticmethod
+    def refused(endpoint, prompt):
+        """Send `prompt` after a good handshake; return the cloud's reply and record."""
+        dev_end, cloud_end = LoopbackTransport.pair()
+        box = {}
+        t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
+        t.start()
+        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        assert isinstance(dev_end.recv(timeout=5), Hello)
+        dev_end.send(prompt)
+        reply = dev_end.recv(timeout=5)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        return reply, box["record"]
+
     def test_beam_width_outside_cap_rejected_before_any_forward(self):
         model = make_model(9)
         bundle = make_bundle(model)
@@ -241,21 +263,26 @@ class TestProtocolViolations:
         assert result.completed and result.error is None
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
         for width in (MAX_BEAM_WIDTH + 1, 0):
-            dev_end, cloud_end = LoopbackTransport.pair()
-            box = {}
-            t = threading.Thread(
-                target=lambda: box.update(record=endpoint.handle_session(cloud_end))
-            )
-            t.start()
-            dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
-            assert isinstance(dev_end.recv(timeout=5), Hello)
-            dev_end.send(Prompt((1,), "always_side", "beam", width, 3))
-            reply = dev_end.recv(timeout=5)
-            t.join(timeout=5)
-            assert not t.is_alive()
+            reply, record = self.refused(endpoint, Prompt((1,), "always_side", "beam", width, 3))
             assert isinstance(reply, ErrorFrame), width
             assert reply.code == ErrorCode.PROTOCOL_VIOLATION, width
-            assert box["record"].gate_log == []
+            assert record.gate_log == []
+
+    def test_prompt_outside_caps_rejected_before_any_forward(self):
+        model = make_model(9)
+        bundle = make_bundle(model)
+        at_cap = [1 + i % (CFG.vocab_size - 1) for i in range(MAX_PROMPT_TOKENS)]
+        dcfg = DecodeConfig(max_new_tokens=MAX_NEW_TOKENS, policy="base_only")
+        result, record, _ = loopback_session(model, bundle, at_cap, dcfg)
+        assert result.completed and result.error is None
+        assert record.prompt_len == MAX_PROMPT_TOKENS
+        assert len(result.tokens) == MAX_NEW_TOKENS
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
+        for ids, max_new in (((1,) * (MAX_PROMPT_TOKENS + 1), 3), ((1,), MAX_NEW_TOKENS + 1)):
+            reply, record = self.refused(endpoint, Prompt(ids, "always_side", "greedy", 1, max_new))
+            assert isinstance(reply, ErrorFrame), (len(ids), max_new)
+            assert reply.code == ErrorCode.PROTOCOL_VIOLATION, (len(ids), max_new)
+            assert record.gate_log == [] and record.emitted_tokens == []
 
     def test_device_only_prompt_rejected_by_cloud(self):
         model = make_model(9)
@@ -449,5 +476,58 @@ class TestOverTcp:
             assert result.completed and result.error is None
             truncated = [s for s in server.sessions if s.error]
             assert truncated, "mid-frame disconnect must be recorded, not crash"
+        finally:
+            server.shutdown()
+
+    def test_both_ends_set_tcp_nodelay(self):
+        model = make_model(18)
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
+        seen = []
+        handle = endpoint.handle_session
+
+        def spy(transport):
+            seen.append(transport._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            return handle(transport)
+
+        endpoint.handle_session = spy
+        server = CloudServer(endpoint).start()
+        try:
+            host, port = server.address
+            client = SocketTransport.connect(host, port, timeout=5)
+            try:
+                assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                client.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+                assert isinstance(client.recv(timeout=5), Hello)
+            finally:
+                client.close()
+            assert len(seen) == 1 and seen[0]
+        finally:
+            server.shutdown()
+
+    def test_gated_round_trips_do_not_stall(self):
+        # every token of an always_side session is one BASE_HIDDENS/SIDE_OUTPUT
+        # round trip followed by two small frames (GATE_DECISION, TOKEN); with
+        # Nagle's algorithm on, each of the 24 waits ~40 ms for a delayed ACK
+        model = make_model(19)
+        bundle = make_bundle(model)
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=5.0)
+        server = CloudServer(endpoint).start()
+        try:
+            dcfg = DecodeConfig(max_new_tokens=24, policy="always_side")
+            start = time.perf_counter()
+            result = run_device(bundle, dcfg, prompt_ids=[1, 2], connect=server.address)
+            elapsed = time.perf_counter() - start
+            assert result.completed and result.error is None
+            assert len(result.tokens) == 24
+            assert result.counter.hidden_round_trips == 24
+            assert elapsed < 0.5, f"24 gated round trips took {elapsed:.3f} s"
+            deadline = time.monotonic() + 5
+            while server.sessions[-1].counter is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            cloud, dev = server.sessions[-1].counter, result.counter
+            assert cloud.frames_sent == dev.frames_received
+            assert cloud.frames_received == dev.frames_sent
+            assert cloud.bytes_sent == dev.bytes_received
+            assert cloud.bytes_received == dev.bytes_sent
         finally:
             server.shutdown()

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numcore as nc
 from .checkpoint import load_checkpoint, save_model
 from .cloud import serve_cloud
 from .configfile import resolve_config
@@ -20,9 +21,11 @@ from .corpus import load_text_dir, make_synthetic_personalized_corpus, write_tex
 from .decoding import DecodeConfig, decode_monolithic
 from .device import run_device
 from .errors import ConfigError, SpaError
+from .gradcheck import grad_check
 from .latency import LatencyProfile, build_comparison_table, format_rows, parse_profile
 from .metrics import perplexity, usage_percentage
-from .model import ModelConfig
+from .model import ModelConfig, SpaModel, token_loss
+from .numcore import Tensor
 from .suite import SuiteConfig, run_experiment_suite
 from .tokenizer import BOS, EOS, VOCAB_SIZE, ByteTokenizer
 from .training import (
@@ -364,12 +367,7 @@ def _cmd_eval(cfg, args) -> int:
     _, _, test_docs = corpus.splits(args.seed)
     docs = test_docs or corpus.documents
     policy = POLICY_FLAGS[args.policy]
-    if policy == "device_only":
-        from .suite import _policy_perplexity
-
-        ppl = _policy_perplexity(model, docs, policy, ByteTokenizer())
-    else:
-        ppl = perplexity(model, docs, policy=policy)
+    ppl = perplexity(model, docs, policy=policy)
     line = f"policy={policy} docs={len(docs)} perplexity={ppl:.4f}"
     if policy == "spa":
         dcfg = DecodeConfig(max_new_tokens=32, policy="spa")
@@ -410,11 +408,6 @@ def _cmd_report(cfg, args) -> int:
 
 
 def _cmd_grad_check(cfg, args) -> int:
-    from .gradcheck import grad_check
-    from .model import SpaModel, token_loss
-    from .numcore import Tensor
-    from . import numcore as nc_ops
-
     rng = np.random.default_rng(args.seed)
     failures = 0
 
@@ -429,19 +422,18 @@ def _cmd_grad_check(cfg, args) -> int:
     for trial in range(args.trials):
         r = np.random.default_rng(args.seed + trial)
         run(f"matmul[{trial}]",
-            lambda a, b: nc_ops.matmul(a, b).sum(),
+            lambda a, b: nc.matmul(a, b).sum(),
             [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2)))])
         run(f"layer_norm[{trial}]",
-            lambda x, g, b: nc_ops.mul(nc_ops.layer_norm(x, g, b),
-                                       nc_ops.layer_norm(x, g, b)).sum(),
+            lambda x, g, b: nc.mul(nc.layer_norm(x, g, b), nc.layer_norm(x, g, b)).sum(),
             [Tensor(r.standard_normal((2, 6))), Tensor(r.standard_normal(6)),
              Tensor(r.standard_normal(6))])
         run(f"attention[{trial}]",
-            lambda q, k, v: nc_ops.causal_attention(q, k, v, 2).sum(),
+            lambda q, k, v: nc.causal_attention(q, k, v, 2).sum(),
             [Tensor(r.standard_normal((4, 8))) for _ in range(3)])
         targets = r.integers(0, 11, size=4)
         run(f"cross_entropy[{trial}]",
-            lambda x: nc_ops.cross_entropy(x, targets),
+            lambda x: nc.cross_entropy(x, targets),
             [Tensor(r.standard_normal((4, 11)))])
 
         mcfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,

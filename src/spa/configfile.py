@@ -33,12 +33,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "usage_weight": float,
         "block_size": int,
     },
-    "paths": {
-        "out_dir": str,
-        "corpus_dir": str,
-        "checkpoint_dir": str,
-        "reports_dir": str,
-    },
     "latency": {
         "profile": str,
     },
@@ -49,7 +43,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
 class CliConfig:
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
     latency: dict = field(default_factory=dict)
     source: str | None = None
 

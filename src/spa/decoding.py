@@ -1,5 +1,9 @@
 """Decoding: gating policies, greedy/beam search, transmission accounting.
 
+`POLICY_GATE_MODES` is the one statement of what each cloud policy does
+with the gate bit; the step engine, `count_transmissions` and the
+teacher-forced scorer in `metrics` all read it.
+
 One step engine backs every path. The cloud session and the monolithic
 decoder run the same `CloudStepModel` code on the same array shapes; the
 only difference is where the side vector comes from (a wire round trip vs
@@ -19,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError
-from .metrics import usage_percentage
+from .errors import ContractError, UndefinedMetricError
 from .model import (
     ModelConfig,
     SpaModel,
     base_forward,
+    gate_decide,
     side_step_layers,
     side_step_rolled,
 )
@@ -32,6 +36,12 @@ from .wire import POLICIES, STRATEGIES, WIRE_MODES
 
 # base arrays a device caches for device-only decoding
 DEVICE_CACHE = ("tok_emb", "pos_emb", "out_proj")
+
+# Each cloud policy's gate as a `model.token_loss` gate mode: "hard" takes
+# the classifier's decision, "on" always consults the side network, "off"
+# never does. lst is always_side under the name of the LST baseline.
+# device_only, the remaining policy, never runs the base.
+POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "lst": "on", "base_only": "off"}
 
 
 @dataclass(frozen=True)
@@ -53,28 +63,45 @@ class DecodeConfig:
             raise ContractError(f"unknown wire mode {self.wire_mode!r}")
 
 
+def usage_percentage(gate_trace) -> float:
+    """100 x (decisions that used the side path) / (total decisions).
+
+    count_transmissions defines the spa policy's M as this value / 100, so
+    the two agree bit for bit by construction.
+    """
+    trace = np.asarray(gate_trace, dtype=np.float64)
+    if trace.size == 0:
+        raise UndefinedMetricError("usage percentage is undefined for an empty gate trace")
+    return 100.0 * (float(trace.sum()) / trace.size)
+
+
 def count_transmissions(policy: str, n_layers: int, tokens_generated: int, gate_trace=None) -> float:
-    """Cloud-device round trips per generated token for an architecture."""
+    """Cloud-device round trips per generated token for an architecture.
+
+    lora and adapter are latency-table architectures only; every decoding
+    policy's count follows from its gate mode.
+    """
     if policy == "lora":
         return float(n_layers)
     if policy == "adapter":
         return 2.0 * n_layers
-    if policy in ("lst", "always_side"):
-        return 1.0
-    if policy in ("base_only", "device_only"):
+    if policy == "device_only":
         return 0.0
-    if policy == "spa":
-        if gate_trace is None:
-            raise ContractError("spa transmission count needs the gate trace")
-        trace = np.asarray(gate_trace, dtype=np.float64)
-        if tokens_generated and trace.size != tokens_generated:
-            raise ContractError(
-                f"gate trace length {trace.size} != tokens generated {tokens_generated}"
-            )
-        if not trace.size:
-            return 0.0
-        return usage_percentage(trace) / 100.0
-    raise ContractError(f"unknown architecture {policy!r}")
+    mode = POLICY_GATE_MODES.get(policy)
+    if mode is None:
+        raise ContractError(f"unknown architecture {policy!r}")
+    if mode != "hard":
+        return float(mode == "on")
+    if gate_trace is None:
+        raise ContractError("spa transmission count needs the gate trace")
+    trace = np.asarray(gate_trace, dtype=np.float64)
+    if tokens_generated and trace.size != tokens_generated:
+        raise ContractError(
+            f"gate trace length {trace.size} != tokens generated {tokens_generated}"
+        )
+    if not trace.size:
+        return 0.0
+    return usage_percentage(trace) / 100.0
 
 
 @dataclass
@@ -156,12 +183,13 @@ class CloudStepModel:
     """
 
     def __init__(self, config, base, gate, policy, wire_mode, side_provider, steps: StepCounter):
-        if policy == "device_only":
-            raise ContractError("device_only decoding never runs on the cloud path")
+        if policy not in POLICY_GATE_MODES:
+            raise ContractError(f"{policy} decoding never runs on the cloud path")
         self.config = config
         self.base = base
         self.gate = gate
         self.policy = policy
+        self.gate_mode = POLICY_GATE_MODES[policy]
         self.wire_mode = wire_mode
         self.side_provider = side_provider
         self.steps = steps
@@ -191,13 +219,10 @@ class CloudStepModel:
     def logits_for(self, ctx_ids) -> tuple[np.ndarray, int]:
         trace = self._base_trace(ctx_ids)
         final_row = trace.final.data[-1]
-        if self.policy == "base_only":
-            use_side = 0
-        elif self.policy in ("lst", "always_side"):
-            use_side = 1
-        else:  # spa classifier
-            logits_row = final_row @ self.gate["w"].data + self.gate["b"].data
-            use_side = int(np.argmax(logits_row))
+        if self.gate_mode == "hard":
+            use_side = gate_decide(final_row @ self.gate["w"].data + self.gate["b"].data)
+        else:
+            use_side = int(self.gate_mode == "on")
         self.gate_log.append(use_side)
         if not use_side:
             return trace.logits.data[-1], 0

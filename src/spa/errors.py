@@ -13,6 +13,10 @@ class ContractError(SpaError, RuntimeError):
     """A documented precondition was violated by the caller."""
 
 
+class UndefinedMetricError(ContractError):
+    """A metric has no value for its input (an empty gate trace)."""
+
+
 class DomainError(SpaError, ValueError):
     """A numeric input lies outside the operation's domain."""
 

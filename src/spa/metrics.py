@@ -1,4 +1,9 @@
-"""Evaluation metrics: ROUGE-L, gate usage percentage, perplexity."""
+"""Evaluation metrics: ROUGE-L, gate usage percentage, perplexity.
+
+`teacher_forced_nll` is the one loop that scores documents teacher-forced;
+`perplexity`, `spa eval`, the experiment suite and the validation pass of
+training all go through it.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from . import numcore as nc
+# usage_percentage (and its UndefinedMetricError) is re-exported: it lives
+# beside count_transmissions, which defines the spa policy's M from it
+from .decoding import POLICY_GATE_MODES, local_step_model, usage_percentage
+from .errors import ContractError, UndefinedMetricError
 from .model import SpaModel, position_nll
 from .tokenizer import ByteTokenizer
+from .wire import POLICIES
 
 
 @dataclass(frozen=True)
@@ -49,28 +59,42 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return RougeScore(p, r, f)
 
 
-class UndefinedMetricError(ContractError):
-    pass
+def teacher_forced_nll(
+    model: SpaModel,
+    documents: list[str],
+    policy: str = "spa",
+    tokenizer: ByteTokenizer | None = None,
+) -> tuple[float, int, int]:
+    """(summed NLL, scored positions, side-consulted positions) over documents.
 
-
-def usage_percentage(gate_trace) -> float:
-    """100 x (decisions that used the side path) / (total decisions).
-
-    count_transmissions defines the spa policy's M as this value / 100, so
-    the two agree bit for bit by construction.
+    Each document is cut to max_seq_len tokens; one shorter than 2 tokens is
+    skipped. A cloud policy scores through `position_nll` under its gate mode
+    from `POLICY_GATE_MODES`; device_only teacher-forces the step model that
+    device-only decoding serves.
     """
-    trace = np.asarray(gate_trace, dtype=np.float64)
-    if trace.size == 0:
-        raise UndefinedMetricError("usage percentage is undefined for an empty gate trace")
-    return 100.0 * (float(trace.sum()) / trace.size)
-
-
-_POLICY_GATE_MODES = {
-    "spa": "hard",
-    "base_only": "off",
-    "lst": "on",
-    "always_side": "on",
-}
+    if policy not in POLICIES:
+        raise ContractError(f"teacher_forced_nll: unknown policy {policy!r}")
+    tokenizer = tokenizer or ByteTokenizer()
+    total, count, used = 0.0, 0, 0
+    for doc in documents:
+        ids = np.asarray(tokenizer.encode_document(doc), dtype=np.int64)
+        ids = ids[: model.config.max_seq_len]
+        if ids.size < 2:
+            continue
+        if policy == "device_only":
+            step_model = local_step_model(model, policy, "final")
+            doc_nll = 0.0
+            for i in range(1, ids.size):
+                logits, side = step_model.logits_for(ids[:i])
+                doc_nll -= float(nc.log_softmax_rows(logits[None, :])[0][ids[i]])
+                used += side
+        else:
+            nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
+            doc_nll = nlls.sum()
+            used += int(gate_trace.sum())
+        total += doc_nll
+        count += ids.size - 1
+    return total, count, used
 
 
 def perplexity(
@@ -79,22 +103,10 @@ def perplexity(
     policy: str = "spa",
     tokenizer: ByteTokenizer | None = None,
 ) -> float:
-    """exp(mean token NLL) over documents under a gating policy."""
+    """exp(mean token NLL) over documents under a decoding policy."""
     if not documents:
         raise ContractError("perplexity: no documents")
-    if policy not in _POLICY_GATE_MODES:
-        raise ContractError(f"perplexity: unsupported policy {policy!r}")
-    tokenizer = tokenizer or ByteTokenizer()
-    mode = _POLICY_GATE_MODES[policy]
-    total, count = 0.0, 0
-    for doc in documents:
-        ids = np.asarray(tokenizer.encode_document(doc), dtype=np.int64)
-        ids = ids[: model.config.max_seq_len]
-        if ids.size < 2:
-            continue
-        nlls = position_nll(model, ids, gate_mode=mode)
-        total += nlls.sum()
-        count += nlls.size
+    total, count, _ = teacher_forced_nll(model, documents, policy, tokenizer)
     if count == 0:
         raise ContractError("perplexity: documents held no scorable positions")
     return math.exp(total / count)

@@ -377,9 +377,11 @@ def gate_logits(gate: GateParams, base_final: Tensor) -> tuple[Tensor, Tensor]:
     return logits, nc.softmax(logits, axis=-1)
 
 
-def gate_decide(logits_row: np.ndarray) -> int:
-    """Hard decision for one position; ties resolve to 0 (base-only)."""
-    return int(np.argmax(logits_row))
+def gate_decide(logits: np.ndarray) -> int | np.ndarray:
+    """Hard decisions: an int for one logit row, an int array for a block of
+    rows. Ties resolve to 0 (base-only)."""
+    decisions = np.argmax(logits, axis=-1)
+    return int(decisions) if decisions.ndim == 0 else decisions
 
 
 def fuse(base_final: Tensor, side_out: Tensor, gate_trace, out_proj: Tensor) -> tuple[Tensor, Tensor]:
@@ -451,7 +453,7 @@ def token_loss(model: SpaModel, token_ids, gate_mode: str = "soft") -> tuple[Ten
         weights = nc.column(gprobs, 1)
         used = weights.data.copy()
     elif gate_mode == "hard":
-        used = np.argmax(glog.data, axis=1).astype(np.float64)
+        used = gate_decide(glog.data).astype(np.float64)
         weights = used
     else:  # "on"
         used = np.ones(inputs.shape[0])
@@ -492,8 +494,9 @@ def cate_estimate(model: SpaModel, token_ids) -> np.ndarray:
     return lp_on[rows, targets] - lp_base[rows, targets]
 
 
-def position_nll(model: SpaModel, token_ids, gate_mode: str) -> np.ndarray:
-    """Teacher-forced per-position negative log-likelihoods under a gate mode."""
+def position_nll(model: SpaModel, token_ids, gate_mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher-forced per-position negative log-likelihoods under a gate mode,
+    with the per-position gate weights that were used."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size < 2:
         raise ContractError("position_nll: need at least 2 tokens")
@@ -501,4 +504,4 @@ def position_nll(model: SpaModel, token_ids, gate_mode: str) -> np.ndarray:
         _, trace = token_loss(model, ids, gate_mode=gate_mode)
         lp = nc.log_softmax_rows(trace.fused_logits.data)
     rows = np.arange(trace.targets.shape[0])
-    return -lp[rows, trace.targets]
+    return -lp[rows, trace.targets], trace.gate_trace

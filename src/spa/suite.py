@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import numcore as nc
 from .checkpoint import CheckpointError, load_checkpoint
 from .corpus import make_synthetic_personalized_corpus
-from .decoding import DecodeConfig, count_transmissions, decode_monolithic, local_step_model
-from .errors import ContractError
+from .decoding import DecodeConfig, count_transmissions, decode_monolithic
 from .latency import LatencyProfile, build_comparison_table, format_rows
 from .metrics import perplexity, rouge_l, usage_percentage
 from .model import SpaModel
@@ -64,32 +61,6 @@ class SuiteReport:
     markdown_path: Path | None = None
     csv_path: Path | None = None
     wall_clock: float = 0.0
-
-
-def _device_only_nll(model: SpaModel, ids: np.ndarray) -> tuple[float, int]:
-    step_model = local_step_model(model, "device_only", "final")
-    total = 0.0
-    for i in range(1, ids.size):
-        logits, _ = step_model.logits_for(ids[:i])
-        lp = nc.log_softmax_rows(logits[None, :])[0]
-        total += -float(lp[ids[i]])
-    return total, ids.size - 1
-
-
-def _policy_perplexity(model: SpaModel, docs: list[str], policy: str, tok: ByteTokenizer) -> float:
-    if policy != "device_only":
-        return perplexity(model, docs, policy=policy, tokenizer=tok)
-    total, count = 0.0, 0
-    for doc in docs:
-        ids = np.asarray(tok.encode_document(doc), dtype=np.int64)[: model.config.max_seq_len]
-        if ids.size < 2:
-            continue
-        nll, n = _device_only_nll(model, ids)
-        total += nll
-        count += n
-    if count == 0:
-        raise ContractError("device_only perplexity: no scorable positions")
-    return math.exp(total / count)
 
 
 def _suite_digest(cfg: SuiteConfig, tier_digests: dict[str, str]) -> str:
@@ -168,7 +139,7 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
                 ratio=ratio,
                 usage_percent=usage_percentage(traces) if traces else None,
                 rouge_f=float(np.mean(rouge_vals)) if rouge_vals else None,
-                perplexity=_policy_perplexity(model, test_docs, policy, tok),
+                perplexity=perplexity(model, test_docs, policy, tok),
             )
             report.rows.append(row)
             say(f"{run_id}: ratio {row.ratio:.3f} rouge {row.rouge_f:.3f} "

@@ -20,7 +20,16 @@ import numpy as np
 from . import numcore as nc
 from .corpus import Corpus
 from .errors import ContractError, SpaError
-from .model import ModelConfig, SpaModel, base_forward, cate_estimate, token_loss
+from .metrics import teacher_forced_nll
+from .model import (
+    GateParams,
+    ModelConfig,
+    SideParams,
+    SpaModel,
+    base_forward,
+    cate_estimate,
+    token_loss,
+)
 from .numcore import Tape, Tensor
 from .tokenizer import ByteTokenizer
 
@@ -124,40 +133,13 @@ class TrainResult:
         return self.epochs[-1]
 
 
-def _doc_sequences(docs: list[str], tokenizer: ByteTokenizer, max_len: int) -> list[np.ndarray]:
-    seqs = []
-    for doc in docs:
-        ids = np.asarray(tokenizer.encode_document(doc), dtype=np.int64)
-        seqs.append(ids[:max_len])
-    return [s for s in seqs if s.size >= 2]
-
-
-def _base_val_perplexity(model: SpaModel, docs, tokenizer) -> float:
-    total, count = 0.0, 0
-    with nc.no_grad():
-        for ids in _doc_sequences(docs, tokenizer, model.config.max_seq_len):
-            trace = base_forward(model.config, model.base, ids[:-1])
-            lp = nc.log_softmax_rows(trace.logits.data)
-            rows = np.arange(ids.size - 1)
-            total += -lp[rows, ids[1:]].sum()
-            count += ids.size - 1
-    return math.exp(total / count) if count else float("nan")
-
-
-def _fused_val_perplexity(model: SpaModel, docs, tokenizer) -> tuple[float, float]:
-    """(perplexity under the hard gate, gate usage rate) on held-out docs."""
-    total, count, used = 0.0, 0, 0
-    with nc.no_grad():
-        for ids in _doc_sequences(docs, tokenizer, model.config.max_seq_len):
-            _, trace = token_loss(model, ids, gate_mode="hard")
-            lp = nc.log_softmax_rows(trace.fused_logits.data)
-            rows = np.arange(trace.targets.size)
-            total += -lp[rows, trace.targets].sum()
-            count += trace.targets.size
-            used += int(trace.gate_trace.sum())
-    ppl = math.exp(total / count) if count else float("nan")
-    usage = used / count if count else float("nan")
-    return ppl, usage
+def _fused_val_perplexity(model: SpaModel, docs, tokenizer, policy="spa") -> tuple[float, float]:
+    """(perplexity, gate usage rate) of `policy` on held-out docs; both nan
+    when no document has a scorable position."""
+    total, count, used = teacher_forced_nll(model, docs, policy, tokenizer)
+    if not count:
+        return float("nan"), float("nan")
+    return math.exp(total / count), used / count
 
 
 def pretrain_base(
@@ -203,7 +185,7 @@ def pretrain_base(
         entry = EpochLog(
             epoch=epoch,
             train_loss=float(np.mean(losses)),
-            val_perplexity=_base_val_perplexity(model, val_docs, tokenizer),
+            val_perplexity=_fused_val_perplexity(model, val_docs, tokenizer, "base_only")[0],
         )
         result.epochs.append(entry)
         if log:
@@ -215,8 +197,6 @@ def pretrain_base(
 
 def reinit_side_and_gate(model: SpaModel, seed: int) -> None:
     """Fresh side/gate parameters (used between learning-rate grid runs)."""
-    from .model import GateParams, SideParams
-
     model.side = SideParams.create(model.config, np.random.default_rng(seed ^ 0x5EED))
     model.gate = GateParams.create(model.config)
 

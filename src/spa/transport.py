@@ -24,6 +24,7 @@ from .wire import (
     OversizeFrameError,
     TruncatedFrameError,
     WireMessage,
+    decode_frame,
     decode_payload,
     encode_frame,
 )
@@ -87,8 +88,7 @@ class LoopbackTransport(_Counting):
         if frame is self._CLOSE:
             raise TransportClosed("peer closed the loopback transport")
         self._count_in(len(frame))
-        msg, consumed = _decode_whole(frame)
-        return msg
+        return _decode_whole(frame)
 
     def close(self) -> None:
         if not self._closed:
@@ -96,13 +96,11 @@ class LoopbackTransport(_Counting):
             self._outbox.put(self._CLOSE)
 
 
-def _decode_whole(frame: bytes) -> tuple[WireMessage, int]:
-    from .wire import decode_frame
-
+def _decode_whole(frame: bytes) -> WireMessage:
     msg, consumed = decode_frame(frame)
     if consumed != len(frame):
         raise TruncatedFrameError("loopback frame carried trailing bytes")
-    return msg, consumed
+    return msg
 
 
 class SocketTransport(_Counting):

@@ -176,6 +176,12 @@ class TestConfigFile:
         cfg.write_text("[propulsion]\nx = 1\n")
         assert main(["--config", str(cfg), "bench-latency"]) == EXIT_USAGE
 
+    def test_paths_section_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "spa.cfg"
+        cfg.write_text("[paths]\nout_dir = out\n")
+        assert main(["--config", str(cfg), "bench-latency"]) == EXIT_USAGE
+        assert "unknown section [paths]" in capsys.readouterr().err
+
     def test_env_var_fallback(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "spa.cfg"
         cfg.write_text("[train]\nepochs = 1\n")

@@ -1,4 +1,5 @@
-"""ROUGE-L against brute-force enumeration, usage percentage, perplexity."""
+"""ROUGE-L against brute-force enumeration, usage percentage, perplexity,
+and the teacher-forced scorer against the step model decoding serves."""
 
 import itertools
 import math
@@ -8,16 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spa import numcore as nc
+from spa.decoding import (
+    POLICY_GATE_MODES,
+    DecodeConfig,
+    count_transmissions,
+    decode_monolithic,
+    local_step_model,
+)
 from spa.metrics import (
     RougeScore,
     UndefinedMetricError,
     lcs_length,
     perplexity,
     rouge_l,
+    teacher_forced_nll,
     usage_percentage,
 )
-from spa.model import ModelConfig, SpaModel
-from spa.tokenizer import VOCAB_SIZE
+from spa.model import ModelConfig, SpaModel, position_nll
+from spa.tokenizer import BOS, VOCAB_SIZE, ByteTokenizer
+from spa.wire import POLICIES
 
 
 def brute_force_lcs(a, b):
@@ -124,3 +135,63 @@ class TestPerplexity:
         model = SpaModel.create(self.CFG, seed=0)
         with pytest.raises(Exception):
             perplexity(model, [], "spa")
+
+
+SCORER_CFG = ModelConfig(
+    n_layers=2, d_model=32, n_heads=4, d_ff=64,
+    vocab_size=VOCAB_SIZE, max_seq_len=48, side_reduction=8,
+)
+DOCS = ["the amber river runs under a worn bridge", "a lantern by the quiet mill"]
+
+
+def gated_model(seed=3):
+    """A side net with non-zero biases and mixing scalars, and a random gate
+    that consults the side network on part of the tokens."""
+    model = SpaModel.create(SCORER_CFG, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, t in model.side.named():
+        t.data = t.data + rng.standard_normal(t.shape) * 0.3
+    model.gate["w"].data[:] = rng.standard_normal(model.gate["w"].shape)
+    return model
+
+
+class TestEveryPolicy:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_scored_decoded_and_counted(self, policy):
+        """A policy added to the wire tuple alone fails here."""
+        model = gated_model()
+        ppl = perplexity(model, DOCS, policy)
+        assert math.isfinite(ppl) and ppl > 1.0
+        prompt = [BOS, *ByteTokenizer().encode("the amber")]
+        result = decode_monolithic(model, prompt, DecodeConfig(max_new_tokens=6, policy=policy))
+        assert len(result.tokens) == 6
+        m = count_transmissions(policy, SCORER_CFG.n_layers, 6, result.gate_trace)
+        assert 0.0 <= m <= 1.0
+        assert m == result.counter.transmissions_per_token
+
+
+class TestScorerMatchesDecodePath:
+    """Teacher-forcing the all-layers step model that decoding serves, one
+    position at a time, reproduces the scorer's per-position NLL."""
+
+    @pytest.mark.parametrize("policy", ["spa", "always_side", "lst", "base_only", "device_only"])
+    def test_teacher_forced_step_model_matches_scorer(self, policy):
+        model = gated_model()
+        ids = np.asarray(ByteTokenizer().encode_document(DOCS[0]))[: SCORER_CFG.max_seq_len]
+        step_model = local_step_model(model, policy, "all_layers")
+        nlls, bits = [], []
+        for i in range(1, ids.size):
+            logits, used = step_model.logits_for(ids[:i])
+            nlls.append(-nc.log_softmax_rows(logits[None, :])[0][ids[i]])
+            bits.append(used)
+        nlls = np.asarray(nlls)
+        total, count, used = teacher_forced_nll(model, DOCS[:1], policy)
+        assert (count, used) == (ids.size - 1, sum(bits))
+        assert abs(total - nlls.sum()) <= 1e-12 * total
+        if policy == "device_only":
+            return
+        want, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
+        assert list(gate_trace) == bits
+        assert np.all(np.abs(nlls - want) <= 1e-12 * np.abs(want))
+        if policy == "spa":
+            assert 0 < sum(bits) < len(bits), "the gate should fire on part of the tokens"

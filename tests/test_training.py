@@ -8,6 +8,7 @@ import pytest
 from spa import numcore as nc
 from spa.corpus import Corpus, make_synthetic_personalized_corpus
 from spa.errors import ContractError
+from spa.metrics import perplexity
 from spa.model import ModelConfig, SpaModel, base_forward, fuse, side_forward
 from spa.tokenizer import VOCAB_SIZE, ByteTokenizer
 from spa.training import (
@@ -92,6 +93,11 @@ class TestPretrain:
         with pytest.raises(ContractError):
             pretrain_base(CFG, TCFG, Corpus("e", []))
 
+    def test_reported_perplexity_is_the_scorers(self, pretrained):
+        model, result, base_corpus = pretrained
+        _, val_docs, _ = base_corpus.splits(TCFG.seed)
+        assert result.final.val_perplexity == perplexity(model, val_docs, "base_only")
+
     def test_nan_parameter_aborts_with_divergence_error(self):
         base_corpus, _ = small_corpora()
         model = SpaModel.create(CFG, seed=0)
@@ -139,6 +145,26 @@ class TestSideTraining:
                 used += int((np.argmax(logits, axis=1) == 1).sum())
                 total += logits.shape[0]
         assert result.final.gate_usage == pytest.approx(used / total)
+
+    def test_reported_perplexity_is_the_scorers(self, pretrained):
+        model, _, _ = pretrained
+        _, pers = small_corpora()
+        reinit_side_and_gate(model, 5)
+        result = train_side_and_gate(
+            model, TrainConfig(**{**TCFG.to_dict(), "epochs": 1}), pers
+        )
+        _, val_docs, _ = pers.splits(TCFG.seed)
+        assert result.final.val_perplexity == perplexity(model, val_docs, "spa")
+
+    def test_empty_validation_split_reports_nan(self, pretrained):
+        model, _, _ = pretrained
+        reinit_side_and_gate(model, 5)
+        tiny = Corpus("t", ["abcdefghijklmnopqrstuvwxyz " * 8] * 2)
+        result = train_side_and_gate(
+            model, TrainConfig(epochs=1, block_size=8, seed=0), tiny
+        )
+        assert math.isnan(result.final.val_perplexity)
+        assert math.isnan(result.final.gate_usage)
 
     def test_training_is_reproducible_bitwise(self, pretrained):
         model, _, _ = pretrained

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,10 +21,10 @@ from .configfile import resolve_config
 from .corpus import load_text_dir, make_synthetic_personalized_corpus, write_text_dir
 from .decoding import DecodeConfig, decode_monolithic
 from .device import run_device
-from .errors import ConfigError, SpaError
+from .errors import ConfigError, ContractError, SpaError
 from .gradcheck import grad_check
 from .latency import LatencyProfile, build_comparison_table, format_rows, parse_profile
-from .metrics import perplexity, usage_percentage
+from .metrics import teacher_forced_nll
 from .model import ModelConfig, SpaModel, token_loss
 from .numcore import Tensor
 from .suite import SuiteConfig, run_experiment_suite
@@ -316,6 +317,7 @@ def _cmd_generate(cfg, args) -> int:
     print(
         f"[{dcfg.policy}] tokens={counter.tokens_generated} "
         f"M={counter.transmissions_per_token:.3f} "
+        f"round_trips_per_token={counter.round_trips_per_token:.3f} "
         f"round_trips={counter.hidden_round_trips} "
         f"frames_out={counter.frames_sent} frames_in={counter.frames_received}",
         file=sys.stderr,
@@ -367,17 +369,14 @@ def _cmd_eval(cfg, args) -> int:
     _, _, test_docs = corpus.splits(args.seed)
     docs = test_docs or corpus.documents
     policy = POLICY_FLAGS[args.policy]
-    ppl = perplexity(model, docs, policy=policy)
-    line = f"policy={policy} docs={len(docs)} perplexity={ppl:.4f}"
-    if policy == "spa":
-        dcfg = DecodeConfig(max_new_tokens=32, policy="spa")
-        trace = []
-        for doc in docs[:4]:
-            ids = [BOS, *ByteTokenizer().encode(doc[:12])]
-            trace.extend(decode_monolithic(model, ids, dcfg, eos_id=EOS).gate_trace)
-        if trace:
-            line += f" usage={usage_percentage(trace):.1f}%"
-    print(line)
+    # perplexity and usage of the same scored positions
+    total, positions, side_used = teacher_forced_nll(model, docs, policy)
+    if not positions:
+        raise ContractError("eval: the corpus holds no scorable positions")
+    print(
+        f"policy={policy} docs={len(docs)} perplexity={math.exp(total / positions):.4f} "
+        f"usage={100.0 * side_used / positions:.1f}%"
+    )
     return EXIT_OK
 
 

@@ -9,11 +9,13 @@ decoder run the same `CloudStepModel` code on the same array shapes; the
 only difference is where the side vector comes from (a wire round trip vs
 a local call), so split and in-process decoding agree bit for bit.
 
+A step is one batched call: greedy passes one context, beam search passes
+every live hypothesis at once, and the base runs once over all of them.
 Decoding is incremental: `CloudStepModel` keeps the attention K/V of the
-windows it evaluated on the previous step, and a context that extends one
-of them by a token runs the base over that token alone. When the window
-slides past max_seq_len every absolute position shifts, so that step falls
-back to a full recompute of the window.
+windows it evaluated on the previous step, and a step whose contexts each
+extend one of them by a token runs the base over those tokens alone. When
+the window slides past max_seq_len every absolute position shifts, so that
+step falls back to a full recompute of the windows.
 """
 
 from __future__ import annotations
@@ -141,6 +143,14 @@ class TransmissionCounter:
             self.policy, self.n_layers, self.tokens_generated, self.gate_trace
         )
 
+    @property
+    def round_trips_per_token(self) -> float:
+        """Side round trips actually made per emitted token. It equals M for
+        greedy; beam search also consults the side for hypotheses it drops."""
+        if not self.tokens_generated:
+            return 0.0
+        return self.hidden_round_trips / self.tokens_generated
+
 
 class StepCounter:
     """Session-wide strictly increasing step index source."""
@@ -171,15 +181,19 @@ def local_side_provider(config: ModelConfig, side, wire_mode: str):
 class CloudStepModel:
     """One decode step: base forward, gate decision, optional side fusion.
 
-    The base runs incrementally. The per-layer K/V of every window evaluated
-    on the previous step is kept, keyed by the window's token tuple (the K/V
-    of a window depend on nothing else, so a hit is exact by construction).
-    A window that extends a kept one by a token forwards only that token;
-    any other window (the first step, or one that slid past max_seq_len and
-    so shifted every absolute position) is recomputed in full. A step is one
-    context length: greedy makes one call per step, beam search one per live
-    hypothesis. Windows of max_seq_len tokens cannot be extended and are not
-    kept.
+    `logits_for` takes the step's contexts, all of one length (greedy passes
+    one, beam search every live hypothesis), runs the base once over all of
+    them, gates every row and returns (B, V) logits with B gate bits. The
+    side provider is called for the gated rows one at a time, in order.
+
+    The base runs incrementally. The per-layer K/V of the windows evaluated
+    on the previous step are kept, keyed by the window's token tuple (the
+    K/V of a window depend on nothing else, so a hit is exact by
+    construction). When every window extends a kept one by a token, only
+    those tokens are forwarded, over the kept rows gathered into the new
+    order; otherwise (the first step, or windows that slid past max_seq_len
+    and so shifted every absolute position) the windows are recomputed in
+    full. Windows of max_seq_len tokens cannot be extended and are not kept.
     """
 
     def __init__(self, config, base, gate, policy, wire_mode, side_provider, steps: StepCounter):
@@ -195,45 +209,49 @@ class CloudStepModel:
         self.steps = steps
         self.gate_log: list[int] = []  # every decision, hypothesis steps included
         self.hidden_calls = 0
-        self._ctx_len = 0  # context length of the current step
-        self._kv_prev: dict[tuple, list] = {}  # windows of the previous step -> K/V
-        self._kv_cur: dict[tuple, list] = {}  # windows of the current step -> K/V
+        self._kv_rows: dict[tuple, int] = {}  # windows of the previous step -> row of _kv
+        self._kv: list = []  # per layer (keys, values), (B, T, d) over those windows
 
-    def _base_trace(self, ctx_ids):
-        ctx = tuple(ctx_ids)
-        if len(ctx) != self._ctx_len:
-            self._kv_prev = self._kv_cur if len(ctx) == self._ctx_len + 1 else {}
-            self._kv_cur = {}
-            self._ctx_len = len(ctx)
-        window = ctx[-self.config.max_seq_len :]
-        past = self._kv_prev.get(window[:-1])
+    def _base_trace(self, contexts):
+        windows = [tuple(ctx[-self.config.max_seq_len :]) for ctx in contexts]
+        rows = [self._kv_rows.get(w[:-1]) for w in windows]
         with nc.no_grad():
-            if past is None:
-                trace = base_forward(self.config, self.base, window)
+            if None in rows:
+                trace = base_forward(self.config, self.base, windows)
             else:
-                trace = base_forward(self.config, self.base, window[-1:], past)
-        if len(window) < self.config.max_seq_len:
-            self._kv_cur[window] = trace.kv
+                past = self._kv
+                if rows != list(range(len(past[0][0]))):  # not the kept rows in order
+                    past = [(k[rows], v[rows]) for k, v in past]
+                trace = base_forward(self.config, self.base, [w[-1:] for w in windows], past)
+        keep = len(windows[0]) < self.config.max_seq_len
+        self._kv_rows = {w: i for i, w in enumerate(windows)} if keep else {}
+        self._kv = trace.kv if keep else []
         return trace
 
-    def logits_for(self, ctx_ids) -> tuple[np.ndarray, int]:
-        trace = self._base_trace(ctx_ids)
-        final_row = trace.final.data[-1]
+    def logits_for(self, contexts) -> tuple[np.ndarray, list[int]]:
+        trace = self._base_trace(contexts)
+        batch = len(contexts)
+
+        def last(rows: np.ndarray) -> np.ndarray:  # each context's last position
+            return rows.reshape(batch, -1, rows.shape[-1])[:, -1]
+
+        final = last(trace.final.data)
+        logits = last(trace.logits.data).copy()
         if self.gate_mode == "hard":
-            use_side = gate_decide(final_row @ self.gate["w"].data + self.gate["b"].data)
+            bits = gate_decide(final @ self.gate["w"].data + self.gate["b"].data).tolist()
         else:
-            use_side = int(self.gate_mode == "on")
-        self.gate_log.append(use_side)
-        if not use_side:
-            return trace.logits.data[-1], 0
-        if self.wire_mode == "all_layers":
-            payload = np.stack([h.data[-1] for h in trace.hiddens])
+            bits = [int(self.gate_mode == "on")] * batch
+        self.gate_log.extend(bits)
+        if self.wire_mode == "all_layers" and any(bits):
+            payloads = np.stack([last(h.data) for h in trace.hiddens], axis=1)
         else:
-            payload = final_row
-        side_vec = self.side_provider(self.steps.take(), payload)
-        self.hidden_calls += 1
-        fused_row = final_row + side_vec
-        return fused_row @ self.base["out_proj"].data, 1
+            payloads = final
+        for i, bit in enumerate(bits):
+            if bit:
+                side_vec = self.side_provider(self.steps.take(), payloads[i])
+                self.hidden_calls += 1
+                logits[i] = (final[i] + side_vec) @ self.base["out_proj"].data
+        return logits, bits
 
 
 class DeviceOnlyStepModel:
@@ -241,7 +259,8 @@ class DeviceOnlyStepModel:
 
     Every layer's down-projection reads the embedded current position and
     nothing seeds layer 0; the cached output projection produces logits. No
-    cloud contact, ever.
+    cloud contact, ever. `logits_for` takes a step's contexts like
+    `CloudStepModel.logits_for` and runs the ladder over all of them at once.
     """
 
     def __init__(self, config: ModelConfig, side, cache: dict[str, np.ndarray]):
@@ -253,13 +272,14 @@ class DeviceOnlyStepModel:
         self.gate_log: list[int] = []
         self.hidden_calls = 0
 
-    def logits_for(self, ctx_ids) -> tuple[np.ndarray, int]:
-        ctx = np.asarray(ctx_ids, dtype=np.int64)[-self.config.max_seq_len :]
-        pos = ctx.size - 1
-        vec = self.tok_emb[ctx[-1]] + self.pos_emb[pos]
-        side_vec, _ = side_step_rolled(self.config, self.side, vec, None)
-        self.gate_log.append(1)
-        return (vec + side_vec) @ self.out_proj, 1
+    def logits_for(self, contexts) -> tuple[np.ndarray, list[int]]:
+        tokens = [int(ctx[-1]) for ctx in contexts]
+        positions = [min(len(ctx), self.config.max_seq_len) - 1 for ctx in contexts]
+        vecs = self.tok_emb[tokens] + self.pos_emb[positions]
+        side_vecs, _ = side_step_rolled(self.config, self.side, vecs, None)
+        bits = [1] * len(contexts)
+        self.gate_log.extend(bits)
+        return (vecs + side_vecs) @ self.out_proj, bits
 
 
 def local_step_model(model: SpaModel, policy: str, wire_mode: str):
@@ -288,8 +308,9 @@ def greedy_decode(step_model, prompt_ids, max_new_tokens, eos_id=None, on_emit=N
     trace: list[int] = []
     stopped = False
     for _ in range(max_new_tokens):
-        logits, used = step_model.logits_for(seq)
-        tok = int(np.argmax(logits))  # ties resolve to the lowest token id
+        logits, bits = step_model.logits_for([seq])
+        tok = int(np.argmax(logits[0]))  # ties resolve to the lowest token id
+        used = bits[0]
         tokens.append(tok)
         trace.append(used)
         if on_emit:
@@ -325,35 +346,37 @@ def beam_decode(
 ) -> DecodeOutcome:
     """Beam search ranked by length-normalized log probability.
 
-    Ties break toward the lexicographically smallest token sequence. Every
-    expansion considers the full vocabulary, so beam_width >= vocab_size
-    over a short horizon is an exhaustive search.
+    Ties break toward the lexicographically smallest token sequence. Each
+    step expands every live hypothesis in one `logits_for` call and builds
+    only each parent's top `beam_width` children: at most that many children
+    of one parent can survive, so the result is that of ranking every child
+    over the full vocabulary, and beam_width >= vocab_size over a short
+    horizon is an exhaustive search.
     """
     if beam_width < 1:
         raise ContractError("beam_width must be >= 1")
     prompt = tuple(prompt_ids)
+    token_ids = np.arange(vocab_size)
     pool = [_Hypothesis(tokens=(), logprob=0.0, trace=(), finished=False)]
     for _ in range(max_new_tokens):
+        live = [h for h in pool if not h.finished]
+        if not live:
+            break
         candidates: list[_Hypothesis] = [h for h in pool if h.finished]
-        expanded = False
-        for hyp in pool:
-            if hyp.finished:
-                continue
-            expanded = True
-            logits, used = step_model.logits_for(prompt + hyp.tokens)
-            logprobs = nc.log_softmax_rows(logits[None, :])[0]
-            for tok in range(vocab_size):
-                tokens = hyp.tokens + (tok,)
+        logits, bits = step_model.logits_for([prompt + h.tokens for h in live])
+        for hyp, logprobs, used in zip(live, nc.log_softmax_rows(logits), bits):
+            # the same float operations as _Hypothesis.score, so ties stay ties
+            totals = hyp.logprob + logprobs
+            scores = totals / (len(hyp.tokens) + 1)
+            for tok in np.lexsort((token_ids, -scores))[:beam_width].tolist():
                 candidates.append(
                     _Hypothesis(
-                        tokens=tokens,
-                        logprob=hyp.logprob + float(logprobs[tok]),
+                        tokens=hyp.tokens + (tok,),
+                        logprob=float(totals[tok]),
                         trace=hyp.trace + (used,),
                         finished=eos_id is not None and tok == eos_id,
                     )
                 )
-        if not expanded:
-            break
         candidates.sort(key=lambda h: (-h.score, h.tokens))
         pool = candidates[:beam_width]
     best = min(pool, key=lambda h: (-h.score, h.tokens))

@@ -85,9 +85,9 @@ def teacher_forced_nll(
             step_model = local_step_model(model, policy, "final")
             doc_nll = 0.0
             for i in range(1, ids.size):
-                logits, side = step_model.logits_for(ids[:i])
-                doc_nll -= float(nc.log_softmax_rows(logits[None, :])[0][ids[i]])
-                used += side
+                logits, bits = step_model.logits_for([ids[:i]])
+                doc_nll -= float(nc.log_softmax_rows(logits)[0][ids[i]])
+                used += bits[0]
         else:
             nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
             doc_nll = nlls.sum()

@@ -254,8 +254,10 @@ class SpaModel:
 class BaseTrace:
     """Per-layer residual-stream states plus the post-norm final hidden.
 
-    `kv` holds each layer's attention keys and values over every position
-    attended (past and new), ready to be passed back as `past`.
+    For a (B, T) batch of ids every state holds the B*T rows sequence by
+    sequence. `kv` holds each layer's attention keys and values over every
+    position attended (past and new), ready to be passed back as `past`:
+    (Tk, d) arrays for 1-D ids, (B, Tk, d) for a batch.
     """
 
     hiddens: list[Tensor] = field(default_factory=list)
@@ -270,28 +272,38 @@ def base_forward(
     token_ids,
     past: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> BaseTrace:
-    """Forward `token_ids` through the base.
+    """Forward `token_ids`, a (T,) sequence or a (B, T) batch, through the base.
 
-    With `past` (the `kv` of an earlier trace over the preceding positions)
-    the ids are the next positions: they are embedded at absolute positions
-    past_len.. and attend over the past keys plus their own. The trace then
-    covers only the new positions. Past keys are constants, so `past` is for
-    decoding under `no_grad`.
+    With `past` (the `kv` of an earlier trace over the preceding positions,
+    same batch) the ids are the next positions: they are embedded at
+    absolute positions past_len.. and attend over the past keys plus their
+    own. The trace then covers only the new positions. Past keys are
+    constants, so `past` is for decoding under `no_grad`.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 1:
-        raise ContractError(f"base_forward: need a non-empty 1-D id sequence, got {ids.shape}")
-    past_len = 0 if past is None else past[0][0].shape[0]
-    if past is not None and nc.recording():
-        raise ContractError("base_forward: past keys carry no gradient; decode under no_grad")
-    t_len = past_len + ids.shape[0]
+    if ids.ndim not in (1, 2) or ids.size < 1:
+        raise ContractError(
+            f"base_forward: need a non-empty (T,) or (B, T) id array, got {ids.shape}"
+        )
+    new_len, d = ids.shape[-1], config.d_model
+    batch = ids.size // new_len
+    past_len = 0 if past is None else past[0][0].shape[-2]
+    if past is not None:
+        if nc.recording():
+            raise ContractError("base_forward: past keys carry no gradient; decode under no_grad")
+        if past[0][0].shape[:-2] != ids.shape[:-1]:
+            raise DimensionError(
+                f"base_forward: past keys {past[0][0].shape} do not match ids {ids.shape}"
+            )
+    t_len = past_len + new_len
     if t_len > config.max_seq_len:
         raise ContractError(f"sequence length {t_len} exceeds max_seq_len {config.max_seq_len}")
 
     x = nc.add(
-        nc.embedding(base["tok_emb"], ids),
-        nc.embedding(base["pos_emb"], np.arange(past_len, t_len)),
+        nc.embedding(base["tok_emb"], ids.reshape(-1)),
+        nc.embedding(base["pos_emb"], np.tile(np.arange(past_len, t_len), batch)),
     )
+    new_shape, kv_shape = (*ids.shape, d), (*ids.shape[:-1], t_len, d)
     trace = BaseTrace()
     for i in range(config.n_layers):
         p = f"layers.{i}"
@@ -299,11 +311,11 @@ def base_forward(
         q = nc.add(nc.matmul(a, base[f"{p}.attn.wq"]), base[f"{p}.attn.bq"])
         k = nc.add(nc.matmul(a, base[f"{p}.attn.wk"]), base[f"{p}.attn.bk"])
         v = nc.add(nc.matmul(a, base[f"{p}.attn.wv"]), base[f"{p}.attn.bv"])
-        if past is not None:
-            k = Tensor(np.concatenate([past[i][0], k.data]))
-            v = Tensor(np.concatenate([past[i][1], v.data]))
-        trace.kv.append((k.data, v.data))
-        att = nc.causal_attention(q, k, v, config.n_heads)
+        if past is not None:  # per sequence: its past positions, then the new ones
+            k = Tensor(np.concatenate([past[i][0], k.data.reshape(new_shape)], -2).reshape(-1, d))
+            v = Tensor(np.concatenate([past[i][1], v.data.reshape(new_shape)], -2).reshape(-1, d))
+        trace.kv.append((k.data.reshape(kv_shape), v.data.reshape(kv_shape)))
+        att = nc.causal_attention(q, k, v, config.n_heads, batch)
         x = nc.add(x, nc.add(nc.matmul(att, base[f"{p}.attn.wo"]), base[f"{p}.attn.bo"]))
         m = nc.layer_norm(x, base[f"{p}.ln2.g"], base[f"{p}.ln2.b"])
         h1 = nc.gelu(nc.add(nc.matmul(m, base[f"{p}.ffn.w1"]), base[f"{p}.ffn.b1"]))
@@ -357,19 +369,21 @@ def side_step_rolled(
     final_vec: np.ndarray,
     summary: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-position side output from one vector read by every rung.
+    """Side output from one vector read by every rung: a (d_model,) vector,
+    or a (B, d_model) block of independent rows.
 
     The ladder is seeded with `summary` (the last rung of the previous
     consulted step, or None) and the new last rung is returned alongside
     the output.
     """
-    row = Tensor(np.asarray(final_vec, dtype=np.float64).reshape(1, config.d_model))
+    vecs = np.asarray(final_vec, dtype=np.float64)
+    row = Tensor(vecs.reshape(-1, config.d_model))
     seed = None if summary is None else Tensor(
-        np.asarray(summary, dtype=np.float64).reshape(1, config.side_width)
+        np.asarray(summary, dtype=np.float64).reshape(-1, config.side_width)
     )
     with nc.no_grad():
         out, rung = ladder(config, side, [row] * config.n_layers, seed)
-    return out.data[0], rung.data[0]
+    return out.data.reshape(vecs.shape), rung.data.reshape(*vecs.shape[:-1], config.side_width)
 
 
 def gate_logits(gate: GateParams, base_final: Tensor) -> tuple[Tensor, Tensor]:

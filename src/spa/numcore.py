@@ -425,23 +425,30 @@ def gelu(x: Tensor) -> Tensor:
     return _apply(out, (x,), bw)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, batch: int = 1) -> Tensor:
     """Multi-head causal attention of (Tq, d) queries over (Tk, d) keys/values.
 
     Tk >= Tq: the queries are the last Tq of the Tk positions, so query i
     sees keys 0..Tk-Tq+i (the square case is ordinary causal self-attention;
-    Tq < Tk is a cached decode step). Heads are batched through `np.matmul`
-    on (heads, T, head_dim) views. Fused into one tape op with a hand-written
-    backward so the graph stays small; verified against finite differences
-    like every other op.
+    Tq < Tk is a cached decode step). With `batch` B the rows hold B
+    independent sequences stacked in order: q is (B*Tq, d), k and v are
+    (B*Tk, d), and no sequence attends to another. Heads and sequences are
+    batched through `np.matmul` on (B, heads, T, head_dim) views. Fused into
+    one tape op with a hand-written backward so the graph stays small;
+    verified against finite differences like every other op.
     """
     if q.data.ndim != 2 or k.shape != v.shape or k.data.ndim != 2 or k.shape[1] != q.shape[1]:
         raise DimensionError(
             f"causal_attention: need (Tq, d) queries and (Tk, d) keys/values, "
             f"got {q.shape}, {k.shape}, {v.shape}"
         )
-    q_len, d_model = q.shape
-    k_len = k.shape[0]
+    if batch < 1 or q.shape[0] % batch or k.shape[0] % batch:
+        raise DimensionError(
+            f"causal_attention: {q.shape[0]} query and {k.shape[0]} key rows "
+            f"do not split into {batch} sequences"
+        )
+    d_model = q.shape[1]
+    q_len, k_len = q.shape[0] // batch, k.shape[0] // batch
     if k_len < q_len:
         raise DimensionError(f"causal_attention: {k_len} keys for {q_len} queries")
     if d_model % n_heads:
@@ -449,27 +456,28 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     head = d_model // n_heads
     scale = 1.0 / math.sqrt(head)
 
-    def heads(x: np.ndarray) -> np.ndarray:  # (T, d) -> (heads, T, head)
-        return x.reshape(x.shape[0], n_heads, head).transpose(1, 0, 2)
+    def heads(x: np.ndarray) -> np.ndarray:  # (B*T, d) -> (B, heads, T, head)
+        return x.reshape(batch, -1, n_heads, head).transpose(0, 2, 1, 3)
 
-    def merge(x: np.ndarray) -> np.ndarray:  # (heads, T, head) -> (T, d)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d_model)
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, heads, T, head) -> (B*T, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d_model)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
-    scores += np.triu(np.full((q_len, k_len), -np.inf), k=k_len - q_len + 1)
-    scores -= scores.max(axis=2, keepdims=True)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    if q_len > 1:  # a single query (a cached decode step) sees every key
+        scores += np.triu(np.full((q_len, k_len), -np.inf), k=k_len - q_len + 1)
+    scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
-    weights /= weights.sum(axis=2, keepdims=True)
+    weights /= weights.sum(axis=-1, keepdims=True)
     out = merge(np.matmul(weights, vh))
 
     def bw(go):
         goh = heads(go)
-        d_weights = np.matmul(goh, vh.transpose(0, 2, 1))
-        d_scores = weights * (d_weights - (weights * d_weights).sum(axis=2, keepdims=True))
+        d_weights = np.matmul(goh, vh.swapaxes(-1, -2))
+        d_scores = weights * (d_weights - (weights * d_weights).sum(axis=-1, keepdims=True))
         dq = scale * np.matmul(d_scores, kh)
-        dk = scale * np.matmul(d_scores.transpose(0, 2, 1), qh)
-        dv = np.matmul(weights.transpose(0, 2, 1), goh)
+        dk = scale * np.matmul(d_scores.swapaxes(-1, -2), qh)
+        dv = np.matmul(weights.swapaxes(-1, -2), goh)
         return merge(dq), merge(dk), merge(dv)
 
     return _apply(out, (q, k, v), bw)

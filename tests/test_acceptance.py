@@ -326,8 +326,8 @@ def test_criterion_10_beam_search(trained_stack):
             def score(tokens, prompt):
                 ctx, total = list(prompt), 0.0
                 for t in tokens:
-                    logits, _ = fresh_model().logits_for(ctx)
-                    total += float(nc.log_softmax_rows(logits[None, :])[0][t])
+                    logits, _ = fresh_model().logits_for([ctx])
+                    total += float(nc.log_softmax_rows(logits)[0][t])
                     ctx.append(t)
                 return total / len(tokens)
 

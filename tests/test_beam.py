@@ -1,8 +1,12 @@
-"""Beam search: reduction to greedy, exhaustive-search agreement, scoring."""
+"""Beam search: reduction to greedy, exhaustive-search agreement, scoring,
+top-k pruning against a full-vocabulary reference, one batched step."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import spa.decoding
 from spa import numcore as nc
 from spa.decoding import (
     CloudStepModel,
@@ -43,8 +47,8 @@ def sequence_score(model, prompt, tokens):
     ctx = list(prompt)
     total = 0.0
     for tok in tokens:
-        logits, _ = fresh_step_model(model).logits_for(ctx)
-        lp = nc.log_softmax_rows(logits[None, :])[0]
+        logits, _ = fresh_step_model(model).logits_for([ctx])
+        lp = nc.log_softmax_rows(logits)[0]
         total += float(lp[tok])
         ctx.append(tok)
     return total / len(tokens)
@@ -62,6 +66,59 @@ def exhaustive_two_step(model, prompt):
     scored = [(sequence_score(model, prompt, c), c) for c in candidates]
     best = min(scored, key=lambda sc: (-sc[0], sc[1]))
     return list(best[1]), best[0]
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    tokens: tuple
+    logprob: float
+    trace: tuple
+    finished: bool
+
+    @property
+    def score(self):
+        return self.logprob / max(1, len(self.tokens))
+
+
+def reference_beam(step_model, prompt, width, max_new_tokens, vocab_size, eos_id=None):
+    """Beam search that builds every child over the full vocabulary and sorts
+    them all; the step model is called exactly as `beam_decode` calls it.
+    Returns (tokens, trace, counts) where counts has the steps whose cut fell
+    between tied children and those that carried a finished hypothesis."""
+    pool = [Hypothesis((), 0.0, (), False)]
+    counts = {"tied_cuts": 0, "finished_carried": 0}
+    for _ in range(max_new_tokens):
+        live = [h for h in pool if not h.finished]
+        if not live:
+            break
+        candidates = [h for h in pool if h.finished]
+        counts["finished_carried"] += bool(candidates)
+        logits, bits = step_model.logits_for([tuple(prompt) + h.tokens for h in live])
+        for hyp, logprobs, used in zip(live, nc.log_softmax_rows(logits), bits):
+            for tok in range(vocab_size):
+                candidates.append(
+                    Hypothesis(
+                        hyp.tokens + (tok,),
+                        hyp.logprob + float(logprobs[tok]),
+                        hyp.trace + (used,),
+                        eos_id is not None and tok == eos_id,
+                    )
+                )
+        candidates.sort(key=lambda h: (-h.score, h.tokens))
+        if len(candidates) > width and candidates[width - 1].score == candidates[width].score:
+            counts["tied_cuts"] += 1
+        pool = candidates[:width]
+    best = min(pool, key=lambda h: (-h.score, h.tokens))
+    return list(best.tokens), list(best.trace), counts
+
+
+def tie_heavy_model(seed):
+    """Output columns duplicated in pairs: tokens 2j and 2j+1 always get the
+    same logit, so every child has a twin of equal score."""
+    model = make_model(seed)
+    out = model.base["out_proj"].data
+    out[:, 1::2] = out[:, 0:-1:2]
+    return model
 
 
 class TestReductions:
@@ -91,6 +148,45 @@ class TestExhaustiveOracle:
             assert beam.tokens == expected_tokens, f"seed {seed}"
             got = sequence_score(model, prompt, beam.tokens)
             assert got == pytest.approx(expected_score, abs=1e-12)
+
+
+class TestPruningOracle:
+    """Building only each parent's top-width children changes nothing."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, CFG.vocab_size])
+    def test_matches_full_vocabulary_reference(self, width):
+        finished_carried = 0
+        for seed in range(6):
+            model = make_model(200 + seed)
+            prompt = [int(t) for t in np.random.default_rng(seed).integers(1, CFG.vocab_size, 3)]
+            for wire_mode in ("final", "all_layers"):
+                got_model = fresh_step_model(model, wire_mode)
+                want_model = fresh_step_model(model, wire_mode)
+                got = beam_decode(got_model, prompt, width, 6, CFG.vocab_size, eos_id=EOS_ID)
+                tokens, trace, counts = reference_beam(
+                    want_model, prompt, width, 6, CFG.vocab_size, eos_id=EOS_ID
+                )
+                assert (got.tokens, got.gate_trace) == (tokens, trace), f"seed {seed} {wire_mode}"
+                assert got_model.gate_log == want_model.gate_log
+                finished_carried += counts["finished_carried"]
+        if width > 1:
+            assert finished_carried, "no hypothesis finished on EOS before the horizon"
+
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_tied_children_break_toward_the_smaller_token(self, width):
+        tied = 0
+        for seed in range(4):
+            model = tie_heavy_model(300 + seed)
+            prompt = [2, 7, 4]
+            got_model = fresh_step_model(model)
+            want_model = fresh_step_model(model)
+            got = beam_decode(got_model, prompt, width, 5, CFG.vocab_size)
+            tokens, trace, counts = reference_beam(want_model, prompt, width, 5, CFG.vocab_size)
+            assert (got.tokens, got.gate_trace) == (tokens, trace), f"seed {seed}"
+            assert got_model.gate_log == want_model.gate_log
+            tied += counts["tied_cuts"]
+        if width % 2:
+            assert tied, "the beam cut never fell between tied children"
 
 
 class TestScoreProperty:
@@ -123,15 +219,40 @@ class TestKVCache:
         sizes = []
         real_logits_for = step_model.logits_for
 
-        def logits_for(ctx):
-            out = real_logits_for(ctx)
-            sizes.append((len(step_model._kv_prev), len(step_model._kv_cur)))
+        def logits_for(contexts):
+            out = real_logits_for(contexts)
+            kept_rows = len(step_model._kv[0][0]) if step_model._kv else 0
+            sizes.append((len(step_model._kv_rows), kept_rows))
             return out
 
         step_model.logits_for = logits_for
         # 2 + 20 tokens slide past max_seq_len = 16
         beam_decode(step_model, [3, 5], width, 20, CFG.vocab_size)
-        assert max(prev for prev, _ in sizes) == width
-        assert max(cur for _, cur in sizes) == width
-        # slid windows are never kept, so nothing older than one step is left
+        assert max(windows for windows, _ in sizes) == width
+        assert max(rows for _, rows in sizes) == width
+        # slid windows are never kept, so nothing is left after the last step
         assert sizes[-1] == (0, 0)
+
+    @pytest.mark.parametrize("policy", ["spa", "always_side", "base_only"])
+    def test_one_base_forward_per_beam_step(self, policy, monkeypatch):
+        calls = []
+        real_forward = spa.decoding.base_forward
+
+        def counting_forward(config, base, ids, past=None):
+            calls.append(np.shape(ids))
+            return real_forward(config, base, ids, past)
+
+        monkeypatch.setattr(spa.decoding, "base_forward", counting_forward)
+        model = make_model(8)
+        step_model = fresh_step_model(model, policy=policy)
+        steps = []
+        real_logits_for = step_model.logits_for
+
+        def logits_for(contexts):
+            steps.append(len(contexts))
+            return real_logits_for(contexts)
+
+        step_model.logits_for = logits_for
+        beam_decode(step_model, [4, 1], 3, 18, CFG.vocab_size, eos_id=EOS_ID)
+        assert len(calls) == len(steps)
+        assert [shape[0] for shape in calls] == steps

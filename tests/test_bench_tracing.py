@@ -51,3 +51,28 @@ def test_install_wraps_and_uninstall_restores():
     # two cloud-path sessions consult the side twice each, device-only twice
     side_steps = sum(span["name"] == "model.side_step" for span in tracer.export())
     assert side_steps == 6
+
+
+def test_traced_beam_session_keeps_every_wrapped_name_working():
+    """A beam step runs batched attention; the tracer's flop count unpacks
+    its 2-D query shape, so a layout change that breaks it fails here."""
+    tracing = load_tracing()
+    model = SpaModel.create(CFG, seed=4)
+    tracer = tracing["Tracer"]()
+    dcfg = DecodeConfig(max_new_tokens=3, strategy="beam", beam_width=3, policy="always_side")
+    try:
+        tracing["install"](tracer)
+        decode_monolithic(model, np.array([1, 2]), dcfg)
+    finally:
+        tracer.uninstall()
+    spans = tracer.export()
+
+    def named(name):
+        return [span for span in spans if span["name"] == name]
+
+    assert len(named("decoding.beam_decode")) == 1
+    # one step-engine call and one base forward per beam step
+    assert len(named("decoding.logits_for")) == len(named("model.base_forward")) == 3
+    attention = named("numcore.causal_attention")
+    assert len(attention) == 3 * CFG.n_layers
+    assert all(span["info"] > 0 for span in attention)

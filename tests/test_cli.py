@@ -1,12 +1,15 @@
 """CLI contract: exit codes, subcommand wiring, config file handling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from spa.checkpoint import load_checkpoint, save_model
 from spa.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from spa.corpus import load_text_dir
+from spa.metrics import teacher_forced_nll
 from spa.model import ModelConfig, SpaModel
 from spa.tokenizer import VOCAB_SIZE
 
@@ -122,6 +125,21 @@ class TestDecodeAndEval:
         assert code == EXIT_OK
         assert "perplexity=" in capsys.readouterr().out
 
+    def test_eval_usage_is_that_of_the_scored_positions(self, full_ckpt, tmp_path, capsys):
+        corpus = tmp_path / "docs"
+        corpus.mkdir()
+        for i in range(6):
+            (corpus / f"{i}.txt").write_text(f"the amber lantern {i} glows over the quiet river")
+        code = main(["eval", "--checkpoint", str(full_ckpt), "--corpus", str(corpus)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        loaded = load_text_dir(corpus)
+        docs = loaded.splits(0)[2] or loaded.documents
+        total, positions, used = teacher_forced_nll(load_checkpoint(full_ckpt).build_model(), docs)
+        assert 0 < used < positions, "the gate should fire on part of the positions"
+        assert f"perplexity={math.exp(total / positions):.4f}" in out
+        assert f"usage={100.0 * used / positions:.1f}%" in out
+
     def test_generate_device_only_needs_no_server(self, full_ckpt, tmp_path, capsys):
         side = tmp_path / "side.ckpt"
         model = load_checkpoint(full_ckpt).build_model()
@@ -129,6 +147,7 @@ class TestDecodeAndEval:
         code = main(["generate", "--side-checkpoint", str(side), "--prompt", "hi",
                      "--policy", "device-only", "--max-new", "4"])
         assert code == EXIT_OK
+        assert "M=0.000 round_trips_per_token=0.000" in capsys.readouterr().err
 
     def test_generate_without_connect_is_usage_error(self, full_ckpt, tmp_path):
         side = tmp_path / "side.ckpt"

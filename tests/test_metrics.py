@@ -181,9 +181,9 @@ class TestScorerMatchesDecodePath:
         step_model = local_step_model(model, policy, "all_layers")
         nlls, bits = [], []
         for i in range(1, ids.size):
-            logits, used = step_model.logits_for(ids[:i])
-            nlls.append(-nc.log_softmax_rows(logits[None, :])[0][ids[i]])
-            bits.append(used)
+            logits, used = step_model.logits_for([ids[:i]])
+            nlls.append(-nc.log_softmax_rows(logits)[0][ids[i]])
+            bits.extend(used)
         nlls = np.asarray(nlls)
         total, count, used = teacher_forced_nll(model, DOCS[:1], policy)
         assert (count, used) == (ids.size - 1, sum(bits))

@@ -113,6 +113,28 @@ class TestBaseForward:
             np.testing.assert_allclose(k, full_k, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(v, full_v, rtol=1e-12, atol=1e-14)
 
+    def test_batch_rows_match_single_sequences(self, tiny_model):
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, TINY.vocab_size, size=(3, 9))
+        with nc.no_grad():
+            head = base_forward(TINY, tiny_model.base, ids[:, :6])
+            tail = base_forward(TINY, tiny_model.base, ids[:, 6:], head.kv)
+            with pytest.raises(DimensionError):
+                base_forward(TINY, tiny_model.base, ids[:2, 6:], head.kv)
+        assert head.logits.shape == (3 * 6, TINY.vocab_size)
+        assert tail.kv[0][0].shape == (3, 9, TINY.d_model)
+        for b in range(3):
+            single = base_forward(TINY, tiny_model.base, ids[b])
+            np.testing.assert_allclose(
+                head.logits.data[6 * b : 6 * b + 6], single.logits.data[:6], rtol=1e-12, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                tail.logits.data[3 * b : 3 * b + 3], single.logits.data[6:], rtol=1e-12, atol=1e-14
+            )
+            for (k, v), (one_k, one_v) in zip(tail.kv, single.kv):
+                np.testing.assert_allclose(k[b], one_k, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(v[b], one_v, rtol=1e-12, atol=1e-14)
+
     def test_past_under_a_tape_rejected(self, tiny_model):
         with nc.no_grad():
             head = base_forward(TINY, tiny_model.base, [3, 1])
@@ -213,48 +235,83 @@ class TestLadderReference:
         step_model = DeviceOnlyStepModel(LADDER_CFG, model.side, base)
         ctx = [3, 17, 5, 29, 11]
         for n in range(1, len(ctx) + 1):
-            logits, used = step_model.logits_for(ctx[:n])
+            logits, used = step_model.logits_for([ctx[:n]])
             e = base["tok_emb"][ctx[n - 1]] + base["pos_emb"][n - 1]
             side_out, _ = ladder_ref(model.side, [e] * LADDER_CFG.n_layers)
-            assert used == 1
+            assert used == [1]
             np.testing.assert_allclose(
-                logits, (e + side_out) @ base["out_proj"], rtol=1e-10, atol=1e-12
+                logits[0], (e + side_out) @ base["out_proj"], rtol=1e-10, atol=1e-12
             )
+
+    def test_device_only_batch_rows_match_single_contexts(self):
+        model = seeded_side_model()
+        base = {name: model.base[name].data for name in ("tok_emb", "pos_emb", "out_proj")}
+        step_model = DeviceOnlyStepModel(LADDER_CFG, model.side, base)
+        contexts = [[3, 17, 5], [29, 11, 2], [8, 8, 39]]
+        logits, used = step_model.logits_for(contexts)
+        assert logits.shape == (3, LADDER_CFG.vocab_size) and used == [1, 1, 1]
+        for row, ctx in zip(logits, contexts):
+            single, _ = step_model.logits_for([ctx])
+            np.testing.assert_allclose(row, single[0], rtol=1e-12, atol=1e-13)
+        assert step_model.gate_log == [1] * 6
 
 
 class FullRecompute:
-    """Reference step model: a fresh CloudStepModel per call, so every base
-    forward covers the whole window."""
+    """Reference step model: every context of a step through a fresh
+    CloudStepModel of its own, one at a time, so every base forward covers
+    one whole window. The side provider and step counter are shared, so it
+    sees the per-row expansion's (step, payload) sequence."""
 
     def __init__(self, model, policy, wire_mode):
         self.model, self.policy, self.wire_mode = model, policy, wire_mode
-        self.provider = local_side_provider(model.config, model.side, wire_mode)
+        self.provider = recording_provider(model, wire_mode)
         self.steps = StepCounter()
         self.gate_log: list[int] = []
 
-    def logits_for(self, ctx):
+    def logits_for(self, contexts):
         m = self.model
-        step = CloudStepModel(
-            m.config, m.base, m.gate, self.policy, self.wire_mode, self.provider, self.steps
-        )
-        logits, used = step.logits_for(ctx)
-        self.gate_log.append(used)
-        return logits, used
+        rows, bits = [], []
+        for ctx in contexts:
+            step = CloudStepModel(
+                m.config, m.base, m.gate, self.policy, self.wire_mode, self.provider, self.steps
+            )
+            logits, used = step.logits_for([ctx])
+            rows.append(logits[0])
+            bits.extend(used)
+        self.gate_log.extend(bits)
+        return np.stack(rows), bits
+
+
+def recording_provider(model, wire_mode):
+    """The local side provider, recording every (step, payload) it is given."""
+    provide = local_side_provider(model.config, model.side, wire_mode)
+
+    def record(step, payload):
+        record.calls.append((step, np.array(payload)))
+        return provide(step, payload)
+
+    record.calls = []
+    return record
 
 
 class Lockstep:
-    """Runs the cached step model and the full recompute on every call and
-    checks that the logits agree to 1e-12 relative and the gate bits exactly."""
+    """Runs the batched step model and the per-row full recompute on every
+    call and checks that every row's logits agree to 1e-12 relative and the
+    gate bits exactly."""
 
-    def __init__(self, cached, reference):
-        self.cached, self.reference = cached, reference
+    def __init__(self, batched, reference):
+        self.batched, self.reference = batched, reference
+        self.batch_sizes: list[int] = []
 
-    def logits_for(self, ctx):
-        got, used = self.cached.logits_for(ctx)
-        want, want_used = self.reference.logits_for(ctx)
-        assert used == want_used, f"gate bit differs at context length {len(ctx)}"
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), len(ctx)
-        return got, used
+    def logits_for(self, contexts):
+        got, bits = self.batched.logits_for(contexts)
+        want, want_bits = self.reference.logits_for(contexts)
+        self.batch_sizes.append(len(contexts))
+        assert got.shape == want.shape == (len(contexts), self.reference.model.config.vocab_size)
+        assert bits == want_bits, f"gate bits differ at context length {len(contexts[0])}"
+        for row, (g, w) in enumerate(zip(got, want)):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (len(contexts[0]), row)
+        return got, bits
 
 
 class TestIncrementalDecode:
@@ -268,30 +325,47 @@ class TestIncrementalDecode:
         real_forward = spa.decoding.base_forward
 
         def counting_forward(config, base, ids, past=None):
-            forwards.append((len(ids), past is not None))
+            forwards.append((np.shape(ids)[-1], past is not None))
             return real_forward(config, base, ids, past)
 
         monkeypatch.setattr(spa.decoding, "base_forward", counting_forward)
         rng = np.random.default_rng(11)
         window = LADDER_CFG.max_seq_len
+        batch_sizes = set()
         # the long prompt slides past max_seq_len after 4 new tokens
         for prompt_len in (5, window - 3):
             prompt = [int(t) for t in rng.integers(0, LADDER_CFG.vocab_size, prompt_len)]
+            # the second-ranked first token ends its hypothesis, so later
+            # beam steps run fewer rows than the width
+            first = FullRecompute(model, policy, wire_mode).logits_for([prompt])[0][0]
+            eos_id = int(np.argsort(-first, kind="stable")[1])
 
             def decode(step_model):
                 if width == 1:
-                    return greedy_decode(step_model, prompt, 8)
-                return beam_decode(step_model, prompt, width, 8, LADDER_CFG.vocab_size)
+                    return greedy_decode(step_model, prompt, 8, eos_id)
+                return beam_decode(step_model, prompt, width, 8, LADDER_CFG.vocab_size, eos_id)
 
-            cached = spa.decoding.local_step_model(model, policy, wire_mode)
-            got = decode(Lockstep(cached, FullRecompute(model, policy, wire_mode)))
+            provider = recording_provider(model, wire_mode)
+            batched = CloudStepModel(
+                model.config, model.base, model.gate, policy, wire_mode, provider, StepCounter()
+            )
+            lockstep = Lockstep(batched, FullRecompute(model, policy, wire_mode))
+            got = decode(lockstep)
             reference = FullRecompute(model, policy, wire_mode)
             want = decode(reference)
             assert got.tokens == want.tokens
             assert got.gate_trace == want.gate_trace
-            assert cached.gate_log == reference.gate_log
+            assert batched.gate_log == reference.gate_log
+            calls, want_calls = provider.calls, reference.provider.calls
+            assert [step for step, _ in calls] == [step for step, _ in want_calls]
+            for (_, payload), (_, want_payload) in zip(calls, want_calls):
+                scale = np.max(np.abs(want_payload))
+                assert np.max(np.abs(payload - want_payload)) <= 1e-12 * scale
+            batch_sizes.update(lockstep.batch_sizes)
         assert (1, True) in forwards, "no step was served from the cache"
         assert (window, False) in forwards, "no slid window was recomputed"
+        if width > 1:
+            assert 1 < min(batch_sizes - {1}) < width <= max(batch_sizes), batch_sizes
 
 
 class TestGate:

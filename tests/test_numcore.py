@@ -248,6 +248,8 @@ DIFFERENTIABLE_OPS = [
     ("embedding", lambda r: (lambda w: nc.mul(nc.embedding(w, [0, 2, 2, 1]), nc.embedding(w, [0, 2, 2, 1])).sum(), [Tensor(r.standard_normal((4, 3)))])),
     ("attention", lambda r: (lambda q, k, v: nc.mul(nc.causal_attention(q, k, v, 2), nc.causal_attention(q, k, v, 2)).sum(), [Tensor(r.standard_normal((4, 6))), Tensor(r.standard_normal((4, 6))), Tensor(r.standard_normal((4, 6)))])),
     ("attention_cached", lambda r: (lambda q, k, v: nc.mul(nc.causal_attention(q, k, v, 2), nc.causal_attention(q, k, v, 2)).sum(), [Tensor(r.standard_normal((2, 6))), Tensor(r.standard_normal((5, 6))), Tensor(r.standard_normal((5, 6)))])),
+    ("attention_batch", lambda r: (lambda q, k, v: nc.mul(nc.causal_attention(q, k, v, 2, 2), nc.causal_attention(q, k, v, 2, 2)).sum(), [Tensor(r.standard_normal((6, 6))), Tensor(r.standard_normal((6, 6))), Tensor(r.standard_normal((6, 6)))])),
+    ("attention_batch_cached", lambda r: (lambda q, k, v: nc.mul(nc.causal_attention(q, k, v, 2, 2), nc.causal_attention(q, k, v, 2, 2)).sum(), [Tensor(r.standard_normal((4, 6))), Tensor(r.standard_normal((10, 6))), Tensor(r.standard_normal((10, 6)))])),
     ("cross_entropy", lambda r: ((lambda ids: lambda x: nc.cross_entropy(x, ids))(r.integers(0, 5, size=3)), [Tensor(r.standard_normal((3, 5)))])),
 ]
 
@@ -261,6 +263,28 @@ class TestCausalAttention:
             for m in range(1, n + 1):
                 out = nc.causal_attention(Tensor(q[n - m : n]), Tensor(k[:n]), Tensor(v[:n]), 2)
                 np.testing.assert_allclose(out.data, full[n - m : n], rtol=1e-12, atol=1e-15)
+
+    def test_batch_rows_equal_per_sequence_calls(self):
+        r = rng_for(10)
+        for q_len, k_len in ((4, 4), (2, 5), (1, 7)):
+            q = r.standard_normal((3 * q_len, 8))
+            k, v = r.standard_normal((3 * k_len, 8)), r.standard_normal((3 * k_len, 8))
+            out = nc.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, 3).data
+            for b in range(3):
+                qs, ks = slice(b * q_len, (b + 1) * q_len), slice(b * k_len, (b + 1) * k_len)
+                one = nc.causal_attention(Tensor(q[qs]), Tensor(k[ks]), Tensor(v[ks]), 2).data
+                np.testing.assert_allclose(out[qs], one, rtol=1e-12, atol=1e-15)
+
+    def test_rows_that_do_not_split_into_the_batch_rejected(self):
+        r = rng_for(11)
+        q, kv = Tensor(r.standard_normal((4, 6))), Tensor(r.standard_normal((6, 6)))
+        nc.causal_attention(q, kv, kv, 2, 2)
+        for batch in (0, 3, 4):  # 6 keys into 4 sequences, 4 queries into 3
+            with pytest.raises(DimensionError):
+                nc.causal_attention(q, kv, kv, 2, batch)
+        short = Tensor(r.standard_normal((2, 6)))
+        with pytest.raises(DimensionError):  # 1 key per sequence for 2 queries
+            nc.causal_attention(q, short, short, 2, 2)
 
     def test_fewer_keys_than_queries_rejected(self):
         r = rng_for(8)

@@ -73,6 +73,22 @@ def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final"):
     return result, record_box["record"], endpoint
 
 
+class FrameSpy:
+    """A transport that counts the BASE_HIDDENS frames the device receives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.base_hiddens = 0
+
+    def recv(self, timeout=None):
+        msg = self.inner.recv(timeout)
+        self.base_hiddens += isinstance(msg, BaseHiddens)
+        return msg
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 class TestSplitMonolithicEquivalence:
     @pytest.mark.parametrize("wire_mode", ["final", "all_layers"])
     @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 3)])
@@ -501,6 +517,33 @@ class TestOverTcp:
             finally:
                 client.close()
             assert len(seen) == 1 and seen[0]
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("policy", ["always_side", "spa"])
+    @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 3)])
+    def test_round_trips_per_token_counts_base_hiddens_frames(self, policy, strategy, width):
+        model = make_model(20)
+        bundle = make_bundle(model)
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=5.0)
+        server = CloudServer(endpoint).start()
+        try:
+            spy = FrameSpy(SocketTransport.connect(*server.address, timeout=5))
+            dcfg = DecodeConfig(max_new_tokens=8, strategy=strategy, beam_width=width, policy=policy)
+            result = run_device(bundle, dcfg, prompt_ids=[1, 2], transport=spy, frame_timeout=5.0)
+            assert result.completed and result.error is None
+            assert spy.base_hiddens > 0
+            per_token = spy.base_hiddens / len(result.tokens)
+            assert result.counter.round_trips_per_token == per_token
+            deadline = time.monotonic() + 5
+            while server.sessions[-1].counter is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.sessions[-1].counter.round_trips_per_token == per_token
+            if strategy == "greedy":
+                assert per_token == result.counter.transmissions_per_token
+            elif policy == "always_side":
+                # every live hypothesis consults the side, not only the emitted one
+                assert per_token > result.counter.transmissions_per_token == 1.0
         finally:
             server.shutdown()
 

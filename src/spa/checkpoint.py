@@ -37,7 +37,15 @@ from .model import BaseParams, GateParams, ModelConfig, SideParams, SpaModel
 MAGIC = b"SPA1"
 FORMAT_VERSION = 1
 
-KINDS = ("full", "base", "cloud", "side")
+# the parameter groups each kind carries: a side file holds what the device
+# reads (the side net and the device-only cache), the cloud's the base and gate
+KIND_GROUPS = {
+    "full": ("base", "side", "gate"),
+    "base": ("base",),
+    "cloud": ("base", "gate"),
+    "side": ("side", "cache"),
+}
+KINDS = tuple(KIND_GROUPS)
 
 
 class CheckpointError(SpaError):
@@ -131,18 +139,19 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
+def _kind_arrays(model: SpaModel, kind: str) -> dict[str, np.ndarray]:
+    """The named arrays a checkpoint of `kind` stores for `model`."""
+    arrays: dict[str, np.ndarray] = {}
+    for group in KIND_GROUPS[kind]:
+        if group == "cache":
+            arrays.update({f"cache.{n}": model.base[n].data for n in DEVICE_CACHE})
+        else:
+            arrays.update({f"{group}.{n}": t.data for n, t in getattr(model, group).named()})
+    return arrays
+
+
 def _expected_names(config: ModelConfig, kind: str) -> set[str]:
-    model = SpaModel.create(config, seed=0)
-    names: set[str] = set()
-    if kind in ("full", "base", "cloud"):
-        names |= {f"base.{n}" for n in model.base.names()}
-    if kind in ("full", "side"):
-        names |= {f"side.{n}" for n in model.side.names()}
-    if kind in ("full", "cloud", "side"):
-        names |= {f"gate.{n}" for n in model.gate.names()}
-    if kind == "side":
-        names |= {f"cache.{n}" for n in DEVICE_CACHE}
-    return names
+    return set(_kind_arrays(SpaModel.create(config, seed=0), kind))
 
 
 @dataclass
@@ -208,15 +217,7 @@ def save_model(
 ) -> None:
     if kind not in KINDS:
         raise CheckpointSchemaError(f"unknown checkpoint kind {kind!r}")
-    arrays: dict[str, np.ndarray] = {}
-    if kind in ("full", "base", "cloud"):
-        arrays.update({f"base.{n}": t.data for n, t in model.base.named()})
-    if kind in ("full", "side"):
-        arrays.update({f"side.{n}": t.data for n, t in model.side.named()})
-    if kind in ("full", "cloud", "side"):
-        arrays.update({f"gate.{n}": t.data for n, t in model.gate.named()})
-    if kind == "side":
-        arrays.update({f"cache.{n}": model.base[n].data for n in DEVICE_CACHE})
+    arrays = _kind_arrays(model, kind)
     base_digest = model.base_digest()
     meta = {
         "kind": kind,

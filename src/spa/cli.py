@@ -36,7 +36,7 @@ from .training import (
     run_lr_grid,
     train_side_and_gate,
 )
-from .wire import POLICIES
+from .wire import DEFAULT_WIRE_MODE, POLICIES, WIRE_MODES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,6 +44,7 @@ EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
 
 POLICY_FLAGS = {p.replace("_", "-"): p for p in POLICIES}
+WIRE_FLAGS = tuple(m.replace("_", "-") for m in WIRE_MODES)
 
 
 class UsageError(SpaError):
@@ -117,7 +118,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve", help="run the cloud endpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--listen", required=True, help="host:port")
-    p.add_argument("--wire", choices=("final", "all-layers"), default="final")
+    p.add_argument("--wire", choices=WIRE_FLAGS, default=DEFAULT_WIRE_MODE.replace("_", "-"))
 
     p = sub.add_parser("generate", help="generate text through a cloud session")
     p.add_argument("--connect", default=None, help="host:port of the cloud endpoint")
@@ -134,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=sorted(POLICY_FLAGS), default="spa")
     p.add_argument("--beam", type=int, default=1)
     p.add_argument("--max-new", type=int, default=50)
-    p.add_argument("--wire", choices=("final", "all-layers"), default="final")
+    p.add_argument("--wire", choices=WIRE_FLAGS, default=DEFAULT_WIRE_MODE.replace("_", "-"))
 
     p = sub.add_parser("bench-latency", help="emit the latency comparison table")
     p.add_argument("--profile", default=None, help="key=value latency profile file")
@@ -294,7 +295,7 @@ def _decode_config(args) -> DecodeConfig:
         strategy="beam" if args.beam > 1 else "greedy",
         beam_width=max(args.beam, 1),
         policy=POLICY_FLAGS[args.policy],
-        wire_mode=getattr(args, "wire", "final").replace("-", "_"),
+        wire_mode=getattr(args, "wire", DEFAULT_WIRE_MODE).replace("-", "_"),
     )
 
 

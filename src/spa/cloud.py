@@ -29,6 +29,7 @@ from .tokenizer import EOS as EOS_TOKEN
 from .tokenizer import VOCAB_SIZE as BYTE_VOCAB
 from .transport import SocketTransport, TransportClosed, TransportTimeout
 from .wire import (
+    DEFAULT_WIRE_MODE,
     PROTOCOL_VERSION,
     BaseHiddens,
     Eos,
@@ -80,7 +81,7 @@ class CloudEndpoint:
         base: BaseParams,
         gate: GateParams,
         digest: str,
-        wire_mode: str = "final",
+        wire_mode: str = DEFAULT_WIRE_MODE,
         frame_timeout: float = 10.0,
     ):
         self.config = config
@@ -95,21 +96,20 @@ class CloudEndpoint:
         self._session_counter = 0
 
     @classmethod
-    def from_model(cls, model: SpaModel, wire_mode: str = "final", **kw) -> "CloudEndpoint":
+    def from_model(cls, model: SpaModel, **kw) -> "CloudEndpoint":
         return cls(
             model.config,
             model.base,
             model.gate,
             compat_digest(model.config, model.base_digest()),
-            wire_mode=wire_mode,
             **kw,
         )
 
     @classmethod
-    def from_checkpoint(cls, path: str | Path, wire_mode: str = "final", **kw) -> "CloudEndpoint":
+    def from_checkpoint(cls, path: str | Path, **kw) -> "CloudEndpoint":
         loaded = load_checkpoint(path)
         base, gate = loaded.build_cloud_parts()
-        return cls(loaded.config, base, gate, loaded.compat_digest, wire_mode=wire_mode, **kw)
+        return cls(loaded.config, base, gate, loaded.compat_digest, **kw)
 
     def _new_record(self) -> SessionRecord:
         with self._lock:
@@ -222,11 +222,7 @@ class CloudEndpoint:
         steps = StepCounter()
 
         def wire_side_provider(step: int, payload) -> "np.ndarray":
-            if self.wire_mode == "all_layers":
-                arr = payload[:, None, :]
-            else:
-                arr = payload[None, None, :]
-            transport.send(BaseHiddens(step, arr))
+            transport.send(BaseHiddens(step, payload[:, None, :]))
             record.base_hiddens_sent += 1
             reply = transport.recv(self.frame_timeout)
             if isinstance(reply, ErrorFrame):
@@ -320,7 +316,7 @@ class CloudServer:
 def serve_cloud(
     checkpoint: str | Path,
     listen: tuple[str, int] = ("127.0.0.1", 0),
-    wire_mode: str = "final",
+    wire_mode: str = DEFAULT_WIRE_MODE,
     start: bool = True,
 ) -> CloudServer:
     endpoint = CloudEndpoint.from_checkpoint(checkpoint, wire_mode=wire_mode)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError, UndefinedMetricError
+from .errors import ContractError, DimensionError, UndefinedMetricError
 from .model import (
     ModelConfig,
     SpaModel,
@@ -34,7 +34,7 @@ from .model import (
     side_step_layers,
     side_step_rolled,
 )
-from .wire import POLICIES, STRATEGIES, WIRE_MODES
+from .wire import DEFAULT_WIRE_MODE, POLICIES, STRATEGIES, WIRE_MODES
 
 # base arrays a device caches for device-only decoding
 DEVICE_CACHE = ("tok_emb", "pos_emb", "out_proj")
@@ -52,7 +52,7 @@ class DecodeConfig:
     strategy: str = "greedy"
     beam_width: int = 4
     policy: str = "spa"
-    wire_mode: str = "final"
+    wire_mode: str = DEFAULT_WIRE_MODE
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -164,16 +164,20 @@ class StepCounter:
         return value
 
 
-def local_side_provider(config: ModelConfig, side, wire_mode: str):
-    """Side computation as the device performs it, including the rolling
-    summary the final-hidden wire mode maintains across consulted steps."""
-    state = {"summary": None}
+def local_side_provider(config: ModelConfig, side):
+    """Side computation as the device performs it: a pure function of one
+    (R, d_model) payload, with the ladder entry chosen by its rows (L rows:
+    the per-layer hiddens; one row: the final hidden read by every rung)."""
 
     def provide(step: int, payload: np.ndarray) -> np.ndarray:
-        if wire_mode == "all_layers":
+        if payload.shape == (config.n_layers, config.d_model):
             return side_step_layers(config, side, payload)
-        vec, state["summary"] = side_step_rolled(config, side, payload, state["summary"])
-        return vec
+        if payload.shape == (1, config.d_model):
+            return side_step_rolled(config, side, payload[0])
+        raise DimensionError(
+            f"side payload of shape {payload.shape}: need ({config.n_layers}, "
+            f"{config.d_model}) or (1, {config.d_model})"
+        )
 
     return provide
 
@@ -184,7 +188,10 @@ class CloudStepModel:
     `logits_for` takes the step's contexts, all of one length (greedy passes
     one, beam search every live hypothesis), runs the base once over all of
     them, gates every row and returns (B, V) logits with B gate bits. The
-    side provider is called for the gated rows one at a time, in order.
+    side provider is called for the gated rows one at a time, in order, each
+    with an (R, d_model) payload: the L per-layer hiddens in `all_layers`
+    mode, the one final hidden in `final` mode. That choice of rows is the
+    only use of the wire mode; the side step itself carries no state.
 
     The base runs incrementally. The per-layer K/V of the windows evaluated
     on the previous step are kept, keyed by the window's token tuple (the
@@ -245,7 +252,7 @@ class CloudStepModel:
         if self.wire_mode == "all_layers" and any(bits):
             payloads = np.stack([last(h.data) for h in trace.hiddens], axis=1)
         else:
-            payloads = final
+            payloads = final[:, None]
         for i, bit in enumerate(bits):
             if bit:
                 side_vec = self.side_provider(self.steps.take(), payloads[i])
@@ -276,7 +283,7 @@ class DeviceOnlyStepModel:
         tokens = [int(ctx[-1]) for ctx in contexts]
         positions = [min(len(ctx), self.config.max_seq_len) - 1 for ctx in contexts]
         vecs = self.tok_emb[tokens] + self.pos_emb[positions]
-        side_vecs, _ = side_step_rolled(self.config, self.side, vecs, None)
+        side_vecs = side_step_rolled(self.config, self.side, vecs)
         bits = [1] * len(contexts)
         self.gate_log.extend(bits)
         return (vecs + side_vecs) @ self.out_proj, bits
@@ -290,7 +297,7 @@ def local_step_model(model: SpaModel, policy: str, wire_mode: str):
         return DeviceOnlyStepModel(cfg, model.side, cache)
     return CloudStepModel(
         cfg, model.base, model.gate, policy, wire_mode,
-        local_side_provider(cfg, model.side, wire_mode), StepCounter(),
+        local_side_provider(cfg, model.side), StepCounter(),
     )
 
 
@@ -405,7 +412,7 @@ def beam_search(
     width: int,
     max_new_tokens: int,
     policy: str = "spa",
-    wire_mode: str = "final",
+    wire_mode: str = DEFAULT_WIRE_MODE,
     eos_id=None,
 ) -> DecodeOutcome:
     """Model-level convenience wrapper around beam_decode."""

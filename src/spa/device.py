@@ -138,8 +138,7 @@ def run_device(
             raise SessionRejected(reply)
         if not isinstance(reply, Hello):
             raise ContractError("expected HELLO (or ERROR) from the cloud")
-        wire_mode = reply.wire_mode  # the server's flag wins
-        provider = local_side_provider(bundle.config, bundle.side, wire_mode)
+        provider = local_side_provider(bundle.config, bundle.side)
         transport.send(
             Prompt(
                 token_ids=tuple(prompt_ids),
@@ -163,11 +162,7 @@ def run_device(
                     raise ContractError(f"out-of-order step {msg.step} (last {last_step})")
                 last_step = msg.step
             if isinstance(msg, BaseHiddens):
-                if wire_mode == "all_layers":
-                    payload = msg.hiddens[:, 0, :]
-                else:
-                    payload = msg.hiddens[0, 0]
-                vec = provider(msg.step, payload)
+                vec = provider(msg.step, msg.hiddens[:, 0, :])
                 transport.send(SideOutput(msg.step, vec))
                 answered += 1
             elif isinstance(msg, GateDecision):

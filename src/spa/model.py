@@ -11,11 +11,11 @@ whether the side output is fused in:
     fused = base_final + gate * side_out
     logits = fused @ out_proj          (out_proj stays frozen)
 
-`ladder` is the only implementation of that network. Training and the
-`all_layers` wire mode feed rung i the layer-i base hidden. The `final`
-wire mode feeds every rung the final hidden and seeds layer 0 with the
-last rung of the previous consulted step; device-only decoding feeds every
-rung the embedded token, with no seed.
+`ladder` is the only implementation of that network, and it is a pure
+function of its input rows: no state is carried between positions or
+steps. Training and the `all_layers` wire mode feed rung i the layer-i
+base hidden; the `final` wire mode feeds every rung the final hidden;
+device-only decoding feeds every rung the embedded token.
 """
 
 from __future__ import annotations
@@ -326,29 +326,21 @@ def base_forward(
     return trace
 
 
-def ladder(
-    config: ModelConfig, side: SideParams, rows: list[Tensor], rung: Tensor | None = None
-) -> tuple[Tensor, Tensor]:
-    """The side ladder: one input row block per layer, returns (side_out, last_rung).
+def ladder(config: ModelConfig, side: SideParams, rows: list[Tensor]) -> Tensor:
+    """The side ladder over one input row block per layer; returns the side output.
 
     Each layer down-projects its row and runs the two-layer GELU mixer; from
-    layer 1 on, the previous rung is added scaled by `mix.{i}`. A given `rung`
-    seeds layer 0 and is added unscaled.
+    layer 1 on, the previous rung is added scaled by `mix.{i}`.
     """
     if len(rows) != config.n_layers:
         raise ContractError(f"ladder: expected {config.n_layers} layer inputs, got {len(rows)}")
     for i, row in enumerate(rows):
         z = nc.add(nc.matmul(row, side[f"down.{i}.w"]), side[f"down.{i}.b"])
-        if rung is not None:
-            z = nc.add(z, nc.tsmul(rung, side[f"mix.{i}"]) if i > 0 else rung)
+        if i > 0:
+            z = nc.add(z, nc.tsmul(rung, side[f"mix.{i}"]))
         h1 = nc.gelu(nc.add(nc.matmul(z, side[f"mixer.{i}.w1"]), side[f"mixer.{i}.b1"]))
         rung = nc.add(nc.matmul(h1, side[f"mixer.{i}.w2"]), side[f"mixer.{i}.b2"])
-    return nc.add(nc.matmul(rung, side["up.w"]), side["up.b"]), rung
-
-
-def side_forward(config: ModelConfig, side: SideParams, hiddens: list[Tensor]) -> Tensor:
-    """Ladder over per-layer base hiddens; uses only base hiddens + side params."""
-    return ladder(config, side, hiddens)[0]
+    return nc.add(nc.matmul(rung, side["up.w"]), side["up.b"])
 
 
 def side_step_layers(config: ModelConfig, side: SideParams, layer_vecs: np.ndarray) -> np.ndarray:
@@ -359,31 +351,18 @@ def side_step_layers(config: ModelConfig, side: SideParams, layer_vecs: np.ndarr
             f"side_step_layers: need shape ({config.n_layers}, {config.d_model}), got {vecs.shape}"
         )
     with nc.no_grad():
-        out, _ = ladder(config, side, [Tensor(vecs[i : i + 1]) for i in range(config.n_layers)])
+        out = ladder(config, side, [Tensor(vecs[i : i + 1]) for i in range(config.n_layers)])
     return out.data[0]
 
 
-def side_step_rolled(
-    config: ModelConfig,
-    side: SideParams,
-    final_vec: np.ndarray,
-    summary: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
+def side_step_rolled(config: ModelConfig, side: SideParams, vecs: np.ndarray) -> np.ndarray:
     """Side output from one vector read by every rung: a (d_model,) vector,
-    or a (B, d_model) block of independent rows.
-
-    The ladder is seeded with `summary` (the last rung of the previous
-    consulted step, or None) and the new last rung is returned alongside
-    the output.
-    """
-    vecs = np.asarray(final_vec, dtype=np.float64)
-    row = Tensor(vecs.reshape(-1, config.d_model))
-    seed = None if summary is None else Tensor(
-        np.asarray(summary, dtype=np.float64).reshape(-1, config.side_width)
-    )
+    or a (B, d_model) block of independent rows. Each row's output depends
+    on that row alone."""
+    vecs = np.asarray(vecs, dtype=np.float64)
     with nc.no_grad():
-        out, rung = ladder(config, side, [row] * config.n_layers, seed)
-    return out.data.reshape(vecs.shape), rung.data.reshape(*vecs.shape[:-1], config.side_width)
+        out = ladder(config, side, [Tensor(vecs.reshape(-1, config.d_model))] * config.n_layers)
+    return out.data.reshape(vecs.shape)
 
 
 def gate_logits(gate: GateParams, base_final: Tensor) -> tuple[Tensor, Tensor]:
@@ -462,7 +441,7 @@ def token_loss(model: SpaModel, token_ids, gate_mode: str = "soft") -> tuple[Ten
         )
         return loss, trace
 
-    side_out = side_forward(model.config, model.side, bt.hiddens)
+    side_out = ladder(model.config, model.side, bt.hiddens)
     if gate_mode == "soft":
         weights = nc.column(gprobs, 1)
         used = weights.data.copy()
@@ -498,7 +477,7 @@ def cate_estimate(model: SpaModel, token_ids) -> np.ndarray:
     inputs, targets = ids[:-1], ids[1:]
     with nc.no_grad():
         bt = base_forward(model.config, model.base, inputs)
-        side_out = side_forward(model.config, model.side, bt.hiddens)
+        side_out = ladder(model.config, model.side, bt.hiddens)
         _, fused_logits = fuse(
             bt.final, side_out, np.ones(inputs.shape[0]), model.base["out_proj"]
         )

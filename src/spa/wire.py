@@ -75,6 +75,8 @@ class ErrorCode(enum.IntEnum):
 
 
 WIRE_MODES = ("final", "all_layers")
+# the side payload the ladder is trained on: one hidden per layer
+DEFAULT_WIRE_MODE = "all_layers"
 # decode policies shared by decoding and the CLI; the index is the PROMPT
 # policy byte, so the order must never change
 POLICIES = ("spa", "always_side", "device_only", "lst", "base_only")

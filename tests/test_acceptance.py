@@ -288,7 +288,7 @@ def test_criterion_10_beam_search(trained_stack):
         # width=1 equals greedy on 50 random prompts of the trained model
         model = trained_stack.model
         cfg = model.config
-        provider = lambda: local_side_provider(cfg, model.side, "all_layers")
+        provider = lambda: local_side_provider(cfg, model.side)
         rng = np.random.default_rng(10)
         for i in range(50):
             prompt = [BOS, *(int(t) for t in rng.integers(32, 127, rng.integers(1, 8)))]
@@ -319,7 +319,7 @@ def test_criterion_10_beam_search(trained_stack):
             def fresh_model():
                 return CloudStepModel(
                     small_cfg, small.base, small.gate, "spa", "all_layers",
-                    local_side_provider(small_cfg, small.side, "all_layers"),
+                    local_side_provider(small_cfg, small.side),
                     StepCounter(),
                 )
 

@@ -36,7 +36,7 @@ def make_model(seed):
 
 
 def fresh_step_model(model, wire_mode="all_layers", policy="spa"):
-    provider = local_side_provider(CFG, model.side, wire_mode)
+    provider = local_side_provider(CFG, model.side)
     return CloudStepModel(
         CFG, model.base, model.gate, policy, wire_mode, provider, StepCounter()
     )

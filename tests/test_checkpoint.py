@@ -85,6 +85,17 @@ class TestKinds:
         with pytest.raises(CheckpointSchemaError):
             loaded.build_cloud_parts()
 
+    def test_side_checkpoint_carries_no_gate(self, model, tmp_path):
+        path = tmp_path / "side.ckpt"
+        save_model(model, path, kind="side")
+        meta, arrays = read_raw(path)
+        assert arrays and not [n for n in arrays if n.startswith("gate.")]
+        arrays.update({f"gate.{n}": t.data for n, t in model.gate.named()})
+        write_raw(path, meta, arrays)
+        with pytest.raises(CheckpointSchemaError) as e:
+            load_checkpoint(path)
+        assert "gate." in str(e.value)
+
     def test_compat_digest_matches_between_cloud_and_side(self, model, tmp_path):
         save_model(model, tmp_path / "c.ckpt", kind="cloud")
         save_model(model, tmp_path / "s.ckpt", kind="side")

@@ -28,7 +28,7 @@ from spa.metrics import (
 )
 from spa.model import ModelConfig, SpaModel, position_nll
 from spa.tokenizer import BOS, VOCAB_SIZE, ByteTokenizer
-from spa.wire import POLICIES
+from spa.wire import DEFAULT_WIRE_MODE, POLICIES
 
 
 def brute_force_lcs(a, b):
@@ -171,14 +171,14 @@ class TestEveryPolicy:
 
 
 class TestScorerMatchesDecodePath:
-    """Teacher-forcing the all-layers step model that decoding serves, one
+    """Teacher-forcing the step model that decoding serves by default, one
     position at a time, reproduces the scorer's per-position NLL."""
 
     @pytest.mark.parametrize("policy", ["spa", "always_side", "lst", "base_only", "device_only"])
     def test_teacher_forced_step_model_matches_scorer(self, policy):
         model = gated_model()
         ids = np.asarray(ByteTokenizer().encode_document(DOCS[0]))[: SCORER_CFG.max_seq_len]
-        step_model = local_step_model(model, policy, "all_layers")
+        step_model = local_step_model(model, policy, DEFAULT_WIRE_MODE)
         nlls, bits = [], []
         for i in range(1, ids.size):
             logits, used = step_model.logits_for([ids[:i]])

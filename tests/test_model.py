@@ -14,6 +14,7 @@ from spa.decoding import (
     beam_decode,
     greedy_decode,
     local_side_provider,
+    local_step_model,
 )
 from spa.errors import ContractError, DimensionError
 from spa.model import (
@@ -24,7 +25,7 @@ from spa.model import (
     fuse,
     gate_decide,
     gate_logits,
-    side_forward,
+    ladder,
     side_step_layers,
     side_step_rolled,
     token_loss,
@@ -66,7 +67,7 @@ class TestSizeAudit:
         model = SpaModel.create(ModelConfig(), seed=0)
         ids = np.arange(10)
         trace = base_forward(model.config, model.base, ids)
-        side = side_forward(model.config, model.side, trace.hiddens)
+        side = ladder(model.config, model.side, trace.hiddens)
         _, logits = fuse(trace.final, side, np.ones(10), model.base["out_proj"])
         assert logits.shape == (10, model.config.vocab_size)
         assert np.isfinite(logits.data).all()
@@ -154,33 +155,33 @@ class TestSideForward:
         for _, t in tiny_model.side.named():
             t.data[:] = 0.0
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
-        out = side_forward(TINY, tiny_model.side, trace.hiddens)
+        out = ladder(TINY, tiny_model.side, trace.hiddens)
         assert np.array_equal(out.data, np.zeros((3, TINY.d_model)))
 
     def test_output_shape(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3, 4, 5])
-        out = side_forward(TINY, tiny_model.side, trace.hiddens)
+        out = ladder(TINY, tiny_model.side, trace.hiddens)
         assert out.shape == (5, TINY.d_model)
 
     def test_wrong_layer_count_rejected(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2])
         with pytest.raises(ContractError):
-            side_forward(TINY, tiny_model.side, trace.hiddens[:1])
+            ladder(TINY, tiny_model.side, trace.hiddens[:1])
 
     def test_sensitive_to_each_layer_hidden(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
-        baseline = side_forward(TINY, tiny_model.side, trace.hiddens).data.copy()
+        baseline = ladder(TINY, tiny_model.side, trace.hiddens).data.copy()
         for i in range(TINY.n_layers):
             perturbed = [Tensor(h.data.copy()) for h in trace.hiddens]
             perturbed[i].data[1, 3] += 1e-3
-            out = side_forward(TINY, tiny_model.side, perturbed).data
+            out = ladder(TINY, tiny_model.side, perturbed).data
             assert np.abs(out - baseline).max() > 0.0, f"layer {i} hidden had no effect"
 
     def test_single_position_path_matches_column_of_full_pass(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
         vecs = np.stack([h.data[1] for h in trace.hiddens])
         single = side_step_layers(TINY, tiny_model.side, vecs)
-        full = side_forward(
+        full = ladder(
             TINY, tiny_model.side, [Tensor(h.data[1:2]) for h in trace.hiddens]
         ).data[0]
         assert np.array_equal(single, full)
@@ -201,33 +202,30 @@ def seeded_side_model(seed=9):
     return model
 
 
-def ladder_ref(side, rows, rung=None):
-    """The side ladder in plain numpy: (side_out, last_rung) for 1-D inputs."""
+def ladder_ref(side, rows):
+    """The side ladder in plain numpy, for 1-D inputs."""
     p = {name: t.data for name, t in side.named()}
+    rung = None
     for i, row in enumerate(rows):
         z = row @ p[f"down.{i}.w"] + p[f"down.{i}.b"]
         if rung is not None:
-            z = z + (rung if i == 0 else p[f"mix.{i}"][0] * rung)
+            z = z + p[f"mix.{i}"][0] * rung
         a = z @ p[f"mixer.{i}.w1"] + p[f"mixer.{i}.b1"]
         a = 0.5 * a * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (a + 0.044715 * a**3)))
         rung = a @ p[f"mixer.{i}.w2"] + p[f"mixer.{i}.b2"]
-    return rung @ p["up.w"] + p["up.b"], rung
+    return rung @ p["up.w"] + p["up.b"]
 
 
 class TestLadderReference:
-    def test_rolled_steps_match_plain_numpy_recurrence(self):
+    def test_rolled_steps_are_independent_of_earlier_calls(self):
         model = seeded_side_model()
         rng = np.random.default_rng(4)
-        summary = ref_summary = None
         for step in range(6):
             final = rng.standard_normal(LADDER_CFG.d_model)
-            out, summary = side_step_rolled(LADDER_CFG, model.side, final, summary)
-            ref_out, ref_summary = ladder_ref(
-                model.side, [final] * LADDER_CFG.n_layers, ref_summary
-            )
-            assert summary.shape == (LADDER_CFG.side_width,)
+            out = side_step_rolled(LADDER_CFG, model.side, final)
+            ref_out = ladder_ref(model.side, [final] * LADDER_CFG.n_layers)
+            assert out.shape == (LADDER_CFG.d_model,)
             np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12, err_msg=f"step {step}")
-            np.testing.assert_allclose(summary, ref_summary, rtol=1e-10, atol=1e-12)
 
     def test_device_only_logits_match_ladder_over_embedding(self):
         model = seeded_side_model()
@@ -237,7 +235,7 @@ class TestLadderReference:
         for n in range(1, len(ctx) + 1):
             logits, used = step_model.logits_for([ctx[:n]])
             e = base["tok_emb"][ctx[n - 1]] + base["pos_emb"][n - 1]
-            side_out, _ = ladder_ref(model.side, [e] * LADDER_CFG.n_layers)
+            side_out = ladder_ref(model.side, [e] * LADDER_CFG.n_layers)
             assert used == [1]
             np.testing.assert_allclose(
                 logits[0], (e + side_out) @ base["out_proj"], rtol=1e-10, atol=1e-12
@@ -256,6 +254,50 @@ class TestLadderReference:
         assert step_model.gate_log == [1] * 6
 
 
+class TestStatelessSide:
+    """A row's side output is a function of that row's payload alone, so a
+    step's logits do not depend on which contexts were evaluated before it
+    or beside it."""
+
+    CONTEXTS = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6]]
+
+    @staticmethod
+    def gated_model():
+        model = seeded_side_model()
+        model.gate["w"].data[:] = np.random.default_rng(14).standard_normal(
+            (LADDER_CFG.d_model, 2)
+        ) * 3.0
+        return model
+
+    @pytest.mark.parametrize("policy", ["always_side", "spa"])
+    def test_logits_do_not_depend_on_an_earlier_call(self, policy):
+        model = self.gated_model()
+        used = local_step_model(model, policy, "final")
+        used.logits_for([self.CONTEXTS[0]])
+        got, got_bits = used.logits_for([self.CONTEXTS[1]])
+        want, want_bits = local_step_model(model, policy, "final").logits_for([self.CONTEXTS[1]])
+        assert got_bits == want_bits == [1] and used.gate_log == [1, 1]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("policy", ["always_side", "spa"])
+    def test_beam_rows_do_not_depend_on_pool_order(self, policy):
+        model = self.gated_model()
+        rows, bits = local_step_model(model, policy, "final").logits_for(self.CONTEXTS)
+        rev, rev_bits = local_step_model(model, policy, "final").logits_for(self.CONTEXTS[::-1])
+        assert bits == rev_bits[::-1] and sum(bits) >= 2
+        np.testing.assert_allclose(rows, rev[::-1], rtol=1e-12, atol=0)
+
+    def test_provider_picks_the_ladder_entry_from_the_payload_rows(self):
+        model = seeded_side_model()
+        provide = local_side_provider(LADDER_CFG, model.side)
+        rows = np.random.default_rng(3).standard_normal((LADDER_CFG.n_layers, LADDER_CFG.d_model))
+        assert np.array_equal(provide(0, rows), side_step_layers(LADDER_CFG, model.side, rows))
+        assert np.array_equal(provide(1, rows[:1]), side_step_rolled(LADDER_CFG, model.side, rows[0]))
+        for bad in (rows[:2], rows[0], rows[:, :-1]):
+            with pytest.raises(DimensionError):
+                provide(2, bad)
+
+
 class FullRecompute:
     """Reference step model: every context of a step through a fresh
     CloudStepModel of its own, one at a time, so every base forward covers
@@ -264,7 +306,7 @@ class FullRecompute:
 
     def __init__(self, model, policy, wire_mode):
         self.model, self.policy, self.wire_mode = model, policy, wire_mode
-        self.provider = recording_provider(model, wire_mode)
+        self.provider = recording_provider(model)
         self.steps = StepCounter()
         self.gate_log: list[int] = []
 
@@ -282,9 +324,9 @@ class FullRecompute:
         return np.stack(rows), bits
 
 
-def recording_provider(model, wire_mode):
+def recording_provider(model):
     """The local side provider, recording every (step, payload) it is given."""
-    provide = local_side_provider(model.config, model.side, wire_mode)
+    provide = local_side_provider(model.config, model.side)
 
     def record(step, payload):
         record.calls.append((step, np.array(payload)))
@@ -345,7 +387,7 @@ class TestIncrementalDecode:
                     return greedy_decode(step_model, prompt, 8, eos_id)
                 return beam_decode(step_model, prompt, width, 8, LADDER_CFG.vocab_size, eos_id)
 
-            provider = recording_provider(model, wire_mode)
+            provider = recording_provider(model)
             batched = CloudStepModel(
                 model.config, model.base, model.gate, policy, wire_mode, provider, StepCounter()
             )
@@ -399,7 +441,7 @@ class TestGate:
 class TestFuse:
     def setup_traces(self, model):
         trace = base_forward(TINY, model.base, [1, 2, 3])
-        side = side_forward(TINY, model.side, trace.hiddens)
+        side = ladder(TINY, model.side, trace.hiddens)
         return trace, side
 
     def test_gate_off_reproduces_base_bitwise(self, tiny_model):
@@ -430,7 +472,7 @@ def fused_loss_oracle(model, ids):
     ids = np.asarray(ids)
     inputs, targets = ids[:-1], ids[1:]
     trace = base_forward(TINY, model.base, inputs)
-    side = side_forward(TINY, model.side, trace.hiddens).data
+    side = ladder(TINY, model.side, trace.hiddens).data
     glog, _ = gate_logits(model.gate, trace.final)
     e = np.exp(glog.data - glog.data.max(axis=1, keepdims=True))
     p1 = (e / e.sum(axis=1, keepdims=True))[:, 1]

@@ -9,7 +9,7 @@ from spa import numcore as nc
 from spa.corpus import Corpus, make_synthetic_personalized_corpus
 from spa.errors import ContractError
 from spa.metrics import perplexity
-from spa.model import ModelConfig, SpaModel, base_forward, fuse, side_forward
+from spa.model import ModelConfig, SpaModel, base_forward, fuse, ladder
 from spa.tokenizer import VOCAB_SIZE, ByteTokenizer
 from spa.training import (
     Adam,
@@ -190,7 +190,7 @@ class TestGateLabels:
                 # evaluate both paths independently for this one position
                 bt = base_forward(CFG, model.base, inputs)
                 lp_base = nc.log_softmax_rows(bt.logits.data)[i, targets[i]]
-                side = side_forward(CFG, model.side, bt.hiddens)
+                side = ladder(CFG, model.side, bt.hiddens)
                 _, fused_logits = fuse(
                     bt.final, side, np.ones(len(inputs)), model.base["out_proj"]
                 )

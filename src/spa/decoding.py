@@ -289,7 +289,7 @@ class DeviceOnlyStepModel:
         return (vecs + side_vecs) @ self.out_proj, bits
 
 
-def local_step_model(model: SpaModel, policy: str, wire_mode: str):
+def local_step_model(model: SpaModel, policy: str, wire_mode: str = DEFAULT_WIRE_MODE):
     """Step model with the side computed in this process (no wire)."""
     cfg = model.config
     if policy == "device_only":

@@ -94,6 +94,12 @@ def _device_only(bundle: SideBundle, prompt_ids, dcfg: DecodeConfig) -> Generati
     )
 
 
+def _protocol_violation(transport, message: str):
+    """Tell the cloud why the session ends, then end it."""
+    transport.send(ErrorFrame(ErrorCode.PROTOCOL_VIOLATION, message))
+    raise ContractError(message)
+
+
 def run_device(
     side_checkpoint: str | Path | SideBundle,
     dcfg: DecodeConfig,
@@ -153,15 +159,15 @@ def run_device(
             msg = transport.recv(frame_timeout)
             if isinstance(msg, (BaseHiddens, GateDecision, Token)):
                 if msg.step <= last_step:
-                    transport.send(
-                        ErrorFrame(
-                            ErrorCode.PROTOCOL_VIOLATION,
-                            f"step {msg.step} not after {last_step}",
-                        )
+                    _protocol_violation(
+                        transport, f"out-of-order step {msg.step} (last {last_step})"
                     )
-                    raise ContractError(f"out-of-order step {msg.step} (last {last_step})")
                 last_step = msg.step
             if isinstance(msg, BaseHiddens):
+                if msg.hiddens.shape[1] != 1:
+                    _protocol_violation(
+                        transport, f"BASE_HIDDENS chunk {msg.hiddens.shape[1]} != 1"
+                    )
                 vec = provider(msg.step, msg.hiddens[:, 0, :])
                 transport.send(SideOutput(msg.step, vec))
                 answered += 1

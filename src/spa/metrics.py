@@ -70,7 +70,7 @@ def teacher_forced_nll(
     Each document is cut to max_seq_len tokens; one shorter than 2 tokens is
     skipped. A cloud policy scores through `position_nll` under its gate mode
     from `POLICY_GATE_MODES`; device_only teacher-forces the step model that
-    device-only decoding serves.
+    device-only decoding serves, with all of a document's prefixes in one call.
     """
     if policy not in POLICIES:
         raise ContractError(f"teacher_forced_nll: unknown policy {policy!r}")
@@ -81,19 +81,15 @@ def teacher_forced_nll(
         ids = ids[: model.config.max_seq_len]
         if ids.size < 2:
             continue
-        if policy == "device_only":
-            step_model = local_step_model(model, policy, "final")
-            doc_nll = 0.0
-            for i in range(1, ids.size):
-                logits, bits = step_model.logits_for([ids[:i]])
-                doc_nll -= float(nc.log_softmax_rows(logits)[0][ids[i]])
-                used += bits[0]
+        if policy == "device_only":  # every prefix of the document as one step
+            prefixes = [ids[:i] for i in range(1, ids.size)]
+            logits, gate_trace = local_step_model(model, policy).logits_for(prefixes)
+            nlls = -nc.log_softmax_rows(logits)[np.arange(ids.size - 1), ids[1:]]
         else:
             nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
-            doc_nll = nlls.sum()
-            used += int(gate_trace.sum())
-        total += doc_nll
+        total += nlls.sum()
         count += ids.size - 1
+        used += int(np.sum(gate_trace))
     return total, count, used
 
 

@@ -16,6 +16,10 @@ function of its input rows: no state is carried between positions or
 steps. Training and the `all_layers` wire mode feed rung i the layer-i
 base hidden; the `final` wire mode feeds every rung the final hidden;
 device-only decoding feeds every rung the embedded token.
+
+`teacher_forced` is the only teacher-forced forward of the fused model: the
+loss, the scorer, the side path's causal effect (CATE) and the gate's
+training labels all read the `TokenLossTrace` it builds.
 """
 
 from __future__ import annotations
@@ -405,96 +409,79 @@ def fuse(base_final: Tensor, side_out: Tensor, gate_trace, out_proj: Tensor) -> 
 
 @dataclass
 class TokenLossTrace:
+    """What the one teacher-forced forward computed over a sequence."""
+
     base: BaseTrace
-    side_out: Tensor | None
+    side_out: Tensor | None  # None under gate mode "off", which skips the ladder
     gate_logits: Tensor
     gate_probs: Tensor
     gate_trace: np.ndarray  # the per-position weights actually used
     fused_logits: Tensor
     targets: np.ndarray
+    out_proj: Tensor
+
+    def target_logprobs(self, logits: np.ndarray) -> np.ndarray:
+        """log softmax(logits)[t, targets[t]] at every position t."""
+        return nc.log_softmax_rows(logits)[np.arange(self.targets.shape[0]), self.targets]
+
+    def cate(self) -> np.ndarray:
+        """Per-position log-likelihood gain of fusing the whole side output
+        over the base alone, lp(final + side_out)[t] - lp(base logits)[t],
+        whatever gate the trace ran; positive means the side path helps."""
+        if self.side_out is None:
+            raise ContractError("cate: the trace ran no side network (gate mode 'off')")
+        on_logits = (self.base.final.data + self.side_out.data) @ self.out_proj.data
+        return self.target_logprobs(on_logits) - self.target_logprobs(self.base.logits.data)
 
 
 GATE_MODES = ("soft", "hard", "off", "on")
 
 
-def token_loss(model: SpaModel, token_ids, gate_mode: str = "soft") -> tuple[Tensor, TokenLossTrace]:
-    """Teacher-forced mean NLL of the fused model over a token sequence."""
+def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace:
+    """The one teacher-forced forward of the fused model over a token
+    sequence. Gate mode "off" skips the ladder and keeps the base logits."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size < 2:
-        raise ContractError("token_loss: need at least 2 tokens for teacher forcing")
+        raise ContractError("teacher_forced: need at least 2 tokens")
     if gate_mode not in GATE_MODES:
-        raise ContractError(f"token_loss: unknown gate_mode {gate_mode!r}")
+        raise ContractError(f"teacher_forced: unknown gate_mode {gate_mode!r}")
     inputs, targets = ids[:-1], ids[1:]
     bt = base_forward(model.config, model.base, inputs)
     glog, gprobs = gate_logits(model.gate, bt.final)
-
-    if gate_mode == "off":
-        loss = nc.cross_entropy(bt.logits, targets)
-        trace = TokenLossTrace(
-            base=bt,
-            side_out=None,
-            gate_logits=glog,
-            gate_probs=gprobs,
-            gate_trace=np.zeros(inputs.shape[0]),
-            fused_logits=bt.logits,
-            targets=targets,
-        )
-        return loss, trace
-
-    side_out = ladder(model.config, model.side, bt.hiddens)
     if gate_mode == "soft":
         weights = nc.column(gprobs, 1)
         used = weights.data.copy()
     elif gate_mode == "hard":
-        used = gate_decide(glog.data).astype(np.float64)
-        weights = used
-    else:  # "on"
-        used = np.ones(inputs.shape[0])
-        weights = used
-    _, fused_logits = fuse(bt.final, side_out, weights, model.base["out_proj"])
-    loss = nc.cross_entropy(fused_logits, targets)
-    trace = TokenLossTrace(
-        base=bt,
-        side_out=side_out,
-        gate_logits=glog,
-        gate_probs=gprobs,
-        gate_trace=used,
-        fused_logits=fused_logits,
-        targets=targets,
+        used = weights = gate_decide(glog.data).astype(np.float64)
+    else:
+        used = weights = np.full(inputs.shape[0], float(gate_mode == "on"))
+    out_proj = model.base["out_proj"]
+    if gate_mode == "off":
+        side_out, fused_logits = None, bt.logits
+    else:
+        side_out = ladder(model.config, model.side, bt.hiddens)
+        _, fused_logits = fuse(bt.final, side_out, weights, out_proj)
+    return TokenLossTrace(
+        base=bt, side_out=side_out, gate_logits=glog, gate_probs=gprobs, gate_trace=used,
+        fused_logits=fused_logits, targets=targets, out_proj=out_proj,
     )
-    return loss, trace
+
+
+def token_loss(model: SpaModel, token_ids, gate_mode: str = "soft") -> tuple[Tensor, TokenLossTrace]:
+    """Teacher-forced mean NLL of the fused model over a token sequence."""
+    trace = teacher_forced(model, token_ids, gate_mode)
+    return nc.cross_entropy(trace.fused_logits, trace.targets), trace
 
 
 def cate_estimate(model: SpaModel, token_ids) -> np.ndarray:
-    """Per-position log-likelihood gain of the side path over base-only.
-
-    delta[i] = log P_fused-on(x_i | x_<i) - log P_base-only(x_i | x_<i);
-    positive means consulting the side network helps at position i.
-    """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size < 2:
-        raise ContractError("cate_estimate: need at least 2 tokens")
-    inputs, targets = ids[:-1], ids[1:]
+    """`TokenLossTrace.cate` of the side-always-on forward over a sequence."""
     with nc.no_grad():
-        bt = base_forward(model.config, model.base, inputs)
-        side_out = ladder(model.config, model.side, bt.hiddens)
-        _, fused_logits = fuse(
-            bt.final, side_out, np.ones(inputs.shape[0]), model.base["out_proj"]
-        )
-        lp_base = nc.log_softmax_rows(bt.logits.data)
-        lp_on = nc.log_softmax_rows(fused_logits.data)
-    rows = np.arange(targets.shape[0])
-    return lp_on[rows, targets] - lp_base[rows, targets]
+        return teacher_forced(model, token_ids, "on").cate()
 
 
 def position_nll(model: SpaModel, token_ids, gate_mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Teacher-forced per-position negative log-likelihoods under a gate mode,
     with the per-position gate weights that were used."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size < 2:
-        raise ContractError("position_nll: need at least 2 tokens")
     with nc.no_grad():
-        _, trace = token_loss(model, ids, gate_mode=gate_mode)
-        lp = nc.log_softmax_rows(trace.fused_logits.data)
-    rows = np.arange(trace.targets.shape[0])
-    return -lp[rows, trace.targets], trace.gate_trace
+        trace = teacher_forced(model, token_ids, gate_mode)
+    return -trace.target_logprobs(trace.fused_logits.data), trace.gate_trace

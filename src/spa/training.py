@@ -7,7 +7,8 @@ The side/gate objective per sequence is
   + usage_weight * mean(P(use side))              keeps the gate from
                                                   defaulting to "always on"
 
-where the labels come from `cate_estimate` and are constants within a step.
+where the labels (side-path CATE > margin, `TokenLossTrace.cate`) are read
+off the same soft-gate forward as the loss and are constants within a step.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .model import (
     ModelConfig,
     SideParams,
     SpaModel,
+    TokenLossTrace,
     base_forward,
-    cate_estimate,
     token_loss,
 )
 from .numcore import Tape, Tensor
@@ -201,9 +202,10 @@ def reinit_side_and_gate(model: SpaModel, seed: int) -> None:
     model.gate = GateParams.create(model.config)
 
 
-def gate_labels(model: SpaModel, ids: np.ndarray, margin: float) -> np.ndarray:
-    """1 where consulting the side path improves the target log-likelihood."""
-    return (cate_estimate(model, ids) > margin).astype(np.int64)
+def gate_labels(trace: TokenLossTrace, margin: float) -> np.ndarray:
+    """1 where consulting the side path improves the target log-likelihood
+    by more than `margin`; any trace that ran the side network will do."""
+    return (trace.cate() > margin).astype(np.int64)
 
 
 def train_side_and_gate(
@@ -231,13 +233,12 @@ def train_side_and_gate(
         losses = []
         for start in range(0, len(order), tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
-            labels = [gate_labels(model, blocks[bi], tcfg.gate_margin) for bi in batch]
             with Tape() as tape:
                 total = None
-                for bi, lab in zip(batch, labels):
-                    ids = blocks[bi]
-                    fused_nll, trace = token_loss(model, ids, gate_mode="soft")
-                    gate_ce = nc.cross_entropy(trace.gate_logits, lab)
+                for bi in batch:
+                    fused_nll, trace = token_loss(model, blocks[bi], gate_mode="soft")
+                    labels = gate_labels(trace, tcfg.gate_margin)
+                    gate_ce = nc.cross_entropy(trace.gate_logits, labels)
                     usage = nc.column(trace.gate_probs, 1).mean()
                     seq_loss = nc.add(
                         nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight)

@@ -138,7 +138,8 @@ def test_criterion_4_gradient_correctness():
             model.base.freeze()
             rng = np.random.default_rng(seed)
             ids = rng.integers(0, cfg.vocab_size, size=6)
-            labels = gate_labels(model, ids, tcfg.gate_margin)  # constants per step
+            _, soft = token_loss(model, ids, gate_mode="soft")
+            labels = gate_labels(soft, tcfg.gate_margin)  # constants per step
             params = model.side.tensors() + model.gate.tensors()
 
             def full_loss(*_):

@@ -18,6 +18,7 @@ from spa.decoding import (
 )
 from spa.errors import ContractError, DimensionError
 from spa.model import (
+    GATE_MODES,
     ModelConfig,
     SpaModel,
     base_forward,
@@ -26,6 +27,7 @@ from spa.model import (
     gate_decide,
     gate_logits,
     ladder,
+    position_nll,
     side_step_layers,
     side_step_rolled,
     token_loss,
@@ -520,6 +522,23 @@ class TestTokenLoss:
         assert np.array_equal(trace_off.fused_logits.data, trace_off.base.logits.data)
 
 
+class TestPositionNll:
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_scores_the_loss_positions_without_a_cross_entropy(
+        self, tiny_model, gate_mode, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("position_nll computed a cross-entropy")
+
+        ids = np.array([3, 8, 2, 6, 1, 9])
+        monkeypatch.setattr(nc, "cross_entropy", forbidden)
+        nlls, used = position_nll(tiny_model, ids, gate_mode)
+        monkeypatch.undo()
+        loss, trace = token_loss(tiny_model, ids, gate_mode=gate_mode)
+        assert abs(nlls.mean() - loss.item()) <= 1e-12 * loss.item()
+        assert np.array_equal(used, trace.gate_trace)
+
+
 class TestCate:
     def test_zero_side_gives_zero_effect(self, tiny_model):
         for _, t in tiny_model.side.named():
@@ -530,6 +549,11 @@ class TestCate:
     def test_deterministic(self, tiny_model):
         ids = [3, 8, 2, 6, 1]
         assert np.array_equal(cate_estimate(tiny_model, ids), cate_estimate(tiny_model, ids))
+
+    def test_trace_without_side_output_rejected(self, tiny_model):
+        _, trace = token_loss(tiny_model, [3, 8, 2], gate_mode="off")
+        with pytest.raises(ContractError):
+            trace.cate()
 
 
 class TestGradientFlow:

@@ -343,6 +343,37 @@ class TestDeviceSideValidation:
         assert not result.completed
         assert "out-of-order" in result.error
 
+    @pytest.mark.parametrize("chunk", [0, 3])
+    def test_base_hiddens_chunk_other_than_one_is_protocol_violation(self, chunk):
+        model = make_model(17)
+        bundle = make_bundle(model)
+        dev_end, fake_cloud = LoopbackTransport.pair()
+        replies = []
+
+        def impostor():
+            assert isinstance(fake_cloud.recv(timeout=5), Hello)
+            fake_cloud.send(Hello(PROTOCOL_VERSION, "all_layers", bundle.digest))
+            assert isinstance(fake_cloud.recv(timeout=5), Prompt)
+            rows = np.ones((CFG.n_layers, chunk, CFG.d_model))
+            fake_cloud.send(BaseHiddens(0, rows))
+            replies.append(fake_cloud.recv(timeout=5))
+
+        t = threading.Thread(target=impostor)
+        t.start()
+        result = run_device(
+            bundle,
+            DecodeConfig(max_new_tokens=4, policy="always_side"),
+            prompt_ids=[1],
+            transport=dev_end,
+            frame_timeout=2.0,
+        )
+        t.join(timeout=10)
+        assert not result.completed
+        assert f"chunk {chunk}" in result.error
+        assert result.counter.hidden_round_trips == 0
+        assert isinstance(replies[0], ErrorFrame)
+        assert replies[0].code == ErrorCode.PROTOCOL_VIOLATION
+
 
 class TestDeviceOnly:
     def test_runs_without_any_connection(self):

@@ -5,11 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import spa.model
 from spa import numcore as nc
 from spa.corpus import Corpus, make_synthetic_personalized_corpus
 from spa.errors import ContractError
 from spa.metrics import perplexity
-from spa.model import ModelConfig, SpaModel, base_forward, fuse, ladder
+from spa.model import (
+    ModelConfig,
+    SpaModel,
+    base_forward,
+    cate_estimate,
+    fuse,
+    ladder,
+    token_loss,
+)
 from spa.tokenizer import VOCAB_SIZE, ByteTokenizer
 from spa.training import (
     Adam,
@@ -183,7 +192,7 @@ class TestGateLabels:
         model, _, _ = pretrained
         _, pers = small_corpora()
         ids = np.asarray(ByteTokenizer().encode_document(pers.documents[0]))[:20]
-        labels = gate_labels(model, ids, margin=0.0)
+        labels = gate_labels(token_loss(model, ids, gate_mode="soft")[1], margin=0.0)
         inputs, targets = ids[:-1], ids[1:]
         with nc.no_grad():
             for i in range(len(targets)):
@@ -196,6 +205,47 @@ class TestGateLabels:
                 )
                 lp_on = nc.log_softmax_rows(fused_logits.data)[i, targets[i]]
                 assert labels[i] == int(lp_on - lp_base > 0.0)
+
+    def test_soft_trace_labels_equal_cate_estimate_bitwise(self, pretrained):
+        model, _, _ = pretrained
+        _, pers = small_corpora()
+        reinit_side_and_gate(model, 13)
+        tok = ByteTokenizer()
+        for doc in pers.documents[:4]:
+            ids = np.asarray(tok.encode_document(doc))[: CFG.max_seq_len]
+            with nc.Tape():  # the trace as a training step builds it
+                _, trace = token_loss(model, ids, gate_mode="soft")
+            gains = cate_estimate(model, ids)
+            assert np.array_equal(trace.cate(), gains)
+            for margin in (0.0, *np.quantile(gains, (0.1, 0.25, 0.5, 0.75, 0.9))):
+                want = (gains > margin).astype(np.int64)
+                assert np.array_equal(gate_labels(trace, margin), want), margin
+
+
+class TestOneForwardPerBlock:
+    def test_epoch_runs_base_and_ladder_once_per_block_and_scored_document(
+        self, pretrained, monkeypatch
+    ):
+        model, _, _ = pretrained
+        _, pers = small_corpora()
+        quick = TrainConfig(**{**TCFG.to_dict(), "epochs": 1})
+        tok = ByteTokenizer()
+        train_docs, val_docs, _ = pers.splits(quick.seed)
+        blocks = len(token_blocks(train_docs, tok, quick.block_size))
+        scored = sum(len(tok.encode_document(d)[: CFG.max_seq_len]) >= 2 for d in val_docs)
+        calls = {"base_forward": 0, "ladder": 0}
+        for name in calls:
+            real = getattr(spa.model, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spa.model, name, counted)
+        reinit_side_and_gate(model, 3)
+        train_side_and_gate(model, quick, pers)
+        assert blocks > 0 and scored > 0
+        assert calls == {"base_forward": blocks + scored, "ladder": blocks + scored}
 
 
 class TestLrGrid:

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import numcore as nc
 from .checkpoint import load_checkpoint, save_model
 from .cloud import serve_cloud
-from .configfile import resolve_config
+from .configfile import SCHEMA, resolve_config
 from .corpus import load_text_dir, make_synthetic_personalized_corpus, write_text_dir
 from .decoding import DecodeConfig, decode_monolithic
 from .device import run_device
@@ -77,6 +78,20 @@ def _require_dir(path: str, flag: str) -> Path:
     return p
 
 
+# flags whose name is not their setting's key with "-" for "_"
+_FLAG_NAMES = {"learning_rate": "--lr", "n_layers": "--layers", "n_heads": "--heads"}
+# [train] keys that only side training reads
+_SIDE_ONLY = ("gate_margin", "usage_weight")
+
+
+def _setting_flags(parser, section: str, keys, helps=None) -> None:
+    """One flag per config-file key; the flag's dest is the key itself."""
+    for key in keys:
+        parser.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key,
+                            type=SCHEMA[section][key], default=None,
+                            help=(helps or {}).get(key))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="spa", description=__doc__)
     parser.add_argument("--config", help="key=value config file (env SPA_CONFIG as fallback)")
@@ -90,30 +105,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="train and freeze the base model")
     p.add_argument("--corpus", required=True, help="directory of .txt documents")
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--d-model", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--d-ff", type=int, default=None)
-    p.add_argument("--max-seq-len", type=int, default=None)
-    p.add_argument("--side-reduction", type=int, default=None)
+    _setting_flags(p, "train", [k for k in SCHEMA["train"] if k not in _SIDE_ONLY])
+    _setting_flags(p, "model", SCHEMA["model"])
 
     p = sub.add_parser("train-side", help="train side network + gate on a frozen base")
     p.add_argument("--base", required=True, help="base (or full) checkpoint")
     p.add_argument("--corpus", required=True, help="personalized .txt directory")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None,
-                   help="single learning rate (default: run the grid)")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--gate-margin", type=float, default=None)
-    p.add_argument("--usage-weight", type=float, default=None)
+    _setting_flags(p, "train", SCHEMA["train"],
+                   {"learning_rate": "single learning rate (default: run the grid)"})
 
     p = sub.add_parser("serve", help="run the cloud endpoint")
     p.add_argument("--checkpoint", required=True)
@@ -171,39 +171,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _train_config(cfg, args, **overrides) -> TrainConfig:
-    base = TrainConfig().to_dict()
-    base.update(cfg.section("train"))
-    flag_map = {
-        "seed": getattr(args, "seed", None),
-        "epochs": getattr(args, "epochs", None),
-        "learning_rate": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "block_size": getattr(args, "block_size", None),
-        "gate_margin": getattr(args, "gate_margin", None),
-        "usage_weight": getattr(args, "usage_weight", None),
-    }
-    base.update({k: v for k, v in flag_map.items() if v is not None})
-    base.update(overrides)
-    return TrainConfig.from_dict(base)
-
-
-def _model_config(cfg, args) -> ModelConfig:
-    values = {
-        "n_layers": 4, "d_model": 128, "n_heads": 4, "d_ff": 512,
-        "max_seq_len": 128, "side_reduction": 8,
-    }
-    values.update(cfg.section("model"))
-    flag_map = {
-        "n_layers": getattr(args, "layers", None),
-        "d_model": getattr(args, "d_model", None),
-        "n_heads": getattr(args, "heads", None),
-        "d_ff": getattr(args, "d_ff", None),
-        "max_seq_len": getattr(args, "max_seq_len", None),
-        "side_reduction": getattr(args, "side_reduction", None),
-    }
-    values.update({k: v for k, v in flag_map.items() if v is not None})
-    return ModelConfig(vocab_size=VOCAB_SIZE, **values)
+def _settings(cfg, args, section: str) -> dict:
+    """The [section] settings: config-file values, overridden by any flag given."""
+    values = dict(cfg.section(section))
+    for key in SCHEMA[section]:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    return values
 
 
 def _cmd_make_corpus(cfg, args) -> int:
@@ -229,8 +203,8 @@ def _epoch_dicts(result) -> list[dict]:
 
 def _cmd_pretrain(cfg, args) -> int:
     corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
-    mcfg = _model_config(cfg, args)
-    tcfg = _train_config(cfg, args)
+    mcfg = ModelConfig(vocab_size=VOCAB_SIZE, **_settings(cfg, args, "model"))
+    tcfg = TrainConfig(**_settings(cfg, args, "train"))
     model, result = pretrain_base(mcfg, tcfg, corpus, log=print)
     save_model(model, args.out, kind="base", train_config=tcfg.to_dict())
     log_path = Path(str(args.out) + ".log.json")
@@ -247,11 +221,11 @@ def _cmd_pretrain(cfg, args) -> int:
 def _cmd_train_side(cfg, args) -> int:
     loaded = load_checkpoint(_require_file(args.base, "--base"))
     corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
-    tcfg = _train_config(cfg, args)
+    tcfg = TrainConfig(**_settings(cfg, args, "train"))
     model = loaded.build_base_model(seed=tcfg.seed)
-    if args.lr is not None:
+    if args.learning_rate is not None:
         result = train_side_and_gate(model, tcfg, corpus, log=print)
-        chosen_lr = args.lr
+        chosen_lr = args.learning_rate
         final_ppl = result.final.val_perplexity
         run_logs = {f"{chosen_lr:g}": _epoch_dicts(result)}
     else:
@@ -261,7 +235,7 @@ def _cmd_train_side(cfg, args) -> int:
         run_logs = {f"{r.learning_rate:g}": _epoch_dicts(r.result) for r in runs}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    chosen_cfg = TrainConfig(**{**tcfg.to_dict(), "learning_rate": chosen_lr})
+    chosen_cfg = replace(tcfg, learning_rate=chosen_lr)
     for kind in ("full", "cloud", "side"):
         save_model(model, out_dir / f"{kind}.ckpt", kind=kind,
                    train_config=chosen_cfg.to_dict())

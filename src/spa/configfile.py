@@ -15,7 +15,9 @@ from .errors import ConfigError
 
 ENV_VAR = "SPA_CONFIG"
 
-_SCHEMA: dict[str, dict[str, type]] = {
+# the only list of settable keys; the CLI builds the `pretrain` and
+# `train-side` flags from [model] and [train], each with its key as dest
+SCHEMA: dict[str, dict[str, type]] = {
     "model": {
         "n_layers": int,
         "d_model": int,
@@ -61,9 +63,9 @@ def load_config(path: str | Path) -> CliConfig:
         raise ConfigError(f"{p}: {e}") from e
     cfg = CliConfig(source=str(p))
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SCHEMA:
             raise ConfigError(f"{p}: unknown section [{section}]")
-        schema = _SCHEMA[section]
+        schema = SCHEMA[section]
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"{p}: unknown key {key!r} in [{section}]")

@@ -55,6 +55,8 @@ class DecodeConfig:
     wire_mode: str = DEFAULT_WIRE_MODE
 
     def __post_init__(self):
+        if self.max_new_tokens < 0:
+            raise ContractError("max_new_tokens must be >= 0")
         if self.beam_width < 1:
             raise ContractError("beam_width must be >= 1")
         if self.strategy not in STRATEGIES:

@@ -36,6 +36,7 @@ from .wire import (
     Prompt,
     SideOutput,
     Token,
+    encode_frame,
 )
 
 
@@ -126,6 +127,14 @@ def run_device(
     if dcfg.policy == "device_only":
         return _device_only(bundle, prompt_ids, dcfg)
 
+    prompt = Prompt(
+        token_ids=tuple(prompt_ids),
+        policy=dcfg.policy,
+        strategy=dcfg.strategy,
+        beam_width=dcfg.beam_width,
+        max_new_tokens=dcfg.max_new_tokens,
+    )
+    encode_frame(prompt)  # a field outside its wire range fails here, before connecting
     if transport is None:
         if connect is None:
             raise ContractError("run_device: need a transport or an address to connect to")
@@ -145,15 +154,7 @@ def run_device(
         if not isinstance(reply, Hello):
             raise ContractError("expected HELLO (or ERROR) from the cloud")
         provider = local_side_provider(bundle.config, bundle.side)
-        transport.send(
-            Prompt(
-                token_ids=tuple(prompt_ids),
-                policy=dcfg.policy,
-                strategy=dcfg.strategy,
-                beam_width=dcfg.beam_width,
-                max_new_tokens=dcfg.max_new_tokens,
-            )
-        )
+        transport.send(prompt)
         last_step = -1
         while True:
             msg = transport.recv(frame_timeout)

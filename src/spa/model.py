@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -65,15 +65,7 @@ class ModelConfig:
         return self.d_model // self.side_reduction
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "side_reduction": self.side_reduction,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -385,8 +377,7 @@ def fuse(base_final: Tensor, side_out: Tensor, gate_trace, out_proj: Tensor) -> 
     """fused = base_final + gate_trace * side_out, then the frozen projection.
 
     gate_trace is per-position: a Tensor of soft probabilities or an array of
-    hard 0/1 decisions. An all-zero hard trace short-circuits so the base
-    path is reproduced bit for bit.
+    hard 0/1 decisions.
     """
     if isinstance(gate_trace, Tensor):
         weights = gate_trace
@@ -396,8 +387,6 @@ def fuse(base_final: Tensor, side_out: Tensor, gate_trace, out_proj: Tensor) -> 
             raise DimensionError(
                 f"fuse: gate trace shape {arr.shape} != ({base_final.shape[0]},)"
             )
-        if not arr.any():
-            return base_final, nc.matmul(base_final, out_proj)
         weights = Tensor(arr)
     if side_out.shape != base_final.shape:
         raise DimensionError(
@@ -456,10 +445,11 @@ def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace
     else:
         used = weights = np.full(inputs.shape[0], float(gate_mode == "on"))
     out_proj = model.base["out_proj"]
-    if gate_mode == "off":
-        side_out, fused_logits = None, bt.logits
+    side_out = None if gate_mode == "off" else ladder(model.config, model.side, bt.hiddens)
+    if gate_mode == "off" or (gate_mode == "hard" and not used.any()):
+        # nothing is fused: the base logits are the fused logits, bit for bit
+        fused_logits = bt.logits
     else:
-        side_out = ladder(model.config, model.side, bt.hiddens)
         _, fused_logits = fuse(bt.final, side_out, weights, out_proj)
     return TokenLossTrace(
         base=bt, side_out=side_out, gate_logits=glog, gate_probs=gprobs, gate_trace=used,

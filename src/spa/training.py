@@ -1,6 +1,14 @@
 """Training: base pretraining, then side + gate training on a frozen base.
 
-The side/gate objective per sequence is
+Both stages run the one epoch loop `_train_epochs`: seeded shuffles of
+packed token blocks, Adam over the stage's parameters against the batch
+mean of a per-block loss, a divergence check, and validation after every
+epoch. The stages differ only in what they pass it:
+
+    pretrain_base         base parameters, base cross-entropy, "base_only"
+    train_side_and_gate   side + gate parameters, the objective below, "spa"
+
+The side/gate objective per block is
 
     token_loss(soft gate)                         fused teacher-forced NLL
   + cross_entropy(gate logits, labels)            labels: side-gain > margin
@@ -14,7 +22,7 @@ off the same soft-gate forward as the loss and are constants within a step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -55,22 +63,7 @@ class TrainConfig:
     block_size: int = 48
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "gate_margin": self.gate_margin,
-            "usage_weight": self.usage_weight,
-            "block_size": self.block_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 class Adam:
@@ -143,6 +136,60 @@ def _fused_val_perplexity(model: SpaModel, docs, tokenizer, policy="spa") -> tup
     return math.exp(total / count), used / count
 
 
+# each stage's log-line name and the wording of its divergence error
+_STAGE_WORDS = {"pretrain": "pretraining", "side": "side training"}
+
+
+def _train_epochs(
+    stage: str,
+    params: list[Tensor],
+    tcfg: TrainConfig,
+    corpus: Corpus,
+    tokenizer: ByteTokenizer,
+    block_loss,
+    validate,
+    log,
+) -> TrainResult:
+    """The one training loop: seeded shuffles of the corpus's training
+    blocks, Adam on `params` against the batch mean of `block_loss(block)`,
+    then `validate(val_docs)` -> (val perplexity, gate usage or None) after
+    every epoch. `stage` names the run in log lines and errors."""
+    train_docs, val_docs, _ = corpus.splits(tcfg.seed)
+    blocks = token_blocks(train_docs, tokenizer, tcfg.block_size)
+    opt = Adam(params, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
+    rng = np.random.default_rng(tcfg.seed)
+    result = TrainResult()
+    for epoch in range(tcfg.epochs):
+        order = rng.permutation(len(blocks))
+        losses = []
+        for start in range(0, len(order), tcfg.batch_size):
+            batch = order[start : start + tcfg.batch_size]
+            with Tape() as tape:
+                total = None
+                for bi in batch:
+                    loss = block_loss(blocks[bi])
+                    total = loss if total is None else nc.add(total, loss)
+                total = nc.smul(total, 1.0 / len(batch))
+            if not np.isfinite(total.data):
+                raise TrainingDivergedError(
+                    f"{_STAGE_WORDS[stage]} loss became non-finite at epoch {epoch}, "
+                    f"lr {tcfg.learning_rate}"
+                )
+            opt.zero_grad()
+            tape.backward(total)
+            opt.step()
+            losses.append(total.item())
+        entry = EpochLog(epoch, float(np.mean(losses)), *validate(val_docs))
+        result.epochs.append(entry)
+        if log:
+            line = (f"{stage} epoch {entry.epoch}: loss {entry.train_loss:.4f} "
+                    f"val ppl {entry.val_perplexity:.2f}")
+            if entry.gate_usage is not None:
+                line += f" usage {entry.gate_usage:.3f}"
+            log(line)
+    return result
+
+
 def pretrain_base(
     config: ModelConfig,
     tcfg: TrainConfig,
@@ -157,41 +204,15 @@ def pretrain_base(
     tokenizer = tokenizer or ByteTokenizer()
     if model is None:
         model = SpaModel.create(config, seed=tcfg.seed)
-    train_docs, val_docs, _ = corpus.splits(tcfg.seed)
-    blocks = token_blocks(train_docs, tokenizer, tcfg.block_size)
-    opt = Adam(model.base.tensors(), tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
-    rng = np.random.default_rng(tcfg.seed)
-    result = TrainResult()
-    for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(blocks))
-        losses = []
-        for start in range(0, len(order), tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            with Tape() as tape:
-                total = None
-                for bi in batch:
-                    ids = blocks[bi]
-                    trace = base_forward(config, model.base, ids[:-1])
-                    loss = nc.cross_entropy(trace.logits, ids[1:])
-                    total = loss if total is None else nc.add(total, loss)
-                total = nc.smul(total, 1.0 / len(batch))
-            if not np.isfinite(total.data):
-                raise TrainingDivergedError(
-                    f"pretraining loss became non-finite at epoch {epoch}, lr {tcfg.learning_rate}"
-                )
-            opt.zero_grad()
-            tape.backward(total)
-            opt.step()
-            losses.append(total.item())
-        entry = EpochLog(
-            epoch=epoch,
-            train_loss=float(np.mean(losses)),
-            val_perplexity=_fused_val_perplexity(model, val_docs, tokenizer, "base_only")[0],
-        )
-        result.epochs.append(entry)
-        if log:
-            log(f"pretrain epoch {entry.epoch}: loss {entry.train_loss:.4f} "
-                f"val ppl {entry.val_perplexity:.2f}")
+
+    def block_loss(ids):
+        return nc.cross_entropy(base_forward(config, model.base, ids[:-1]).logits, ids[1:])
+
+    def validate(val_docs):
+        return _fused_val_perplexity(model, val_docs, tokenizer, "base_only")[0], None
+
+    result = _train_epochs("pretrain", model.base.tensors(), tcfg, corpus, tokenizer,
+                           block_loss, validate, log)
     model.base.freeze()
     return model, result
 
@@ -222,48 +243,18 @@ def train_side_and_gate(
         raise ContractError("train_side_and_gate: corpus is empty")
     tokenizer = tokenizer or ByteTokenizer()
     digest_before = model.base_digest()
-    train_docs, val_docs, _ = corpus.splits(tcfg.seed)
-    blocks = token_blocks(train_docs, tokenizer, tcfg.block_size)
-    params = model.side.tensors() + model.gate.tensors()
-    opt = Adam(params, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
-    rng = np.random.default_rng(tcfg.seed)
-    result = TrainResult()
-    for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(blocks))
-        losses = []
-        for start in range(0, len(order), tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            with Tape() as tape:
-                total = None
-                for bi in batch:
-                    fused_nll, trace = token_loss(model, blocks[bi], gate_mode="soft")
-                    labels = gate_labels(trace, tcfg.gate_margin)
-                    gate_ce = nc.cross_entropy(trace.gate_logits, labels)
-                    usage = nc.column(trace.gate_probs, 1).mean()
-                    seq_loss = nc.add(
-                        nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight)
-                    )
-                    total = seq_loss if total is None else nc.add(total, seq_loss)
-                total = nc.smul(total, 1.0 / len(batch))
-            if not np.isfinite(total.data):
-                raise TrainingDivergedError(
-                    f"side training loss became non-finite at epoch {epoch}, lr {tcfg.learning_rate}"
-                )
-            opt.zero_grad()
-            tape.backward(total)
-            opt.step()
-            losses.append(total.item())
-        val_ppl, usage_rate = _fused_val_perplexity(model, val_docs, tokenizer)
-        entry = EpochLog(
-            epoch=epoch,
-            train_loss=float(np.mean(losses)),
-            val_perplexity=val_ppl,
-            gate_usage=usage_rate,
-        )
-        result.epochs.append(entry)
-        if log:
-            log(f"side epoch {entry.epoch}: loss {entry.train_loss:.4f} "
-                f"val ppl {entry.val_perplexity:.2f} usage {entry.gate_usage:.3f}")
+
+    def block_loss(ids):
+        fused_nll, trace = token_loss(model, ids, gate_mode="soft")
+        gate_ce = nc.cross_entropy(trace.gate_logits, gate_labels(trace, tcfg.gate_margin))
+        usage = nc.column(trace.gate_probs, 1).mean()
+        return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight))
+
+    def validate(val_docs):
+        return _fused_val_perplexity(model, val_docs, tokenizer)
+
+    result = _train_epochs("side", model.side.tensors() + model.gate.tensors(), tcfg, corpus,
+                           tokenizer, block_loss, validate, log)
     if model.base_digest() != digest_before:
         raise ContractError("frozen base changed during side training (checksum mismatch)")
     return result
@@ -295,9 +286,9 @@ def run_lr_grid(
     runs: list[GridRun] = []
     for lr in grid:
         reinit_side_and_gate(model, tcfg.seed)
-        cfg = TrainConfig(**{**tcfg.to_dict(), "learning_rate": lr})
         before = model.base_digest()
-        result = train_side_and_gate(model, cfg, corpus, tokenizer, log=log)
+        result = train_side_and_gate(model, replace(tcfg, learning_rate=lr), corpus, tokenizer,
+                                     log=log)
         runs.append(
             GridRun(
                 learning_rate=lr,

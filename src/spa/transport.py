@@ -111,7 +111,10 @@ class SocketTransport(_Counting):
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> "SocketTransport":
-        sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as e:
+            raise TransportClosed(f"cannot connect to {host}:{port}: {e}") from e
         return cls(sock)
 
     def send(self, msg: WireMessage) -> None:

@@ -191,8 +191,6 @@ def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
                 f"hidden block of {arr.size * 8} bytes exceeds {MAX_PAYLOAD}"
             )
         n_layers, chunk, d = arr.shape
-        if n_layers > 0xFF or chunk > 0xFFFF or d > 0xFFFF:
-            raise BadFrameError(f"hidden dimensions {arr.shape} exceed header field ranges")
         head = struct.pack(">IBHH", msg.step, n_layers, chunk, d)
         return MsgType.BASE_HIDDENS, head + arr.astype(">f8").tobytes()
     if isinstance(msg, GateDecision):
@@ -211,7 +209,10 @@ def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
 
 
 def encode_frame(msg: WireMessage) -> bytes:
-    mtype, payload = _encode_payload(msg)
+    try:
+        mtype, payload = _encode_payload(msg)
+    except struct.error as e:  # a field outside its u8/u16/u32 range
+        raise BadFrameError(f"{type(msg).__name__}: field out of range: {e}") from None
     if len(payload) > MAX_PAYLOAD:
         raise OversizeFrameError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
     return struct.pack(">I", len(payload)) + bytes([mtype]) + payload

@@ -17,6 +17,7 @@ from spa.decoding import (
     greedy_decode,
     local_side_provider,
 )
+from spa.errors import ContractError
 from spa.model import ModelConfig, SpaModel
 
 CFG = ModelConfig(
@@ -134,6 +135,11 @@ class TestReductions:
     def test_decode_config_rejects_zero_width(self):
         with pytest.raises(Exception):
             DecodeConfig(beam_width=0)
+
+    def test_decode_config_rejects_negative_max_new_tokens(self):
+        with pytest.raises(ContractError, match="max_new_tokens"):
+            DecodeConfig(max_new_tokens=-5)
+        assert DecodeConfig(max_new_tokens=0).max_new_tokens == 0
 
 
 class TestExhaustiveOracle:

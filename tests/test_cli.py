@@ -2,16 +2,19 @@
 
 import json
 import math
+import socket
 
 import numpy as np
 import pytest
 
 from spa.checkpoint import load_checkpoint, save_model
 from spa.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from spa.cloud import serve_cloud
 from spa.corpus import load_text_dir
 from spa.metrics import teacher_forced_nll
 from spa.model import ModelConfig, SpaModel
 from spa.tokenizer import VOCAB_SIZE
+from spa.training import TrainConfig
 
 
 @pytest.fixture
@@ -163,6 +166,44 @@ class TestDecodeAndEval:
         assert code == EXIT_RUNTIME
 
 
+class TestDevicePathErrors:
+    @pytest.fixture
+    def side_ckpt(self, full_ckpt, tmp_path):
+        side = tmp_path / "side.ckpt"
+        save_model(load_checkpoint(full_ckpt).build_model(), side, kind="side")
+        return side
+
+    def test_generate_with_no_server_listening_is_runtime_error(self, side_ckpt, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # the port is free again and nothing listens on it
+        code = main(["generate", "--connect", f"127.0.0.1:{port}",
+                     "--side-checkpoint", str(side_ckpt), "--prompt", "hi"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"error: cannot connect to 127.0.0.1:{port}")
+
+    @pytest.mark.parametrize("flag, value", [("--max-new", "70000"), ("--beam", "65536")])
+    def test_generate_with_a_wire_field_out_of_range_is_runtime_error(
+        self, full_ckpt, side_ckpt, capsys, flag, value
+    ):
+        server = serve_cloud(full_ckpt)
+        try:
+            host, port = server.address
+            code = main(["generate", "--connect", f"{host}:{port}", "--side-checkpoint",
+                         str(side_ckpt), "--prompt", "hi", flag, value])
+        finally:
+            server.shutdown()
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: Prompt: field out of range")
+
+    def test_decode_local_with_negative_max_new_is_runtime_error(self, full_ckpt, capsys):
+        code = main(["decode-local", "--checkpoint", str(full_ckpt), "--prompt", "x",
+                     "--max-new", "-3"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: max_new_tokens must be >= 0")
+
+
 class TestGradCheckCommand:
     def test_passes_and_prints_per_check_lines(self, capsys):
         assert main(["grad-check", "--trials", "1"]) == EXIT_OK
@@ -200,6 +241,31 @@ class TestConfigFile:
         cfg.write_text("[paths]\nout_dir = out\n")
         assert main(["--config", str(cfg), "bench-latency"]) == EXIT_USAGE
         assert "unknown section [paths]" in capsys.readouterr().err
+
+    def test_settings_take_default_then_file_then_flag(self, tmp_path, capsys):
+        corpus = tmp_path / "docs"
+        corpus.mkdir()
+        for i in range(10):
+            (corpus / f"{i}.txt").write_text(f"the quiet river {i} runs under the old bridge")
+        cfg = tmp_path / "spa.cfg"
+        cfg.write_text("[model]\nn_layers = 1\nd_model = 16\nn_heads = 2\nd_ff = 32\n"
+                       "max_seq_len = 32\n"
+                       "[train]\nepochs = 5\nbatch_size = 4\nblock_size = 16\n"
+                       "learning_rate = 0.002\n")
+        out = tmp_path / "base.ckpt"
+        code = main(["--config", str(cfg), "pretrain", "--corpus", str(corpus),
+                     "--out", str(out), "--epochs", "1", "--d-model", "32", "--heads", "4"])
+        assert code == EXIT_OK
+        loaded = load_checkpoint(out)
+        # flags: d_model, n_heads, epochs; file: the rest it sets; defaults: the others
+        assert loaded.config == ModelConfig(
+            n_layers=1, d_model=32, n_heads=4, d_ff=32, vocab_size=VOCAB_SIZE,
+            max_seq_len=32, side_reduction=ModelConfig().side_reduction,
+        )
+        assert loaded.train_config == {
+            **TrainConfig().to_dict(),
+            "epochs": 1, "batch_size": 4, "block_size": 16, "learning_rate": 0.002,
+        }
 
     def test_env_var_fallback(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "spa.cfg"

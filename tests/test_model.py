@@ -468,6 +468,28 @@ class TestFuse:
         with pytest.raises(DimensionError):
             fuse(trace.final, side, np.zeros(5), tiny_model.base["out_proj"])
 
+    def test_all_zero_hard_trace_reuses_the_base_logits(self, tiny_model, monkeypatch):
+        # the fresh gate is all zeros, so every hard decision ties to 0
+        ids = np.arange(1, 12) % TINY.vocab_size
+        out_proj = tiny_model.base["out_proj"]
+        projections = 0
+        matmul = nc.matmul
+
+        def counting(a, b):
+            nonlocal projections
+            projections += b is out_proj
+            return matmul(a, b)
+
+        monkeypatch.setattr(nc, "matmul", counting)
+        nll, used = position_nll(tiny_model, ids, "hard")
+        monkeypatch.undo()
+        assert not used.any()
+        assert projections == 1, "only base_forward should project through out_proj"
+        logits = base_forward(TINY, tiny_model.base, ids[:-1]).logits.data
+        want = -nc.log_softmax_rows(logits)[np.arange(len(ids) - 1), ids[1:]]
+        assert nll.tobytes() == want.tobytes()
+        assert nll.tobytes() == position_nll(tiny_model, ids, "off")[0].tobytes()
+
 
 def fused_loss_oracle(model, ids):
     """Recompute the fused teacher-forced loss from scratch with plain numpy."""

@@ -135,6 +135,17 @@ class TestSideTraining:
         with pytest.raises(ContractError):
             train_side_and_gate(model, TCFG, pers)
 
+    def test_nan_side_parameter_aborts_with_divergence_error(self):
+        _, pers = small_corpora()
+        model = SpaModel.create(CFG, seed=0)
+        model.base.freeze()
+        # poison the side output every fused position reads
+        model.side["up.b"].data[0] = np.nan
+        with pytest.raises(
+            TrainingDivergedError, match="side training loss became non-finite at epoch 0"
+        ):
+            train_side_and_gate(model, TrainConfig(**{**TCFG.to_dict(), "epochs": 1}), pers)
+
     def test_reported_usage_matches_independent_pass(self, pretrained):
         model, _, _ = pretrained
         _, pers = small_corpora()

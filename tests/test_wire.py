@@ -103,6 +103,23 @@ class TestRobustness:
         with pytest.raises(OversizeFrameError):
             encode_frame(big)
 
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            Prompt((1, 2), "spa", max_new_tokens=70000),
+            Prompt((1, 2), "spa", "beam", beam_width=65536),
+            Prompt((1, 2**32), "spa"),
+            Prompt((1, -1), "spa"),
+            Token(2**32, 1),
+            GateDecision(-1, 1),
+            ErrorFrame(70000, "boom"),
+            BaseHiddens(0, np.zeros((256, 1, 2))),
+        ],
+    )
+    def test_field_outside_its_range_is_a_bad_frame_on_encode(self, msg):
+        with pytest.raises(BadFrameError, match="field out of range"):
+            encode_frame(msg)
+
     def test_unknown_type_rejected(self):
         frame = struct.pack(">I", 0) + bytes([99])
         with pytest.raises(BadFrameError):

@@ -113,7 +113,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="personalized .txt directory")
     p.add_argument("--out-dir", required=True)
     _setting_flags(p, "train", SCHEMA["train"],
-                   {"learning_rate": "single learning rate (default: run the grid)"})
+                   {"learning_rate": "single learning rate (default: [train] learning_rate, "
+                                     "else run the grid)"})
 
     p = sub.add_parser("serve", help="run the cloud endpoint")
     p.add_argument("--checkpoint", required=True)
@@ -221,11 +222,12 @@ def _cmd_pretrain(cfg, args) -> int:
 def _cmd_train_side(cfg, args) -> int:
     loaded = load_checkpoint(_require_file(args.base, "--base"))
     corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
-    tcfg = TrainConfig(**_settings(cfg, args, "train"))
+    settings = _settings(cfg, args, "train")
+    tcfg = TrainConfig(**settings)
     model = loaded.build_base_model(seed=tcfg.seed)
-    if args.learning_rate is not None:
+    if "learning_rate" in settings:  # set by the file or --lr: one run at that rate
         result = train_side_and_gate(model, tcfg, corpus, log=print)
-        chosen_lr = args.learning_rate
+        chosen_lr = tcfg.learning_rate
         final_ppl = result.final.val_perplexity
         run_logs = {f"{chosen_lr:g}": _epoch_dicts(result)}
     else:

@@ -15,7 +15,10 @@ Decoding is incremental: `CloudStepModel` keeps the attention K/V of the
 windows it evaluated on the previous step, and a step whose contexts each
 extend one of them by a token runs the base over those tokens alone. When
 the window slides past max_seq_len every absolute position shifts, so that
-step falls back to a full recompute of the windows.
+step falls back to a full recompute of the windows. Every step reads only
+each context's last position, so every base forward passes `last=1`: the
+prompt prefill and a slid-window recompute run the final layer's queries,
+FFN and output projection over one row per context, not the whole window.
 """
 
 from __future__ import annotations
@@ -224,35 +227,33 @@ class CloudStepModel:
     def _base_trace(self, contexts):
         windows = [tuple(ctx[-self.config.max_seq_len :]) for ctx in contexts]
         rows = [self._kv_rows.get(w[:-1]) for w in windows]
+        if None in rows:
+            ids, past = windows, None
+        else:
+            ids, past = [w[-1:] for w in windows], self._kv
+            if rows != list(range(len(past[0][0]))):  # not the kept rows in order
+                past = [(k[rows], v[rows]) for k, v in past]
         with nc.no_grad():
-            if None in rows:
-                trace = base_forward(self.config, self.base, windows)
-            else:
-                past = self._kv
-                if rows != list(range(len(past[0][0]))):  # not the kept rows in order
-                    past = [(k[rows], v[rows]) for k, v in past]
-                trace = base_forward(self.config, self.base, [w[-1:] for w in windows], past)
+            trace = base_forward(self.config, self.base, ids, past, last=1)
         keep = len(windows[0]) < self.config.max_seq_len
         self._kv_rows = {w: i for i, w in enumerate(windows)} if keep else {}
         self._kv = trace.kv if keep else []
         return trace
 
     def logits_for(self, contexts) -> tuple[np.ndarray, list[int]]:
-        trace = self._base_trace(contexts)
+        trace = self._base_trace(contexts)  # final and logits: each context's last position
         batch = len(contexts)
-
-        def last(rows: np.ndarray) -> np.ndarray:  # each context's last position
-            return rows.reshape(batch, -1, rows.shape[-1])[:, -1]
-
-        final = last(trace.final.data)
-        logits = last(trace.logits.data).copy()
+        final = trace.final.data
+        logits = trace.logits.data  # a fresh array that nothing else reads
         if self.gate_mode == "hard":
             bits = gate_decide(final @ self.gate["w"].data + self.gate["b"].data).tolist()
         else:
             bits = [int(self.gate_mode == "on")] * batch
         self.gate_log.extend(bits)
         if self.wire_mode == "all_layers" and any(bits):
-            payloads = np.stack([last(h.data) for h in trace.hiddens], axis=1)
+            payloads = np.stack(
+                [h.data.reshape(batch, -1, h.shape[-1])[:, -1] for h in trace.hiddens], axis=1
+            )
         else:
             payloads = final[:, None]
         for i, bit in enumerate(bits):

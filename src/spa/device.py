@@ -110,36 +110,52 @@ def run_device(
     transport=None,
     frame_timeout: float = 10.0,
 ) -> GenerationResult:
-    """Generate text through a cloud session (or locally for device_only)."""
-    bundle = (
-        side_checkpoint
-        if isinstance(side_checkpoint, SideBundle)
-        else SideBundle.from_checkpoint(side_checkpoint)
-    )
-    if prompt_ids is None:
-        if prompt_text is None:
-            raise ContractError("run_device: need prompt_text or prompt_ids")
-        if bundle.config.vocab_size != VOCAB_SIZE:
-            raise ContractError("text prompts need a byte-vocabulary checkpoint")
-        prompt_ids = [BOS, *ByteTokenizer().encode(prompt_text)]
-    prompt_ids = [int(t) for t in prompt_ids]
+    """Generate text through a cloud session (or locally for device_only).
 
-    if dcfg.policy == "device_only":
-        return _device_only(bundle, prompt_ids, dcfg)
+    The transport, whether passed in or connected here, is closed on every
+    way out, so the cloud end never waits out its frame timeout.
+    """
+    try:
+        bundle = (
+            side_checkpoint
+            if isinstance(side_checkpoint, SideBundle)
+            else SideBundle.from_checkpoint(side_checkpoint)
+        )
+        if prompt_ids is None:
+            if prompt_text is None:
+                raise ContractError("run_device: need prompt_text or prompt_ids")
+            if bundle.config.vocab_size != VOCAB_SIZE:
+                raise ContractError("text prompts need a byte-vocabulary checkpoint")
+            prompt_ids = [BOS, *ByteTokenizer().encode(prompt_text)]
+        prompt_ids = [int(t) for t in prompt_ids]
 
-    prompt = Prompt(
-        token_ids=tuple(prompt_ids),
-        policy=dcfg.policy,
-        strategy=dcfg.strategy,
-        beam_width=dcfg.beam_width,
-        max_new_tokens=dcfg.max_new_tokens,
-    )
-    encode_frame(prompt)  # a field outside its wire range fails here, before connecting
-    if transport is None:
-        if connect is None:
-            raise ContractError("run_device: need a transport or an address to connect to")
-        transport = SocketTransport.connect(connect[0], connect[1], timeout=frame_timeout)
+        if dcfg.policy == "device_only":
+            return _device_only(bundle, prompt_ids, dcfg)
 
+        prompt = Prompt(
+            token_ids=tuple(prompt_ids),
+            policy=dcfg.policy,
+            strategy=dcfg.strategy,
+            beam_width=dcfg.beam_width,
+            max_new_tokens=dcfg.max_new_tokens,
+        )
+        encode_frame(prompt)  # a field outside its wire range fails here, before connecting
+        if transport is None:
+            if connect is None:
+                raise ContractError("run_device: need a transport or an address to connect to")
+            transport = SocketTransport.connect(connect[0], connect[1], timeout=frame_timeout)
+        return _session(bundle, dcfg, prompt, transport, frame_timeout)
+    finally:
+        if transport is not None:
+            try:
+                transport.close()
+            except SpaError:
+                pass
+
+
+def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
+             frame_timeout: float) -> GenerationResult:
+    """One split session over an open transport; the caller closes it."""
     tokens: list[int] = []
     trace: list[int] = []
     completed = False
@@ -192,15 +208,10 @@ def run_device(
         error = f"timeout: {e}"
     except (TransportClosed, SpaError) as e:
         error = error or str(e)
-    finally:
-        try:
-            transport.close()
-        except SpaError:
-            pass
 
     return GenerationResult(
         text=_decode_text(bundle.config, tokens),
-        prompt_ids=prompt_ids,
+        prompt_ids=list(prompt.token_ids),
         tokens=tokens,
         gate_trace=trace,
         counter=TransmissionCounter.build(

@@ -251,9 +251,11 @@ class BaseTrace:
     """Per-layer residual-stream states plus the post-norm final hidden.
 
     For a (B, T) batch of ids every state holds the B*T rows sequence by
-    sequence. `kv` holds each layer's attention keys and values over every
-    position attended (past and new), ready to be passed back as `past`:
-    (Tk, d) arrays for 1-D ids, (B, Tk, d) for a batch.
+    sequence; with `base_forward(..., last=n)` the final layer's hidden,
+    `final` and `logits` hold only each sequence's last n rows (B*n). `kv`
+    holds each layer's attention keys and values over every position
+    attended (past and new), ready to be passed back as `past`: (Tk, d)
+    arrays for 1-D ids, (B, Tk, d) for a batch.
     """
 
     hiddens: list[Tensor] = field(default_factory=list)
@@ -267,6 +269,8 @@ def base_forward(
     base: BaseParams,
     token_ids,
     past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    *,
+    last: int | None = None,
 ) -> BaseTrace:
     """Forward `token_ids`, a (T,) sequence or a (B, T) batch, through the base.
 
@@ -275,6 +279,13 @@ def base_forward(
     absolute positions past_len.. and attend over the past keys plus their
     own. The trace then covers only the new positions. Past keys are
     constants, so `past` is for decoding under `no_grad`.
+
+    `last=n` says the caller reads only each sequence's last n positions of
+    the final layer. That layer still computes keys and values over every
+    position, so `kv` is complete, but its queries (n per sequence over all
+    keys, the shape of a cached step), attention output, FFN, `ln_f` and
+    output projection run over those n rows alone. Like `past`, it is for
+    decoding under `no_grad`.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim not in (1, 2) or ids.size < 1:
@@ -291,6 +302,12 @@ def base_forward(
             raise DimensionError(
                 f"base_forward: past keys {past[0][0].shape} do not match ids {ids.shape}"
             )
+    keep = new_len if last is None else last
+    if last is not None:
+        if nc.recording():
+            raise ContractError("base_forward: `last` drops rows backward needs; decode under no_grad")
+        if not 1 <= last <= new_len:
+            raise ContractError(f"base_forward: last={last} outside 1..{new_len}")
     t_len = past_len + new_len
     if t_len > config.max_seq_len:
         raise ContractError(f"sequence length {t_len} exceeds max_seq_len {config.max_seq_len}")
@@ -304,13 +321,17 @@ def base_forward(
     for i in range(config.n_layers):
         p = f"layers.{i}"
         a = nc.layer_norm(x, base[f"{p}.ln1.g"], base[f"{p}.ln1.b"])
-        q = nc.add(nc.matmul(a, base[f"{p}.attn.wq"]), base[f"{p}.attn.bq"])
         k = nc.add(nc.matmul(a, base[f"{p}.attn.wk"]), base[f"{p}.attn.bk"])
         v = nc.add(nc.matmul(a, base[f"{p}.attn.wv"]), base[f"{p}.attn.bv"])
         if past is not None:  # per sequence: its past positions, then the new ones
             k = Tensor(np.concatenate([past[i][0], k.data.reshape(new_shape)], -2).reshape(-1, d))
             v = Tensor(np.concatenate([past[i][1], v.data.reshape(new_shape)], -2).reshape(-1, d))
         trace.kv.append((k.data.reshape(kv_shape), v.data.reshape(kv_shape)))
+        if i == config.n_layers - 1 and keep < new_len:
+            # nothing after this layer's keys and values reads the other rows
+            a, x = (Tensor(t.data.reshape(batch, new_len, d)[:, -keep:].reshape(-1, d))
+                    for t in (a, x))
+        q = nc.add(nc.matmul(a, base[f"{p}.attn.wq"]), base[f"{p}.attn.bq"])
         att = nc.causal_attention(q, k, v, config.n_heads, batch)
         x = nc.add(x, nc.add(nc.matmul(att, base[f"{p}.attn.wo"]), base[f"{p}.attn.bo"]))
         m = nc.layer_norm(x, base[f"{p}.ln2.g"], base[f"{p}.ln2.b"])

@@ -132,7 +132,8 @@ def _current_tape() -> "Tape | None":
 
 
 class Tape:
-    """Ordered record of operations; replayed in reverse by `backward`."""
+    """Ordered record of operations; replayed in reverse by `backward`,
+    which then drops the record."""
 
     def __init__(self):
         self._entries: list[_TapeEntry] = []
@@ -186,6 +187,9 @@ class Tape:
                 seen[key] = t
         for key, t in seen.items():
             t.accumulate_grad(grads[key])
+        # every output points back at this tape, so the entries would keep the
+        # whole graph (activations and closures) alive until a cyclic collection
+        self._entries.clear()
 
 
 @contextlib.contextmanager
@@ -407,7 +411,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x**3)
+    u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x))
     t = np.tanh(u)
     du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
@@ -416,7 +420,8 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximated GELU."""
     xd = x.data
-    t = np.tanh(_SQRT_2_OVER_PI * (xd + _GELU_CUBIC * xd**3))
+    # x * x * x, not x**3: numpy's pow has no fast path for an exponent of 3
+    t = np.tanh(_SQRT_2_OVER_PI * (xd + _GELU_CUBIC * (xd * xd * xd)))
     out = 0.5 * xd * (1.0 + t)
 
     def bw(go):

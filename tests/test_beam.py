@@ -244,9 +244,9 @@ class TestKVCache:
         calls = []
         real_forward = spa.decoding.base_forward
 
-        def counting_forward(config, base, ids, past=None):
+        def counting_forward(config, base, ids, past=None, **kwargs):
             calls.append(np.shape(ids))
-            return real_forward(config, base, ids, past)
+            return real_forward(config, base, ids, past, **kwargs)
 
         monkeypatch.setattr(spa.decoding, "base_forward", counting_forward)
         model = make_model(8)

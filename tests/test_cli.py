@@ -267,6 +267,28 @@ class TestConfigFile:
             "epochs": 1, "batch_size": 4, "block_size": 16, "learning_rate": 0.002,
         }
 
+    def test_file_learning_rate_selects_a_single_side_run(self, full_ckpt, tmp_path, capsys):
+        corpus = tmp_path / "docs"
+        corpus.mkdir()
+        for i in range(10):
+            (corpus / f"{i}.txt").write_text(f"a worn path {i} leads past the mill")
+        settings = "[train]\nepochs = 1\nbatch_size = 4\nblock_size = 16\n"
+        (tmp_path / "file.cfg").write_text(settings + "learning_rate = 0.003\n")
+        (tmp_path / "flag.cfg").write_text(settings)
+        runs = {"file": [], "flag": ["--lr", "0.003"]}
+        for name, extra in runs.items():
+            assert main(["--config", str(tmp_path / f"{name}.cfg"), "train-side",
+                         "--base", str(full_ckpt), "--corpus", str(corpus),
+                         "--out-dir", str(tmp_path / name), *extra]) == EXIT_OK
+            assert "grid" not in capsys.readouterr().out
+        log = json.loads((tmp_path / "file" / "train_log.json").read_text())
+        assert log["chosen_lr"] == 0.003 and list(log["runs"]) == ["0.003"]
+        side = load_checkpoint(tmp_path / "file" / "side.ckpt")
+        assert side.train_config["learning_rate"] == 0.003
+        for written in ("train_log.json", "full.ckpt", "cloud.ckpt", "side.ckpt"):
+            file_set = (tmp_path / "file" / written).read_bytes()
+            assert file_set == (tmp_path / "flag" / written).read_bytes(), written
+
     def test_env_var_fallback(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "spa.cfg"
         cfg.write_text("[train]\nepochs = 1\n")

@@ -145,6 +145,37 @@ class TestBaseForward:
         with Tape(), pytest.raises(ContractError):
             base_forward(TINY, tiny_model.base, [4], head.kv)
 
+    @pytest.mark.parametrize("shape", [(9,), (3, 9)])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_last_rows_match_the_full_forward(self, tiny_model, shape, n):
+        ids = np.random.default_rng(8).integers(0, TINY.vocab_size, size=shape)
+        batch, t_len = int(np.prod(shape[:-1])), shape[-1]
+        with nc.no_grad():
+            full = base_forward(TINY, tiny_model.base, ids)
+            cut = base_forward(TINY, tiny_model.base, ids, last=n)
+
+        def tail(rows):  # each sequence's last n rows of a full-length state
+            return rows.reshape(batch, t_len, -1)[:, -n:].reshape(batch * n, -1)
+
+        for got, want in ((cut.final, full.final), (cut.logits, full.logits),
+                          (cut.hiddens[-1], full.hiddens[-1])):
+            assert got.shape == (batch * n, want.shape[-1])
+            scale = np.max(np.abs(want.data))
+            assert np.max(np.abs(got.data - tail(want.data))) <= 1e-12 * scale
+        for got, want in zip(cut.hiddens[:-1], full.hiddens[:-1]):
+            assert np.array_equal(got.data, want.data)
+        for (k, v), (full_k, full_v) in zip(cut.kv, full.kv):
+            assert np.array_equal(k, full_k) and np.array_equal(v, full_v)
+
+    def test_last_under_a_tape_or_out_of_range_rejected(self, tiny_model):
+        with nc.no_grad():
+            for n in (0, 4):
+                with pytest.raises(ContractError):
+                    base_forward(TINY, tiny_model.base, [3, 1, 4], last=n)
+        tiny_model.base.thaw()
+        with Tape(), pytest.raises(ContractError):
+            base_forward(TINY, tiny_model.base, [3, 1, 4], last=1)
+
     def test_records_one_hidden_per_layer(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
         assert len(trace.hiddens) == TINY.n_layers
@@ -368,9 +399,9 @@ class TestIncrementalDecode:
         forwards = []
         real_forward = spa.decoding.base_forward
 
-        def counting_forward(config, base, ids, past=None):
+        def counting_forward(config, base, ids, past=None, **kwargs):
             forwards.append((np.shape(ids)[-1], past is not None))
-            return real_forward(config, base, ids, past)
+            return real_forward(config, base, ids, past, **kwargs)
 
         monkeypatch.setattr(spa.decoding, "base_forward", counting_forward)
         rng = np.random.default_rng(11)
@@ -410,6 +441,28 @@ class TestIncrementalDecode:
         assert (window, False) in forwards, "no slid window was recomputed"
         if width > 1:
             assert 1 < min(batch_sizes - {1}) < width <= max(batch_sizes), batch_sizes
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_every_forward_computes_only_the_last_row(self, width, monkeypatch):
+        forwards = []
+        real_forward = spa.decoding.base_forward
+
+        def spy(config, base, ids, past=None, **kwargs):
+            forwards.append((np.shape(ids)[-1], past is not None, kwargs))
+            return real_forward(config, base, ids, past, **kwargs)
+
+        monkeypatch.setattr(spa.decoding, "base_forward", spy)
+        window = LADDER_CFG.max_seq_len
+        rng = np.random.default_rng(4)
+        prompt = [int(t) for t in rng.integers(0, LADDER_CFG.vocab_size, window - 3)]
+        step_model = local_step_model(seeded_side_model(), "spa", "all_layers")
+        if width == 1:
+            greedy_decode(step_model, prompt, 8)
+        else:
+            beam_decode(step_model, prompt, width, 8, LADDER_CFG.vocab_size)
+        assert forwards[0][:2] == (window - 3, False), "the first step is not a prefill"
+        assert (window, False) in [f[:2] for f in forwards[1:]], "no slid window was recomputed"
+        assert all(kwargs == {"last": 1} for *_, kwargs in forwards)
 
 
 class TestGate:

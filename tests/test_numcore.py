@@ -1,6 +1,8 @@
 """Tensor/tape behaviour and backward rules against finite differences."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +79,27 @@ class TestBackward:
             loss = nc.add(nc.mul(w, w), w).sum()  # w^2 + w
         tape.backward(loss)
         assert np.allclose(w.grad, [5.0])
+
+    def test_backward_frees_the_graph(self):
+        # every output points at its tape and the tape at every output, so a
+        # kept record would hold the activations until a cyclic collection
+        r = rng_for(3)
+        w = Tensor(r.standard_normal((6, 5)), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = nc.matmul(Tensor(r.standard_normal((4, 6))), w)
+                loss = nc.gelu(hidden).sum()
+            activation = weakref.ref(hidden.data)
+            tape.backward(loss)
+            assert len(tape) == 0
+            with pytest.raises(ContractError):
+                tape.backward(loss)
+            del tape, hidden, loss
+            assert activation() is None
+        finally:
+            gc.enable()
+        assert w.grad is not None and np.any(w.grad)
 
     def test_frozen_input_gets_no_grad_but_flow_continues(self):
         frozen = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=False)
@@ -230,6 +253,18 @@ class TestGradCheckHarness:
         x = Tensor(rng_for(9).standard_normal(6))
         report = grad_check(lambda t: nc.gelu(t).sum(), x)
         assert not report.passed(1e-4)
+
+
+class TestGelu:
+    def test_matches_a_power_oracle(self):
+        x = np.linspace(-8.0, 8.0, 2001)
+        c = math.sqrt(2.0 / math.pi)
+        u = c * (x + 0.044715 * np.power(x, 3))
+        want = 0.5 * x * (1.0 + np.tanh(u))
+        want_grad = (0.5 * (1.0 + np.tanh(u))
+                     + 0.5 * x * (1.0 - np.tanh(u) ** 2) * c * (1.0 + 3 * 0.044715 * np.power(x, 2)))
+        np.testing.assert_allclose(nc.gelu(Tensor(x)).data, want, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(nc._gelu_grad(x), want_grad, rtol=1e-12, atol=1e-300)
 
 
 DIFFERENTIABLE_OPS = [

@@ -44,76 +44,76 @@ def test_full_cli_pipeline(tmp_path, capsys):
 
     capsys.readouterr()
 
-    server = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c",
          "from spa.cli import main; import sys; "
          "sys.exit(main(['serve', '--checkpoint', sys.argv[1], "
          "'--listen', '127.0.0.1:0']))",
          str(out / "cloud.ckpt")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        banner = server.stdout.readline()
-        match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-        assert match, f"no listen banner: {banner!r}"
-        addr = f"{match.group(1)}:{match.group(2)}"
+    ) as server:  # leaving the block closes the pipes
+        try:
+            banner = server.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            assert match, f"no listen banner: {banner!r}"
+            addr = f"{match.group(1)}:{match.group(2)}"
 
-        for policy in ("spa", "lst", "base-only", "always-side"):
-            code = main(["generate", "--connect", addr,
-                         "--side-checkpoint", str(out / "side.ckpt"),
-                         "--prompt", "the quiet", "--policy", policy,
-                         "--max-new", "6"])
-            assert code == EXIT_OK, policy
-            err = capsys.readouterr().err
-            assert "M=" in err
+            for policy in ("spa", "lst", "base-only", "always-side"):
+                code = main(["generate", "--connect", addr,
+                             "--side-checkpoint", str(out / "side.ckpt"),
+                             "--prompt", "the quiet", "--policy", policy,
+                             "--max-new", "6"])
+                assert code == EXIT_OK, policy
+                err = capsys.readouterr().err
+                assert "M=" in err
 
-        # empty prompt = BOS only; must still generate and terminate cleanly
-        assert main(["generate", "--connect", addr,
-                     "--side-checkpoint", str(out / "side.ckpt"),
-                     "--prompt", "", "--policy", "spa", "--max-new", "5"]) == EXIT_OK
-        capsys.readouterr()
-
-        # determinism across two identical sessions
-        outputs = []
-        for _ in range(2):
+            # empty prompt = BOS only; must still generate and terminate cleanly
             assert main(["generate", "--connect", addr,
                          "--side-checkpoint", str(out / "side.ckpt"),
-                         "--prompt", "a worn", "--policy", "spa",
-                         "--max-new", "8"]) == EXIT_OK
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-    finally:
-        server.terminate()
-        server.wait(timeout=10)
+                         "--prompt", "", "--policy", "spa", "--max-new", "5"]) == EXIT_OK
+            capsys.readouterr()
+
+            # determinism across two identical sessions
+            outputs = []
+            for _ in range(2):
+                assert main(["generate", "--connect", addr,
+                             "--side-checkpoint", str(out / "side.ckpt"),
+                             "--prompt", "a worn", "--policy", "spa",
+                             "--max-new", "8"]) == EXIT_OK
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+        finally:
+            server.terminate()
+            server.wait(timeout=10)
 
     # a second endpoint shipping all per-layer hiddens must agree with the
     # local decoder running the same wire mode
-    server = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c",
          "from spa.cli import main; import sys; "
          "sys.exit(main(['serve', '--checkpoint', sys.argv[1], "
          "'--listen', '127.0.0.1:0', '--wire', 'all-layers']))",
          str(out / "cloud.ckpt")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        banner = server.stdout.readline()
-        match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-        assert match, f"no listen banner: {banner!r}"
-        addr = f"{match.group(1)}:{match.group(2)}"
-        assert main(["generate", "--connect", addr,
-                     "--side-checkpoint", str(out / "side.ckpt"),
-                     "--prompt", "the quiet", "--policy", "spa",
-                     "--max-new", "8"]) == EXIT_OK
-        over_wire = capsys.readouterr().out
-        assert main(["decode-local", "--checkpoint", str(out / "full.ckpt"),
-                     "--prompt", "the quiet", "--policy", "spa",
-                     "--max-new", "8", "--wire", "all-layers"]) == EXIT_OK
-        local = capsys.readouterr().out
-        assert over_wire == local
-    finally:
-        server.terminate()
-        server.wait(timeout=10)
+    ) as server:  # leaving the block closes the pipes
+        try:
+            banner = server.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            assert match, f"no listen banner: {banner!r}"
+            addr = f"{match.group(1)}:{match.group(2)}"
+            assert main(["generate", "--connect", addr,
+                         "--side-checkpoint", str(out / "side.ckpt"),
+                         "--prompt", "the quiet", "--policy", "spa",
+                         "--max-new", "8"]) == EXIT_OK
+            over_wire = capsys.readouterr().out
+            assert main(["decode-local", "--checkpoint", str(out / "full.ckpt"),
+                         "--prompt", "the quiet", "--policy", "spa",
+                         "--max-new", "8", "--wire", "all-layers"]) == EXIT_OK
+            local = capsys.readouterr().out
+            assert over_wire == local
+        finally:
+            server.terminate()
+            server.wait(timeout=10)
 
     assert main(["generate", "--side-checkpoint", str(out / "side.ckpt"),
                  "--prompt", "hello", "--policy", "device-only",

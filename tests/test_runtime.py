@@ -19,7 +19,8 @@ from spa.decoding import DecodeConfig, decode_monolithic
 from spa.device import GenerationResult, SideBundle, run_device
 from spa.checkpoint import compat_digest
 from spa.model import ModelConfig, SpaModel
-from spa.transport import LoopbackTransport, SocketTransport
+from spa.errors import SpaError
+from spa.transport import LoopbackTransport, SocketTransport, TransportClosed
 from spa.wire import (
     PROTOCOL_VERSION,
     BaseHiddens,
@@ -375,6 +376,25 @@ class TestDeviceSideValidation:
         assert replies[0].code == ErrorCode.PROTOCOL_VIOLATION
 
 
+class TestDeviceClosesItsTransport:
+    @pytest.mark.parametrize("case", ["text_prompt", "prompt_out_of_range", "device_only"])
+    def test_cloud_end_sees_the_close_at_once(self, case):
+        bundle = make_bundle(make_model(21))  # a 12-token vocabulary, not bytes
+        dev_end, cloud_end = LoopbackTransport.pair()
+        if case == "device_only":
+            dcfg = DecodeConfig(max_new_tokens=2, policy="device_only")
+            assert run_device(bundle, dcfg, prompt_ids=[1], transport=dev_end).completed
+        else:
+            prompt = {"prompt_text": "hi"} if case == "text_prompt" else {"prompt_ids": [1]}
+            dcfg = DecodeConfig(max_new_tokens=70000 if case == "prompt_out_of_range" else 2)
+            with pytest.raises(SpaError):
+                run_device(bundle, dcfg, transport=dev_end, **prompt)
+        start = time.perf_counter()
+        with pytest.raises(TransportClosed):
+            cloud_end.recv(timeout=5.0)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestDeviceOnly:
     def test_runs_without_any_connection(self):
         model = make_model(10)
@@ -474,9 +494,9 @@ class TestOverTcp:
         server = CloudServer(endpoint).start()
         try:
             host, port = server.address
-            raw = socket.create_connection((host, port), timeout=5)
-            raw.sendall(struct.pack(">I", 2**31) + b"\x01")
-            reply = SocketTransport(raw).recv(timeout=5)
+            with socket.create_connection((host, port), timeout=5) as raw:
+                raw.sendall(struct.pack(">I", 2**31) + b"\x01")
+                reply = SocketTransport(raw).recv(timeout=5)
             assert isinstance(reply, ErrorFrame)
             assert reply.code == ErrorCode.OVERSIZE
         finally:

@@ -1,11 +1,12 @@
 """Cloud endpoint: serves split-decoding sessions over any transport.
 
 Session flow (device drives): HELLO handshake with a compatibility digest,
-one PROMPT, then per consulted step a BASE_HIDDENS -> SIDE_OUTPUT round
-trip; every emitted token is announced as GATE_DECISION then TOKEN, and the
-session ends with EOS. Any violation produces an ERROR frame and closes
-the session; step indices increase strictly across all frames the cloud
-initiates.
+one PROMPT, then for each decode step that gates at least one row a single
+BASE_HIDDENS -> SIDE_OUTPUT round trip carrying all of that step's gated
+rows (one for greedy, up to the beam width for beam search); every emitted
+token is announced as GATE_DECISION then TOKEN, and the session ends with
+EOS. Any violation produces an ERROR frame and closes the session; step
+indices increase strictly across all frames the cloud initiates.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ class CloudEndpoint:
         steps = StepCounter()
 
         def wire_side_provider(step: int, payload) -> "np.ndarray":
-            transport.send(BaseHiddens(step, payload[:, None, :]))
+            # payload is (G, R, d); the frame carries (R, G, d), chunk = G
+            transport.send(BaseHiddens(step, payload.transpose(1, 0, 2)))
             record.base_hiddens_sent += 1
             reply = transport.recv(self.frame_timeout)
             if isinstance(reply, ErrorFrame):
@@ -239,13 +241,14 @@ class CloudEndpoint:
                     ErrorCode.PROTOCOL_VIOLATION,
                     f"SIDE_OUTPUT step {reply.step} does not match request {step}",
                 )
-            if reply.vector.shape != (self.config.d_model,):
+            want = (len(payload), self.config.d_model)
+            if reply.vectors.shape != want:
                 self._abort(
                     transport,
                     ErrorCode.PROTOCOL_VIOLATION,
-                    f"SIDE_OUTPUT vector has shape {reply.vector.shape}",
+                    f"SIDE_OUTPUT block has shape {reply.vectors.shape}, need {want}",
                 )
-            return reply.vector
+            return reply.vectors
 
         step_model = CloudStepModel(
             self.config,

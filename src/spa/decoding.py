@@ -6,8 +6,9 @@ teacher-forced scorer in `metrics` all read it.
 
 One step engine backs every path. The cloud session and the monolithic
 decoder run the same `CloudStepModel` code on the same array shapes; the
-only difference is where the side vector comes from (a wire round trip vs
-a local call), so split and in-process decoding agree bit for bit.
+only difference is where a step's block of side vectors comes from (one
+wire round trip vs a local call to the same provider), so split and
+in-process decoding agree bit for bit.
 
 A step is one batched call: greedy passes one context, beam search passes
 every live hypothesis at once, and the base runs once over all of them.
@@ -150,8 +151,10 @@ class TransmissionCounter:
 
     @property
     def round_trips_per_token(self) -> float:
-        """Side round trips actually made per emitted token. It equals M for
-        greedy; beam search also consults the side for hypotheses it drops."""
+        """Side round trips actually made per emitted token: one per decode
+        step with at least one gated row, so at most one per step. It equals
+        M for greedy. Beam search can still exceed M: a step is gated when
+        any live hypothesis is, including hypotheses it later drops."""
         if not self.tokens_generated:
             return 0.0
         return self.hidden_round_trips / self.tokens_generated
@@ -171,17 +174,19 @@ class StepCounter:
 
 def local_side_provider(config: ModelConfig, side):
     """Side computation as the device performs it: a pure function of one
-    (R, d_model) payload, with the ladder entry chosen by its rows (L rows:
-    the per-layer hiddens; one row: the final hidden read by every rung)."""
+    (G, R, d_model) block holding a step's G gated rows, returning their
+    (G, d_model) side vectors. The ladder entry is chosen by R: n_layers
+    rows are the per-layer hiddens, one row is the final hidden read by
+    every rung."""
 
     def provide(step: int, payload: np.ndarray) -> np.ndarray:
-        if payload.shape == (config.n_layers, config.d_model):
+        if payload.shape[1:] == (config.n_layers, config.d_model):
             return side_step_layers(config, side, payload)
-        if payload.shape == (1, config.d_model):
-            return side_step_rolled(config, side, payload[0])
+        if payload.shape[1:] == (1, config.d_model):
+            return side_step_rolled(config, side, payload[:, 0])
         raise DimensionError(
-            f"side payload of shape {payload.shape}: need ({config.n_layers}, "
-            f"{config.d_model}) or (1, {config.d_model})"
+            f"side payload of shape {payload.shape}: need (G, {config.n_layers}, "
+            f"{config.d_model}) or (G, 1, {config.d_model})"
         )
 
     return provide
@@ -192,11 +197,14 @@ class CloudStepModel:
 
     `logits_for` takes the step's contexts, all of one length (greedy passes
     one, beam search every live hypothesis), runs the base once over all of
-    them, gates every row and returns (B, V) logits with B gate bits. The
-    side provider is called for the gated rows one at a time, in order, each
-    with an (R, d_model) payload: the L per-layer hiddens in `all_layers`
-    mode, the one final hidden in `final` mode. That choice of rows is the
-    only use of the wire mode; the side step itself carries no state.
+    them, gates every row and returns (B, V) logits with B gate bits. If any
+    row is gated, the side provider is called once for the step, under one
+    step index, with a (G, R, d_model) block of the G gated rows in order:
+    R = L per-layer hiddens in `all_layers` mode, R = 1 final hidden in
+    `final` mode. That choice of rows is the only use of the wire mode; the
+    side step itself carries no state. A step therefore costs at most one
+    side round trip, whatever the beam width, and `hidden_calls` counts
+    those calls.
 
     The base runs incrementally. The per-layer K/V of the windows evaluated
     on the previous step are kept, keyed by the window's token tuple (the
@@ -250,17 +258,18 @@ class CloudStepModel:
         else:
             bits = [int(self.gate_mode == "on")] * batch
         self.gate_log.extend(bits)
-        if self.wire_mode == "all_layers" and any(bits):
-            payloads = np.stack(
-                [h.data.reshape(batch, -1, h.shape[-1])[:, -1] for h in trace.hiddens], axis=1
-            )
-        else:
-            payloads = final[:, None]
-        for i, bit in enumerate(bits):
-            if bit:
-                side_vec = self.side_provider(self.steps.take(), payloads[i])
-                self.hidden_calls += 1
-                logits[i] = (final[i] + side_vec) @ self.base["out_proj"].data
+        gated = np.flatnonzero(bits)
+        if gated.size:
+            if self.wire_mode == "all_layers":
+                d = final.shape[-1]
+                payload = np.stack(
+                    [h.data.reshape(batch, -1, d)[gated, -1] for h in trace.hiddens], axis=1
+                )
+            else:
+                payload = final[gated, None]
+            side = self.side_provider(self.steps.take(), payload)
+            self.hidden_calls += 1
+            logits[gated] = (final[gated] + side) @ self.base["out_proj"].data
         return logits, bits
 
 

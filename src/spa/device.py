@@ -1,9 +1,10 @@
 """Device client: drives a split-decoding session against a cloud endpoint.
 
 The device holds only the side parameters (plus cached embeddings for the
-fully separated policy). It answers BASE_HIDDENS requests with the side
-vector, accumulates GATE_DECISION/TOKEN frames, and keeps its own
-transmission counter, which must agree exactly with the cloud's.
+fully separated policy). It answers each BASE_HIDDENS request, the block of
+one step's gated rows, with one SIDE_OUTPUT block of their side vectors,
+accumulates GATE_DECISION/TOKEN frames, and keeps its own transmission
+counter, which must agree exactly with the cloud's.
 """
 
 from __future__ import annotations
@@ -170,6 +171,8 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
         if not isinstance(reply, Hello):
             raise ContractError("expected HELLO (or ERROR) from the cloud")
         provider = local_side_provider(bundle.config, bundle.side)
+        # a step gates at most every live hypothesis: one row for greedy
+        max_chunk = prompt.beam_width if prompt.strategy == "beam" else 1
         transport.send(prompt)
         last_step = -1
         while True:
@@ -181,12 +184,13 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
                     )
                 last_step = msg.step
             if isinstance(msg, BaseHiddens):
-                if msg.hiddens.shape[1] != 1:
+                chunk = msg.hiddens.shape[1]
+                if not 1 <= chunk <= max_chunk:
                     _protocol_violation(
-                        transport, f"BASE_HIDDENS chunk {msg.hiddens.shape[1]} != 1"
+                        transport, f"BASE_HIDDENS chunk {chunk} outside 1..{max_chunk}"
                     )
-                vec = provider(msg.step, msg.hiddens[:, 0, :])
-                transport.send(SideOutput(msg.step, vec))
+                vecs = provider(msg.step, msg.hiddens.transpose(1, 0, 2))
+                transport.send(SideOutput(msg.step, vecs))
                 answered += 1
             elif isinstance(msg, GateDecision):
                 trace.append(msg.use_side)

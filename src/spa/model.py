@@ -361,15 +361,17 @@ def ladder(config: ModelConfig, side: SideParams, rows: list[Tensor]) -> Tensor:
 
 
 def side_step_layers(config: ModelConfig, side: SideParams, layer_vecs: np.ndarray) -> np.ndarray:
-    """Single-position side output from the per-layer hiddens (L, d_model)."""
+    """Side outputs (B, d_model) for a (B, n_layers, d_model) block of
+    per-layer hiddens: rung i reads column i, and each row's output depends
+    on that row alone."""
     vecs = np.asarray(layer_vecs, dtype=np.float64)
-    if vecs.shape != (config.n_layers, config.d_model):
+    if vecs.shape[1:] != (config.n_layers, config.d_model):
         raise DimensionError(
-            f"side_step_layers: need shape ({config.n_layers}, {config.d_model}), got {vecs.shape}"
+            f"side_step_layers: need shape (B, {config.n_layers}, {config.d_model}), got {vecs.shape}"
         )
     with nc.no_grad():
-        out = ladder(config, side, [Tensor(vecs[i : i + 1]) for i in range(config.n_layers)])
-    return out.data[0]
+        out = ladder(config, side, [Tensor(vecs[:, i]) for i in range(config.n_layers)])
+    return out.data
 
 
 def side_step_rolled(config: ModelConfig, side: SideParams, vecs: np.ndarray) -> np.ndarray:

@@ -14,10 +14,18 @@ Payload layouts:
                    | u16 beam_width | u16 max_new_tokens
     BASE_HIDDENS   u32 step | u8 n_layers | u16 chunk | u16 d_model | floats
     GATE_DECISION  u32 step | u8 bit
-    SIDE_OUTPUT    u32 step | u16 d_model | floats
+    SIDE_OUTPUT    u32 step | u16 rows | u16 d_model | floats
     TOKEN          u32 step | u32 token_id
     EOS            (empty)
     ERROR          u16 code | u16 length | UTF-8 message
+
+A decode step makes at most one BASE_HIDDENS -> SIDE_OUTPUT round trip.
+BASE_HIDDENS carries every row the gate sent to the side in that step:
+`chunk` is the number of those gated rows (1 for greedy, up to the beam
+width for beam search), and its floats are an (n_layers, chunk, d_model)
+block, where n_layers is the number of layers in `all_layers` mode and 1
+in `final` mode. SIDE_OUTPUT answers with one (rows, d_model) block of
+side vectors, row for row, so `rows` must equal the request's `chunk`.
 
 Payloads longer than 16 MiB are rejected with an OVERSIZE error before any
 allocation happens.
@@ -33,7 +41,7 @@ import numpy as np
 
 from .errors import SpaError
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_PAYLOAD = 16 * 1024 * 1024
 HEADER_LEN = 5  # u32 length + u8 type
 
@@ -115,7 +123,7 @@ class Prompt:
 @dataclass(eq=False)
 class BaseHiddens:
     step: int
-    hiddens: np.ndarray  # (n_layers, chunk, d_model)
+    hiddens: np.ndarray  # (n_layers, chunk, d_model): a step's gated rows
 
     def __eq__(self, other):
         return (
@@ -135,13 +143,14 @@ class GateDecision:
 @dataclass(eq=False)
 class SideOutput:
     step: int
-    vector: np.ndarray  # (d_model,)
+    vectors: np.ndarray  # (rows, d_model): one side vector per gated row
 
     def __eq__(self, other):
         return (
             isinstance(other, SideOutput)
             and self.step == other.step
-            and np.array_equal(self.vector, other.vector)
+            and self.vectors.shape == other.vectors.shape
+            and np.array_equal(self.vectors, other.vectors)
         )
 
 
@@ -196,8 +205,11 @@ def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
     if isinstance(msg, GateDecision):
         return MsgType.GATE_DECISION, struct.pack(">IB", msg.step, 1 if msg.use_side else 0)
     if isinstance(msg, SideOutput):
-        vec = np.asarray(msg.vector, dtype=np.float64).reshape(-1)
-        return MsgType.SIDE_OUTPUT, struct.pack(">IH", msg.step, vec.size) + vec.astype(">f8").tobytes()
+        arr = np.asarray(msg.vectors, dtype=np.float64)
+        if arr.ndim != 2:
+            raise BadFrameError(f"side vectors must be 2-D (rows, d), got {arr.shape}")
+        rows, d = arr.shape
+        return MsgType.SIDE_OUTPUT, struct.pack(">IHH", msg.step, rows, d) + arr.astype(">f8").tobytes()
     if isinstance(msg, Token):
         return MsgType.TOKEN, struct.pack(">II", msg.step, msg.token_id)
     if isinstance(msg, Eos):
@@ -259,12 +271,12 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
         step, bit = struct.unpack(">IB", payload)
         return GateDecision(step, bit & 1)
     if mtype == MsgType.SIDE_OUTPUT:
-        _need(payload, 6, "SIDE_OUTPUT")
-        step, d = struct.unpack_from(">IH", payload)
-        if len(payload) != 6 + 8 * d:
+        _need(payload, 8, "SIDE_OUTPUT")
+        step, rows, d = struct.unpack_from(">IHH", payload)
+        if len(payload) != 8 + 8 * rows * d:
             raise BadFrameError("SIDE_OUTPUT: float block length mismatch")
-        vec = np.frombuffer(payload, dtype=">f8", count=d, offset=6)
-        return SideOutput(step, vec.astype(np.float64))
+        arr = np.frombuffer(payload, dtype=">f8", count=rows * d, offset=8)
+        return SideOutput(step, arr.astype(np.float64).reshape(rows, d))
     if mtype == MsgType.TOKEN:
         if len(payload) != 8:
             raise BadFrameError("TOKEN: wrong payload length")

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import spa_console
 
 from spa.checkpoint import load_checkpoint, save_model
 from spa.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
@@ -296,3 +302,42 @@ class TestConfigFile:
         assert main(["bench-latency", "--layers", "4", "--usage", "0.5"]) == EXIT_OK
         monkeypatch.setenv("SPA_CONFIG", str(tmp_path / "missing.cfg"))
         assert main(["bench-latency"]) == EXIT_USAGE
+
+
+class TestConsoleScript:
+    """The `spa` console script pins BLAS to one thread before numpy loads."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+    PROBE = (
+        "import json, os, sys\n"
+        "import spa_console\n"
+        "assert 'numpy' not in sys.modules, 'spa_console imported numpy'\n"
+        "import spa.cli\n"
+        "spa.cli.console_entry = lambda: print(json.dumps("
+        "{k: os.environ.get(k) for k in spa_console.PINNED}))\n"
+        "spa_console.main()\n"
+    )
+
+    def run(self, code, **env_values):
+        env = {k: v for k, v in os.environ.items() if k not in spa_console.PINNED}
+        env.update(env_values, PYTHONPATH=self.SRC)
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_pins_one_thread_by_default(self):
+        proc = self.run(self.PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == dict.fromkeys(spa_console.PINNED, "1")
+
+    def test_keeps_a_value_the_user_set(self):
+        proc = self.run(self.PROBE, OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"
+        }
+
+    def test_runs_the_cli(self):
+        proc = self.run("import sys, spa_console\nsys.argv = ['spa', '--help']\nspa_console.main()\n")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "make-corpus" in proc.stdout

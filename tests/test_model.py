@@ -212,12 +212,24 @@ class TestSideForward:
 
     def test_single_position_path_matches_column_of_full_pass(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
-        vecs = np.stack([h.data[1] for h in trace.hiddens])
+        vecs = np.stack([h.data[1] for h in trace.hiddens])[None]
         single = side_step_layers(TINY, tiny_model.side, vecs)
         full = ladder(
             TINY, tiny_model.side, [Tensor(h.data[1:2]) for h in trace.hiddens]
-        ).data[0]
+        ).data
+        assert single.shape == (1, TINY.d_model)
         assert np.array_equal(single, full)
+
+    def test_block_rows_match_full_pass_rows(self, tiny_model):
+        trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
+        block = np.stack([h.data for h in trace.hiddens], axis=1)  # (T, L, d)
+        rows = side_step_layers(TINY, tiny_model.side, block)
+        full = ladder(TINY, tiny_model.side, trace.hiddens).data
+        assert rows.shape == (3, TINY.d_model)
+        np.testing.assert_allclose(rows, full, rtol=1e-12, atol=1e-14)
+        for bad in (block[0], block[:, :1], block[..., :-1]):
+            with pytest.raises(DimensionError):
+                side_step_layers(TINY, tiny_model.side, bad)
 
 
 # three layers so both mixing scalars (mix.1, mix.2) take part
@@ -323,10 +335,14 @@ class TestStatelessSide:
     def test_provider_picks_the_ladder_entry_from_the_payload_rows(self):
         model = seeded_side_model()
         provide = local_side_provider(LADDER_CFG, model.side)
-        rows = np.random.default_rng(3).standard_normal((LADDER_CFG.n_layers, LADDER_CFG.d_model))
-        assert np.array_equal(provide(0, rows), side_step_layers(LADDER_CFG, model.side, rows))
-        assert np.array_equal(provide(1, rows[:1]), side_step_rolled(LADDER_CFG, model.side, rows[0]))
-        for bad in (rows[:2], rows[0], rows[:, :-1]):
+        block = np.random.default_rng(3).standard_normal((4, LADDER_CFG.n_layers, LADDER_CFG.d_model))
+        layers = provide(0, block)
+        assert layers.shape == (4, LADDER_CFG.d_model)
+        assert np.array_equal(layers, side_step_layers(LADDER_CFG, model.side, block))
+        rolled = provide(1, block[:, :1])
+        assert rolled.shape == (4, LADDER_CFG.d_model)
+        assert np.array_equal(rolled, side_step_rolled(LADDER_CFG, model.side, block[:, 0]))
+        for bad in (block[:, :2], block[0], block[:, :, :-1]):
             with pytest.raises(DimensionError):
                 provide(2, bad)
 
@@ -334,25 +350,35 @@ class TestStatelessSide:
 class FullRecompute:
     """Reference step model: every context of a step through a fresh
     CloudStepModel of its own, one at a time, so every base forward covers
-    one whole window. The side provider and step counter are shared, so it
-    sees the per-row expansion's (step, payload) sequence."""
+    one whole window and every side call one row. The gated rows' payloads
+    of a step are gathered into one (step, block) entry of `calls`, which is
+    the sequence a batched step sends."""
 
     def __init__(self, model, policy, wire_mode):
         self.model, self.policy, self.wire_mode = model, policy, wire_mode
-        self.provider = recording_provider(model)
+        self.calls: list = []
         self.steps = StepCounter()
         self.gate_log: list[int] = []
 
     def logits_for(self, contexts):
         m = self.model
+        provide = local_side_provider(m.config, m.side)
+        payloads = []
+
+        def one_row(step, payload):
+            payloads.append(payload)
+            return provide(step, payload)
+
         rows, bits = [], []
         for ctx in contexts:
             step = CloudStepModel(
-                m.config, m.base, m.gate, self.policy, self.wire_mode, self.provider, self.steps
+                m.config, m.base, m.gate, self.policy, self.wire_mode, one_row, StepCounter()
             )
             logits, used = step.logits_for([ctx])
             rows.append(logits[0])
             bits.extend(used)
+        if payloads:
+            self.calls.append((self.steps.take(), np.concatenate(payloads)))
         self.gate_log.extend(bits)
         return np.stack(rows), bits
 
@@ -431,9 +457,10 @@ class TestIncrementalDecode:
             assert got.tokens == want.tokens
             assert got.gate_trace == want.gate_trace
             assert batched.gate_log == reference.gate_log
-            calls, want_calls = provider.calls, reference.provider.calls
+            calls, want_calls = provider.calls, reference.calls
             assert [step for step, _ in calls] == [step for step, _ in want_calls]
             for (_, payload), (_, want_payload) in zip(calls, want_calls):
+                assert payload.shape == want_payload.shape
                 scale = np.max(np.abs(want_payload))
                 assert np.max(np.abs(payload - want_payload)) <= 1e-12 * scale
             batch_sizes.update(lockstep.batch_sizes)

@@ -15,7 +15,13 @@ from spa.cloud import (
     CloudEndpoint,
     CloudServer,
 )
-from spa.decoding import DecodeConfig, decode_monolithic
+from spa.decoding import (
+    DecodeConfig,
+    decode_monolithic,
+    local_side_provider,
+    local_step_model,
+    run_decode,
+)
 from spa.device import GenerationResult, SideBundle, run_device
 from spa.checkpoint import compat_digest
 from spa.model import ModelConfig, SpaModel
@@ -59,7 +65,8 @@ def make_bundle(model: SpaModel) -> SideBundle:
     )
 
 
-def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final"):
+def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final", wrap=None):
+    """One session over an in-memory pair; `wrap`, if given, wraps the device end."""
     endpoint = CloudEndpoint.from_model(model, wire_mode=wire_mode, frame_timeout=5.0)
     dev_end, cloud_end = LoopbackTransport.pair()
     record_box = {}
@@ -69,25 +76,50 @@ def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final"):
 
     t = threading.Thread(target=serve)
     t.start()
+    if wrap is not None:
+        dev_end = wrap(dev_end)
     result = run_device(bundle, dcfg, prompt_ids=prompt_ids, transport=dev_end, frame_timeout=5.0)
     t.join(timeout=10)
     return result, record_box["record"], endpoint
 
 
 class FrameSpy:
-    """A transport that counts the BASE_HIDDENS frames the device receives."""
+    """A transport that records the chunk (gated rows) of every BASE_HIDDENS
+    frame the device receives."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.base_hiddens = 0
+        self.chunks: list[int] = []
+
+    @property
+    def base_hiddens(self) -> int:
+        return len(self.chunks)
 
     def recv(self, timeout=None):
         msg = self.inner.recv(timeout)
-        self.base_hiddens += isinstance(msg, BaseHiddens)
+        if isinstance(msg, BaseHiddens):
+            self.chunks.append(msg.hiddens.shape[1])
         return msg
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+
+class StepSpy:
+    """A step model that records the gate bits of every decode step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bits: list[list[int]] = []
+
+    @property
+    def hidden_calls(self) -> int:
+        return self.inner.hidden_calls
+
+    def logits_for(self, contexts):
+        logits, bits = self.inner.logits_for(contexts)
+        self.bits.append(list(bits))
+        return logits, bits
 
 
 class TestSplitMonolithicEquivalence:
@@ -142,16 +174,21 @@ class TestHandshake:
         assert str(ErrorCode.DIGEST_MISMATCH.value) in result.error
 
     def test_wrong_version_rejected(self):
+        # version 1 sent one round trip per gated row with a 1-D SIDE_OUTPUT
         model = make_model(4)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
-        t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
-        t.start()
-        dev_end.send(Hello(PROTOCOL_VERSION + 5, "final", endpoint.digest))
-        reply = dev_end.recv(timeout=5)
-        t.join(timeout=5)
-        assert isinstance(reply, ErrorFrame)
-        assert reply.code == ErrorCode.VERSION_MISMATCH
+        for version in (1, PROTOCOL_VERSION + 5):
+            dev_end, cloud_end = LoopbackTransport.pair()
+            t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
+            t.start()
+            dev_end.send(Hello(version, "final", endpoint.digest))
+            reply = dev_end.recv(timeout=5)
+            t.join(timeout=5)
+            assert not t.is_alive()
+            assert isinstance(reply, ErrorFrame), version
+            assert reply.code == ErrorCode.VERSION_MISMATCH, version
+            assert f"version {version} unsupported" in reply.message
+            assert endpoint.sessions[-1].base_hiddens_sent == 0
 
     def test_prompt_before_hello_is_protocol_violation(self):
         model = make_model(4)
@@ -191,9 +228,22 @@ class TestAccounting:
         model = make_model(6)
         bundle = make_bundle(model)
         dcfg = DecodeConfig(max_new_tokens=5, strategy="beam", beam_width=3, policy="spa")
-        result, record, _ = loopback_session(model, bundle, [3], dcfg)
+        spies = []
+
+        def spy(transport):
+            spies.append(FrameSpy(transport))
+            return spies[-1]
+
+        result, record, _ = loopback_session(model, bundle, [3], dcfg, wrap=spy)
         assert result.completed
-        assert record.base_hiddens_sent == sum(record.gate_log)
+        chunks = spies[0].chunks
+        # every gated decision, hypothesis steps included, rides in exactly
+        # one frame, and a frame carries at most one step's live hypotheses
+        assert sum(chunks) == sum(record.gate_log)
+        assert all(1 <= c <= 3 for c in chunks)
+        assert record.base_hiddens_sent == len(chunks) == result.counter.hidden_round_trips
+        assert len(chunks) <= dcfg.max_new_tokens
+        assert max(chunks) > 1, "no step batched more than one gated row"
         # hypothesis expansions mean the log can be longer than the emission trace
         assert len(record.gate_log) >= len(record.emitted_trace)
 
@@ -235,11 +285,37 @@ class TestProtocolViolations:
         dev_end.send(Prompt((1,), "always_side", "greedy", 1, 3))
         msg = dev_end.recv(timeout=5)
         assert isinstance(msg, BaseHiddens)
-        dev_end.send(SideOutput(msg.step + 17, np.zeros(CFG.d_model)))
+        dev_end.send(SideOutput(msg.step + 17, np.zeros((1, CFG.d_model))))
         reply = dev_end.recv(timeout=5)
         t.join(timeout=5)
         assert isinstance(reply, ErrorFrame)
         assert reply.code == ErrorCode.PROTOCOL_VIOLATION
+
+    @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 4)])
+    @pytest.mark.parametrize("extra_rows", [-1, 1])
+    def test_side_output_rows_must_match_chunk(self, strategy, width, extra_rows):
+        model = make_model(9)
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
+        dev_end, cloud_end = LoopbackTransport.pair()
+        box = {}
+        t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
+        t.start()
+        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        assert isinstance(dev_end.recv(timeout=5), Hello)
+        dev_end.send(Prompt((1, 2), "always_side", strategy, width, 3))
+        msg = dev_end.recv(timeout=5)
+        assert isinstance(msg, BaseHiddens)
+        chunk = msg.hiddens.shape[1]
+        assert chunk == 1  # the first step has one context
+        dev_end.send(SideOutput(msg.step, np.zeros((chunk + extra_rows, CFG.d_model))))
+        reply = dev_end.recv(timeout=5)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert isinstance(reply, ErrorFrame)
+        assert reply.code == ErrorCode.PROTOCOL_VIOLATION
+        assert "SIDE_OUTPUT block" in reply.message
+        record = box["record"]
+        assert record.error and record.emitted_tokens == []
 
     def test_out_of_vocab_prompt_rejected(self):
         model = make_model(9)
@@ -374,6 +450,46 @@ class TestDeviceSideValidation:
         assert result.counter.hidden_round_trips == 0
         assert isinstance(replies[0], ErrorFrame)
         assert replies[0].code == ErrorCode.PROTOCOL_VIOLATION
+
+    @pytest.mark.parametrize("wire_mode", ["final", "all_layers"])
+    def test_base_hiddens_chunk_is_bounded_by_the_prompted_beam_width(self, wire_mode):
+        model = make_model(17)
+        bundle = make_bundle(model)
+        dev_end, fake_cloud = LoopbackTransport.pair()
+        width, rows = 4, 1 if wire_mode == "final" else CFG.n_layers
+        block = np.random.default_rng(2).standard_normal((rows, width + 1, CFG.d_model))
+        replies = []
+
+        def impostor():
+            assert isinstance(fake_cloud.recv(timeout=5), Hello)
+            fake_cloud.send(Hello(PROTOCOL_VERSION, wire_mode, bundle.digest))
+            assert isinstance(fake_cloud.recv(timeout=5), Prompt)
+            fake_cloud.send(BaseHiddens(0, block[:, :width]))  # at the bound: answered
+            replies.append(fake_cloud.recv(timeout=5))
+            fake_cloud.send(BaseHiddens(1, block))  # one row past it
+            replies.append(fake_cloud.recv(timeout=5))
+
+        t = threading.Thread(target=impostor)
+        t.start()
+        result = run_device(
+            bundle,
+            DecodeConfig(max_new_tokens=4, strategy="beam", beam_width=width, policy="always_side"),
+            prompt_ids=[1],
+            transport=dev_end,
+            frame_timeout=2.0,
+        )
+        t.join(timeout=10)
+        assert not t.is_alive()
+        answer, refusal = replies
+        assert isinstance(answer, SideOutput) and answer.step == 0
+        want = local_side_provider(CFG, bundle.side)(0, block[:, :width].transpose(1, 0, 2))
+        assert answer.vectors.shape == (width, CFG.d_model)
+        assert answer.vectors.tobytes() == want.tobytes()
+        assert isinstance(refusal, ErrorFrame)
+        assert refusal.code == ErrorCode.PROTOCOL_VIOLATION
+        assert not result.completed
+        assert f"chunk {width + 1} outside 1..{width}" in result.error
+        assert result.counter.hidden_round_trips == 1
 
 
 class TestDeviceClosesItsTransport:
@@ -592,11 +708,56 @@ class TestOverTcp:
             assert server.sessions[-1].counter.round_trips_per_token == per_token
             if strategy == "greedy":
                 assert per_token == result.counter.transmissions_per_token
-            elif policy == "always_side":
-                # every live hypothesis consults the side, not only the emitted one
-                assert per_token > result.counter.transmissions_per_token == 1.0
+            else:
+                # one frame per gated step carries every gated live hypothesis,
+                # so a step costs at most one round trip; the emitted
+                # hypothesis is one of them, so M cannot exceed the count
+                assert result.counter.transmissions_per_token <= per_token <= 1.0
+                assert sum(spy.chunks) == sum(server.sessions[-1].gate_log)
+                if policy == "always_side":
+                    assert per_token == result.counter.transmissions_per_token == 1.0
+                    assert max(spy.chunks) == width
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("policy", ["spa", "always_side"])
+    def test_beam4_makes_one_round_trip_per_gated_step(self, policy):
+        model = make_model(22)
+        bundle = make_bundle(model)
+        dcfg = DecodeConfig(max_new_tokens=10, strategy="beam", beam_width=4, policy=policy)
+        prompt = [3, 1, 4]
+        steps = StepSpy(local_step_model(model, policy, dcfg.wire_mode))
+        mono = decode_monolithic(model, prompt, dcfg)
+        spied = run_decode(steps, prompt, dcfg, CFG.vocab_size)
+        assert (spied.tokens, spied.gate_trace) == (mono.tokens, mono.gate_trace)
+        gated_steps = [sum(bits) for bits in steps.bits if any(bits)]
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=5.0)
+        server = CloudServer(endpoint).start()
+        try:
+            spy = FrameSpy(SocketTransport.connect(*server.address, timeout=5))
+            result = run_device(bundle, dcfg, prompt_ids=prompt, transport=spy, frame_timeout=5.0)
+            assert result.completed and result.error is None
+            deadline = time.monotonic() + 5
+            while server.sessions[-1].counter is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            record = server.sessions[-1]
+            cloud, dev = record.counter, result.counter
+        finally:
+            server.shutdown()
+        assert result.tokens == mono.tokens and result.gate_trace == mono.gate_trace
+        assert record.gate_log == mono.gate_log == [b for bits in steps.bits for b in bits]
+        # one frame per step with a gated row, carrying exactly that step's gated rows
+        assert spy.chunks == gated_steps
+        assert dev.hidden_round_trips == len(gated_steps) <= len(steps.bits)
+        assert dev.hidden_round_trips == mono.counter.hidden_round_trips
+        if policy == "always_side":
+            assert len(gated_steps) == len(steps.bits)
+        assert cloud.frames_sent == dev.frames_received
+        assert cloud.frames_received == dev.frames_sent
+        assert cloud.bytes_sent == dev.bytes_received
+        assert cloud.bytes_received == dev.bytes_sent
+        assert cloud.hidden_round_trips == dev.hidden_round_trips
+        assert cloud.gate_trace == dev.gate_trace
 
     def test_gated_round_trips_do_not_stall(self):
         # every token of an always_side session is one BASE_HIDDENS/SIDE_OUTPUT

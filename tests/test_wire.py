@@ -48,7 +48,8 @@ def random_message(rng: np.random.Generator):
     if kind == 3:
         return GateDecision(int(rng.integers(0, 1_000_000)), int(rng.integers(0, 2)))
     if kind == 4:
-        return SideOutput(int(rng.integers(0, 1_000_000)), rng.standard_normal(int(rng.integers(1, 80))))
+        rows, d = int(rng.integers(1, 5)), int(rng.integers(1, 80))
+        return SideOutput(int(rng.integers(0, 1_000_000)), rng.standard_normal((rows, d)))
     if kind == 5:
         return Token(int(rng.integers(0, 1_000_000)), int(rng.integers(0, 70000)))
     if kind == 6:
@@ -75,9 +76,31 @@ class TestRoundTrip:
         assert frame[4] == MsgType.TOKEN
 
     def test_float_payload_is_bit_exact(self):
-        vec = np.array([1e-308, -0.0, np.pi, 1e308])
+        vec = np.array([[1e-308, -0.0, np.pi, 1e308]])
         decoded, _ = decode_frame(encode_frame(SideOutput(1, vec)))
-        assert decoded.vector.tobytes() == vec.tobytes()
+        assert decoded.vectors.tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_side_output_block_round_trips_bit_exact(self, rows):
+        block = np.random.default_rng(rows).standard_normal((rows, 16))
+        block[0, :4] = [1e-308, -0.0, np.pi, 1e308]
+        frame = encode_frame(SideOutput(7, block))
+        assert len(frame) == HEADER_LEN + 8 + 8 * rows * 16
+        assert struct.unpack_from(">IHH", frame, HEADER_LEN) == (7, rows, 16)
+        decoded, _ = decode_frame(frame)
+        assert decoded.step == 7 and decoded.vectors.shape == (rows, 16)
+        assert decoded.vectors.tobytes() == block.tobytes()
+
+    def test_side_output_row_count_must_match_payload(self):
+        frame = bytearray(encode_frame(SideOutput(3, np.ones((4, 5)))))
+        for rows in (3, 5, 0):
+            struct.pack_into(">H", frame, HEADER_LEN + 4, rows)
+            with pytest.raises(BadFrameError, match="SIDE_OUTPUT"):
+                decode_frame(bytes(frame))
+
+    def test_side_output_must_be_a_row_block(self):
+        with pytest.raises(BadFrameError):
+            encode_frame(SideOutput(0, np.ones(4)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

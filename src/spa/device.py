@@ -171,6 +171,9 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
         if not isinstance(reply, Hello):
             raise ContractError("expected HELLO (or ERROR) from the cloud")
         provider = local_side_provider(bundle.config, bundle.side)
+        # the cloud's HELLO names the session's wire mode: per-layer hiddens
+        # or the final hidden alone, each d_model wide
+        rows = bundle.config.n_layers if reply.wire_mode == "all_layers" else 1
         # a step gates at most every live hypothesis: one row for greedy
         max_chunk = prompt.beam_width if prompt.strategy == "beam" else 1
         transport.send(prompt)
@@ -184,10 +187,16 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
                     )
                 last_step = msg.step
             if isinstance(msg, BaseHiddens):
-                chunk = msg.hiddens.shape[1]
+                n_rows, chunk, width = msg.hiddens.shape
                 if not 1 <= chunk <= max_chunk:
                     _protocol_violation(
                         transport, f"BASE_HIDDENS chunk {chunk} outside 1..{max_chunk}"
+                    )
+                if (n_rows, width) != (rows, bundle.config.d_model):
+                    _protocol_violation(
+                        transport,
+                        f"BASE_HIDDENS of shape {msg.hiddens.shape}: {reply.wire_mode} mode "
+                        f"needs ({rows}, chunk, {bundle.config.d_model})",
                     )
                 vecs = provider(msg.step, msg.hiddens.transpose(1, 0, 2))
                 transport.send(SideOutput(msg.step, vecs))

@@ -421,7 +421,8 @@ def fuse(base_final: Tensor, side_out: Tensor, gate_trace, out_proj: Tensor) -> 
 
 @dataclass
 class TokenLossTrace:
-    """What the one teacher-forced forward computed over a sequence."""
+    """What the one teacher-forced forward computed over a sequence or a
+    batch; every per-position field holds the batch's rows in order."""
 
     base: BaseTrace
     side_out: Tensor | None  # None under gate mode "off", which skips the ladder
@@ -450,14 +451,24 @@ GATE_MODES = ("soft", "hard", "off", "on")
 
 
 def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace:
-    """The one teacher-forced forward of the fused model over a token
-    sequence. Gate mode "off" skips the ladder and keeps the base logits."""
+    """The one teacher-forced forward of the fused model, over a (T+1,)
+    sequence or a (B, T+1) batch of sequences of one length.
+
+    Each sequence's first T tokens are the inputs and its last T the
+    targets. A batch runs as one forward: every row of the trace (hiddens,
+    gate, side output, logits, targets) holds the B*T positions sequence by
+    sequence, so a loss over the trace is the mean over all of them, and
+    row b*T + t depends on sequence b alone. Gate mode "off" skips the
+    ladder and keeps the base logits.
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size < 2:
-        raise ContractError("teacher_forced: need at least 2 tokens")
+    if ids.ndim not in (1, 2) or ids.shape[-1] < 2 or ids.size < 2:
+        raise ContractError(
+            f"teacher_forced: need a (T+1,) or (B, T+1) id array with T >= 1, got {ids.shape}"
+        )
     if gate_mode not in GATE_MODES:
         raise ContractError(f"teacher_forced: unknown gate_mode {gate_mode!r}")
-    inputs, targets = ids[:-1], ids[1:]
+    inputs, targets = ids[..., :-1], ids[..., 1:].reshape(-1)
     bt = base_forward(model.config, model.base, inputs)
     glog, gprobs = gate_logits(model.gate, bt.final)
     if gate_mode == "soft":
@@ -466,7 +477,7 @@ def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace
     elif gate_mode == "hard":
         used = weights = gate_decide(glog.data).astype(np.float64)
     else:
-        used = weights = np.full(inputs.shape[0], float(gate_mode == "on"))
+        used = weights = np.full(targets.shape[0], float(gate_mode == "on"))
     out_proj = model.base["out_proj"]
     side_out = None if gate_mode == "off" else ladder(model.config, model.side, bt.hiddens)
     if gate_mode == "off" or (gate_mode == "hard" and not used.any()):
@@ -481,7 +492,8 @@ def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace
 
 
 def token_loss(model: SpaModel, token_ids, gate_mode: str = "soft") -> tuple[Tensor, TokenLossTrace]:
-    """Teacher-forced mean NLL of the fused model over a token sequence."""
+    """Teacher-forced mean NLL of the fused model over a token sequence or
+    a batch of them (the mean over every position of the batch)."""
     trace = teacher_forced(model, token_ids, gate_mode)
     return nc.cross_entropy(trace.fused_logits, trace.targets), trace
 

@@ -28,9 +28,7 @@ __all__ = [
     "zero_grad",
     "add",
     "mul",
-    "neg",
     "smul",
-    "sadd",
     "tsmul",
     "matmul",
     "embedding",
@@ -79,29 +77,6 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad += g
-
-    # small amount of operator sugar; everything routes through the named ops
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return sadd(self, float(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return smul(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, neg(other))
-        return sadd(self, -float(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -260,13 +235,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(ad * bd, (a, b), bw)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bw(go):
-        return (-go,)
-
-    return _apply(-a.data, (a,), bw)
-
-
 def smul(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -274,13 +242,6 @@ def smul(a: Tensor, c: float) -> Tensor:
         return (go * c,)
 
     return _apply(a.data * c, (a,), bw)
-
-
-def sadd(a: Tensor, c: float) -> Tensor:
-    def bw(go):
-        return (go,)
-
-    return _apply(a.data + float(c), (a,), bw)
 
 
 def tsmul(a: Tensor, s: Tensor) -> Tensor:

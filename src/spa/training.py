@@ -1,22 +1,25 @@
 """Training: base pretraining, then side + gate training on a frozen base.
 
 Both stages run the one epoch loop `_train_epochs`: seeded shuffles of
-packed token blocks, Adam over the stage's parameters against the batch
-mean of a per-block loss, a divergence check, and validation after every
-epoch. The stages differ only in what they pass it:
+packed token blocks, and per batch one forward over the (B, T+1) block
+array, one backward and one Adam step, then a divergence check, and
+validation after every epoch. All blocks have one length, so the mean over
+a batch's B*T positions is the mean of its per-block means. The stages
+differ only in what they pass the loop:
 
     pretrain_base         base parameters, base cross-entropy, "base_only"
     train_side_and_gate   side + gate parameters, the objective below, "spa"
 
-The side/gate objective per block is
+The side/gate objective over a batch is
 
     token_loss(soft gate)                         fused teacher-forced NLL
   + cross_entropy(gate logits, labels)            labels: side-gain > margin
   + usage_weight * mean(P(use side))              keeps the gate from
                                                   defaulting to "always on"
 
-where the labels (side-path CATE > margin, `TokenLossTrace.cate`) are read
-off the same soft-gate forward as the loss and are constants within a step.
+each a mean over the batch's positions, where the labels (side-path CATE >
+margin, `TokenLossTrace.cate`) are read off the same soft-gate forward as
+the loss and are constants within a step.
 """
 
 from __future__ import annotations
@@ -146,14 +149,16 @@ def _train_epochs(
     tcfg: TrainConfig,
     corpus: Corpus,
     tokenizer: ByteTokenizer,
-    block_loss,
+    batch_loss,
     validate,
     log,
 ) -> TrainResult:
     """The one training loop: seeded shuffles of the corpus's training
-    blocks, Adam on `params` against the batch mean of `block_loss(block)`,
-    then `validate(val_docs)` -> (val perplexity, gate usage or None) after
-    every epoch. `stage` names the run in log lines and errors."""
+    blocks; per batch, one Adam step on `params` against
+    `batch_loss(ids)`, a scalar from one forward over the batch's (B, T+1)
+    block array; then `validate(val_docs)` -> (val perplexity, gate usage
+    or None) after every epoch. `stage` names the run in log lines and
+    errors."""
     train_docs, val_docs, _ = corpus.splits(tcfg.seed)
     blocks = token_blocks(train_docs, tokenizer, tcfg.block_size)
     opt = Adam(params, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
@@ -165,20 +170,16 @@ def _train_epochs(
         for start in range(0, len(order), tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
             with Tape() as tape:
-                total = None
-                for bi in batch:
-                    loss = block_loss(blocks[bi])
-                    total = loss if total is None else nc.add(total, loss)
-                total = nc.smul(total, 1.0 / len(batch))
-            if not np.isfinite(total.data):
+                loss = batch_loss(blocks[batch])
+            if not np.isfinite(loss.data):
                 raise TrainingDivergedError(
                     f"{_STAGE_WORDS[stage]} loss became non-finite at epoch {epoch}, "
                     f"lr {tcfg.learning_rate}"
                 )
             opt.zero_grad()
-            tape.backward(total)
+            tape.backward(loss)
             opt.step()
-            losses.append(total.item())
+            losses.append(loss.item())
         entry = EpochLog(epoch, float(np.mean(losses)), *validate(val_docs))
         result.epochs.append(entry)
         if log:
@@ -205,14 +206,15 @@ def pretrain_base(
     if model is None:
         model = SpaModel.create(config, seed=tcfg.seed)
 
-    def block_loss(ids):
-        return nc.cross_entropy(base_forward(config, model.base, ids[:-1]).logits, ids[1:])
+    def batch_loss(ids):
+        logits = base_forward(config, model.base, ids[:, :-1]).logits
+        return nc.cross_entropy(logits, ids[:, 1:].reshape(-1))
 
     def validate(val_docs):
         return _fused_val_perplexity(model, val_docs, tokenizer, "base_only")[0], None
 
     result = _train_epochs("pretrain", model.base.tensors(), tcfg, corpus, tokenizer,
-                           block_loss, validate, log)
+                           batch_loss, validate, log)
     model.base.freeze()
     return model, result
 
@@ -227,6 +229,15 @@ def gate_labels(trace: TokenLossTrace, margin: float) -> np.ndarray:
     """1 where consulting the side path improves the target log-likelihood
     by more than `margin`; any trace that ran the side network will do."""
     return (trace.cate() > margin).astype(np.int64)
+
+
+def side_objective(model: SpaModel, ids, tcfg: TrainConfig) -> Tensor:
+    """The side/gate objective (module docstring) over a (T+1,) block or a
+    (B, T+1) batch of blocks, from one soft-gate forward."""
+    fused_nll, trace = token_loss(model, ids, gate_mode="soft")
+    gate_ce = nc.cross_entropy(trace.gate_logits, gate_labels(trace, tcfg.gate_margin))
+    usage = nc.column(trace.gate_probs, 1).mean()
+    return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight))
 
 
 def train_side_and_gate(
@@ -244,17 +255,14 @@ def train_side_and_gate(
     tokenizer = tokenizer or ByteTokenizer()
     digest_before = model.base_digest()
 
-    def block_loss(ids):
-        fused_nll, trace = token_loss(model, ids, gate_mode="soft")
-        gate_ce = nc.cross_entropy(trace.gate_logits, gate_labels(trace, tcfg.gate_margin))
-        usage = nc.column(trace.gate_probs, 1).mean()
-        return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight))
+    def batch_loss(ids):
+        return side_objective(model, ids, tcfg)
 
     def validate(val_docs):
         return _fused_val_perplexity(model, val_docs, tokenizer)
 
     result = _train_epochs("side", model.side.tensors() + model.gate.tensors(), tcfg, corpus,
-                           tokenizer, block_loss, validate, log)
+                           tokenizer, batch_loss, validate, log)
     if model.base_digest() != digest_before:
         raise ContractError("frozen base changed during side training (checksum mismatch)")
     return result

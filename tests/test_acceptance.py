@@ -153,6 +153,31 @@ def test_criterion_4_gradient_correctness():
             assert report.passed(1e-4), f"seed {seed}: {report.summary()}"
 
 
+def test_criterion_4_gradient_correctness_over_a_batch():
+    with criterion(4, "finite-difference gradients of the training loss over a 2-block batch"):
+        cfg = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
+                          vocab_size=40, max_seq_len=32, side_reduction=8)
+        tcfg = TrainConfig()
+        for seed in range(3):
+            model = SpaModel.create(cfg, seed=seed)
+            model.base.freeze()
+            rng = np.random.default_rng(seed)
+            ids = rng.integers(0, cfg.vocab_size, size=(2, 6))
+            _, soft = token_loss(model, ids, gate_mode="soft")
+            labels = gate_labels(soft, tcfg.gate_margin)  # constants per step
+            params = model.side.tensors() + model.gate.tensors()
+
+            def full_loss(*_):
+                fused_nll, trace = token_loss(model, ids, gate_mode="soft")
+                gate_ce = nc.cross_entropy(trace.gate_logits, labels)
+                usage = nc.column(trace.gate_probs, 1).mean()
+                return nc.add(nc.add(fused_nll, gate_ce),
+                              nc.smul(usage, tcfg.usage_weight))
+
+            report = grad_check(full_loss, params, h=1e-5)
+            assert report.passed(1e-4), f"seed {seed}: {report.summary()}"
+
+
 def test_criterion_5_frozen_base_invariance(trained_stack):
     with criterion(5, "frozen-base checksum across the learning-rate grid"):
         runs = trained_stack.grid_runs

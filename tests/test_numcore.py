@@ -271,7 +271,6 @@ DIFFERENTIABLE_OPS = [
     ("add", lambda r: (lambda a, b: nc.add(a, b).sum(), [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((3, 4)))])),
     ("add_bias", lambda r: (lambda a, b: nc.add(a, b).sum(), [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal(4))])),
     ("mul", lambda r: (lambda a, b: nc.mul(a, b).sum(), [Tensor(r.standard_normal((2, 5))), Tensor(r.standard_normal((2, 5)))])),
-    ("neg", lambda r: (lambda a: nc.mul(nc.neg(a), a).sum(), [Tensor(r.standard_normal(6))])),
     ("smul", lambda r: (lambda a: nc.smul(a, 2.5).mean(), [Tensor(r.standard_normal(5))])),
     ("tsmul", lambda r: (lambda a, s: nc.tsmul(a, s).sum(), [Tensor(r.standard_normal((2, 3))), Tensor(r.standard_normal(()))])),
     ("matmul", lambda r: (lambda a, b: nc.mul(nc.matmul(a, b), nc.matmul(a, b)).sum(), [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2)))])),

@@ -491,6 +491,50 @@ class TestDeviceSideValidation:
         assert f"chunk {width + 1} outside 1..{width}" in result.error
         assert result.counter.hidden_round_trips == 1
 
+    @pytest.mark.parametrize("wire_mode, shape", [
+        ("all_layers", (1, 1, CFG.d_model + 1)),
+        ("final", (1, 1, CFG.d_model + 1)),
+        ("all_layers", (CFG.n_layers, 1, CFG.d_model + 1)),
+        ("all_layers", (1, 1, CFG.d_model)),
+        ("all_layers", (CFG.n_layers + 1, 1, CFG.d_model)),
+        ("final", (CFG.n_layers, 1, CFG.d_model)),
+    ])
+    def test_base_hiddens_of_the_wrong_shape_is_protocol_violation(self, wire_mode, shape):
+        bundle = make_bundle(make_model(17))
+        dev_end, fake_cloud = LoopbackTransport.pair()
+        replies = []
+
+        def impostor():
+            assert isinstance(fake_cloud.recv(timeout=5), Hello)
+            fake_cloud.send(Hello(PROTOCOL_VERSION, wire_mode, bundle.digest))
+            assert isinstance(fake_cloud.recv(timeout=5), Prompt)
+            fake_cloud.send(BaseHiddens(0, np.ones(shape)))
+            replies.append(fake_cloud.recv(timeout=5))
+            try:
+                fake_cloud.recv(timeout=5)
+            except TransportClosed:
+                replies.append("closed")
+
+        t = threading.Thread(target=impostor)
+        t.start()
+        result = run_device(
+            bundle,
+            DecodeConfig(max_new_tokens=4, policy="always_side"),
+            prompt_ids=[1],
+            transport=dev_end,
+            frame_timeout=2.0,
+        )
+        t.join(timeout=10)
+        assert not t.is_alive()
+        refusal, closed = replies
+        assert isinstance(refusal, ErrorFrame)
+        assert refusal.code == ErrorCode.PROTOCOL_VIOLATION
+        assert f"BASE_HIDDENS of shape {shape}" in refusal.message
+        assert closed == "closed"
+        assert not result.completed
+        assert f"BASE_HIDDENS of shape {shape}" in result.error
+        assert result.counter.hidden_round_trips == 0
+
 
 class TestDeviceClosesItsTransport:
     @pytest.mark.parametrize("case", ["text_prompt", "prompt_out_of_range", "device_only"])

@@ -11,14 +11,17 @@ from spa.corpus import Corpus, make_synthetic_personalized_corpus
 from spa.errors import ContractError
 from spa.metrics import perplexity
 from spa.model import (
+    GATE_MODES,
     ModelConfig,
     SpaModel,
     base_forward,
     cate_estimate,
     fuse,
     ladder,
+    teacher_forced,
     token_loss,
 )
+from spa.numcore import Tape
 from spa.tokenizer import VOCAB_SIZE, ByteTokenizer
 from spa.training import (
     Adam,
@@ -28,6 +31,7 @@ from spa.training import (
     pretrain_base,
     reinit_side_and_gate,
     run_lr_grid,
+    side_objective,
     token_blocks,
     train_side_and_gate,
 )
@@ -233,8 +237,8 @@ class TestGateLabels:
                 assert np.array_equal(gate_labels(trace, margin), want), margin
 
 
-class TestOneForwardPerBlock:
-    def test_epoch_runs_base_and_ladder_once_per_block_and_scored_document(
+class TestOneForwardPerBatch:
+    def test_epoch_runs_base_and_ladder_once_per_batch_and_scored_document(
         self, pretrained, monkeypatch
     ):
         model, _, _ = pretrained
@@ -245,18 +249,160 @@ class TestOneForwardPerBlock:
         blocks = len(token_blocks(train_docs, tok, quick.block_size))
         scored = sum(len(tok.encode_document(d)[: CFG.max_seq_len]) >= 2 for d in val_docs)
         calls = {"base_forward": 0, "ladder": 0}
+        batch_positions = []  # training forwards take (B, T) id arrays
         for name in calls:
             real = getattr(spa.model, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "base_forward" and np.ndim(args[2]) == 2:
+                    batch_positions.append(np.size(args[2]))
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spa.model, name, counted)
         reinit_side_and_gate(model, 3)
         train_side_and_gate(model, quick, pers)
-        assert blocks > 0 and scored > 0
-        assert calls == {"base_forward": blocks + scored, "ladder": blocks + scored}
+        batches = math.ceil(blocks / quick.batch_size)
+        assert batches > 1 and scored > 0
+        assert calls == {"base_forward": batches + scored, "ladder": batches + scored}
+        # every training block is forwarded once, in batches of batch_size
+        assert len(batch_positions) == batches
+        assert sum(batch_positions) == blocks * quick.block_size
+        assert max(batch_positions) == quick.batch_size * quick.block_size
+
+
+def assert_rel(actual, want, rel):
+    """max |actual - want| within `rel` of max |want| (exact when want is 0)."""
+    actual, want = np.asarray(actual, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert actual.shape == want.shape
+    assert np.max(np.abs(actual - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.fixture(scope="module")
+def gated_model():
+    """A seeded model whose gate mixes both paths and whose side output is
+    large enough for the side path's effect to be far from zero."""
+    model = SpaModel.create(CFG, seed=31)
+    rng = np.random.default_rng(31)
+    model.gate["w"].data[:] = rng.standard_normal((CFG.d_model, 2)) * 0.8
+    model.side["up.w"].data *= 25.0
+    model.base.freeze()
+    return model
+
+
+def random_blocks(n, seed=5):
+    return np.random.default_rng(seed).integers(0, VOCAB_SIZE, size=(n, 13))
+
+
+class TestBatchedForward:
+    """A (B, T+1) batch is the per-block forwards stacked, and its loss and
+    gradients are those of the per-block losses averaged."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_rows_are_the_per_block_traces_stacked(self, gated_model, gate_mode, n_blocks):
+        blocks = random_blocks(n_blocks)
+        with nc.no_grad():
+            batched = teacher_forced(gated_model, blocks, gate_mode)
+            per = [teacher_forced(gated_model, block, gate_mode) for block in blocks]
+        assert np.array_equal(batched.targets, np.concatenate([t.targets for t in per]))
+        assert_rel(batched.fused_logits.data,
+                   np.concatenate([t.fused_logits.data for t in per]), 1e-12)
+        assert_rel(batched.gate_trace, np.concatenate([t.gate_trace for t in per]), 1e-12)
+        if gate_mode != "off":
+            assert_rel(batched.cate(), np.concatenate([t.cate() for t in per]), 1e-12)
+        if gate_mode == "hard" and n_blocks > 1:
+            assert 0 < batched.gate_trace.sum() < batched.gate_trace.size
+        if n_blocks == 1:  # a one-block batch runs the 1-D path's numpy calls
+            assert batched.fused_logits.data.tobytes() == per[0].fused_logits.data.tobytes()
+
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    def test_batch_loss_is_the_mean_of_block_losses(self, gated_model, n_blocks):
+        blocks = random_blocks(n_blocks)
+        with nc.no_grad():
+            for gate_mode in GATE_MODES:
+                want = np.mean([token_loss(gated_model, b, gate_mode)[0].item() for b in blocks])
+                assert_rel(token_loss(gated_model, blocks, gate_mode)[0].item(), want, 1e-12)
+            want = np.mean([side_objective(gated_model, b, TCFG).item() for b in blocks])
+            assert_rel(side_objective(gated_model, blocks, TCFG).item(), want, 1e-12)
+
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    def test_gradients_match_the_per_block_summed_path(self, gated_model, n_blocks):
+        blocks = random_blocks(n_blocks)
+        params = gated_model.side.tensors() + gated_model.gate.tensors()
+        nc.zero_grad(params)
+        with Tape() as tape:  # the per-block path: sum of block losses / B
+            total = side_objective(gated_model, blocks[0], TCFG)
+            for block in blocks[1:]:
+                total = nc.add(total, side_objective(gated_model, block, TCFG))
+            total = nc.smul(total, 1.0 / n_blocks)
+        tape.backward(total)
+        per_block = [p.grad.copy() for p in params]
+        nc.zero_grad(params)
+        with Tape() as tape:
+            loss = side_objective(gated_model, blocks, TCFG)
+        tape.backward(loss)
+        for p, want in zip(params, per_block):
+            assert_rel(p.grad, want, 1e-10)
+        nc.zero_grad(params)
+
+    def test_one_dimensional_forward_is_the_composition_of_its_parts(self, gated_model):
+        """The 1-D path runs base, gate, ladder and fusion on the sequence's
+        own rows, bit for bit as the composed parts do."""
+        ids = random_blocks(1, seed=9)[0]
+        cfg, m = gated_model.config, gated_model
+        with nc.no_grad():
+            for gate_mode in GATE_MODES:
+                trace = teacher_forced(m, ids, gate_mode)
+                bt = base_forward(cfg, m.base, ids[:-1])
+                glog, gprobs = spa.model.gate_logits(m.gate, bt.final)
+                weights = {"soft": nc.column(gprobs, 1).data,
+                           "hard": spa.model.gate_decide(glog.data).astype(np.float64),
+                           "on": np.ones(len(ids) - 1), "off": np.zeros(len(ids) - 1)}[gate_mode]
+                if gate_mode == "off":
+                    want = bt.logits
+                else:
+                    _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), weights,
+                                   m.base["out_proj"])
+                assert trace.fused_logits.data.tobytes() == want.data.tobytes()
+                assert trace.gate_logits.data.tobytes() == glog.data.tobytes()
+                assert trace.gate_trace.tobytes() == weights.tobytes()
+
+
+class TestEpochLoss:
+    """With lr 0 the parameters stay put, so an epoch's loss is the mean,
+    over the epoch's seeded batches, of the stage's loss on each batch."""
+
+    @staticmethod
+    def frozen_epoch(corpus):
+        tcfg = TrainConfig(**{**TCFG.to_dict(), "epochs": 1, "learning_rate": 0.0})
+        blocks = token_blocks(corpus.splits(tcfg.seed)[0], ByteTokenizer(), tcfg.block_size)
+        order = np.random.default_rng(tcfg.seed).permutation(len(blocks))
+        batches = [blocks[order[i : i + tcfg.batch_size]]
+                   for i in range(0, len(order), tcfg.batch_size)]
+        assert len(batches) > 1 and len(batches[-1]) < tcfg.batch_size
+        return batches, tcfg
+
+    def test_pretraining_epoch_loss_is_the_mean_of_batch_losses(self):
+        base_corpus, _ = small_corpora()
+        batches, tcfg = self.frozen_epoch(base_corpus)
+        model = SpaModel.create(CFG, seed=tcfg.seed)
+        with nc.no_grad():
+            want = np.mean([
+                nc.cross_entropy(base_forward(CFG, model.base, b[:, :-1]).logits,
+                                 b[:, 1:].reshape(-1)).item()
+                for b in batches
+            ])
+        _, result = pretrain_base(CFG, tcfg, base_corpus, model=model)
+        assert_rel(result.final.train_loss, want, 1e-12)
+
+    def test_side_epoch_loss_is_the_mean_of_batch_losses(self, gated_model):
+        _, pers = small_corpora()
+        batches, tcfg = self.frozen_epoch(pers)
+        with nc.no_grad():
+            want = np.mean([side_objective(gated_model, b, tcfg).item() for b in batches])
+        result = train_side_and_gate(gated_model, tcfg, pers)
+        assert_rel(result.final.train_loss, want, 1e-12)
 
 
 class TestLrGrid:

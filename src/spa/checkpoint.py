@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoding import DEVICE_CACHE
 from .errors import SpaError
 from .model import BaseParams, GateParams, ModelConfig, SideParams, SpaModel
 
@@ -38,12 +37,12 @@ MAGIC = b"SPA1"
 FORMAT_VERSION = 1
 
 # the parameter groups each kind carries: a side file holds what the device
-# reads (the side net and the device-only cache), the cloud's the base and gate
+# reads (the side net), the cloud's the base and gate
 KIND_GROUPS = {
     "full": ("base", "side", "gate"),
     "base": ("base",),
     "cloud": ("base", "gate"),
-    "side": ("side", "cache"),
+    "side": ("side",),
 }
 KINDS = tuple(KIND_GROUPS)
 
@@ -141,13 +140,7 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def _kind_arrays(model: SpaModel, kind: str) -> dict[str, np.ndarray]:
     """The named arrays a checkpoint of `kind` stores for `model`."""
-    arrays: dict[str, np.ndarray] = {}
-    for group in KIND_GROUPS[kind]:
-        if group == "cache":
-            arrays.update({f"cache.{n}": model.base[n].data for n in DEVICE_CACHE})
-        else:
-            arrays.update({f"{group}.{n}": t.data for n, t in getattr(model, group).named()})
-    return arrays
+    return {f"{g}.{n}": t.data for g in KIND_GROUPS[kind] for n, t in getattr(model, g).named()}
 
 
 def _expected_names(config: ModelConfig, kind: str) -> set[str]:
@@ -194,14 +187,13 @@ class LoadedCheckpoint:
         gate.freeze()
         return base, gate
 
-    def build_side_parts(self) -> tuple[SideParams, dict[str, np.ndarray]]:
+    def build_side_parts(self) -> SideParams:
         if self.kind not in ("full", "side"):
             raise CheckpointSchemaError(f"{self.kind} checkpoint has no side parts")
         side = SpaModel.create(self.config, seed=0).side
         side.load_arrays(_strip(self.arrays, "side."))
         side.freeze()
-        prefix = "cache." if self.kind == "side" else "base."
-        return side, {n: self.arrays[prefix + n] for n in DEVICE_CACHE}
+        return side
 
 
 def _strip(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:

@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--wire", choices=WIRE_FLAGS, default=DEFAULT_WIRE_MODE.replace("_", "-"))
 
     p = sub.add_parser("generate", help="generate text through a cloud session")
-    p.add_argument("--connect", default=None, help="host:port of the cloud endpoint")
+    p.add_argument("--connect", required=True, help="host:port of the cloud endpoint")
     p.add_argument("--side-checkpoint", required=True)
     p.add_argument("--prompt", required=True)
     p.add_argument("--policy", choices=sorted(POLICY_FLAGS), default="spa")
@@ -277,16 +277,11 @@ def _decode_config(args) -> DecodeConfig:
 
 def _cmd_generate(cfg, args) -> int:
     dcfg = _decode_config(args)
-    connect = None
-    if dcfg.policy != "device_only":
-        if args.connect is None:
-            raise UsageError("--connect is required unless --policy device-only")
-        connect = _addr(args.connect)
     result = run_device(
         _require_file(args.side_checkpoint, "--side-checkpoint"),
         dcfg,
         prompt_text=args.prompt,
-        connect=connect,
+        connect=_addr(args.connect),
         frame_timeout=args.timeout,
     )
     print(result.text)

@@ -178,12 +178,6 @@ class CloudEndpoint:
         prompt = transport.recv(self.frame_timeout)
         if not isinstance(prompt, Prompt):
             self._abort(transport, ErrorCode.PROTOCOL_VIOLATION, "expected PROMPT after HELLO")
-        if prompt.policy == "device_only":
-            self._abort(
-                transport,
-                ErrorCode.PROTOCOL_VIOLATION,
-                "device_only sessions run entirely on the device",
-            )
         if not prompt.token_ids:
             self._abort(transport, ErrorCode.PROTOCOL_VIOLATION, "prompt must not be empty")
         if len(prompt.token_ids) > MAX_PROMPT_TOKENS:

@@ -40,13 +40,9 @@ from .model import (
 )
 from .wire import DEFAULT_WIRE_MODE, POLICIES, STRATEGIES, WIRE_MODES
 
-# base arrays a device caches for device-only decoding
-DEVICE_CACHE = ("tok_emb", "pos_emb", "out_proj")
-
 # Each cloud policy's gate as a `model.token_loss` gate mode: "hard" takes
 # the classifier's decision, "on" always consults the side network, "off"
 # never does. lst is always_side under the name of the LST baseline.
-# device_only, the remaining policy, never runs the base.
 POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "lst": "on", "base_only": "off"}
 
 
@@ -93,8 +89,6 @@ def count_transmissions(policy: str, n_layers: int, tokens_generated: int, gate_
         return float(n_layers)
     if policy == "adapter":
         return 2.0 * n_layers
-    if policy == "device_only":
-        return 0.0
     mode = POLICY_GATE_MODES.get(policy)
     if mode is None:
         raise ContractError(f"unknown architecture {policy!r}")
@@ -218,7 +212,7 @@ class CloudStepModel:
 
     def __init__(self, config, base, gate, policy, wire_mode, side_provider, steps: StepCounter):
         if policy not in POLICY_GATE_MODES:
-            raise ContractError(f"{policy} decoding never runs on the cloud path")
+            raise ContractError(f"unknown policy {policy!r}")
         self.config = config
         self.base = base
         self.gate = gate
@@ -273,40 +267,9 @@ class CloudStepModel:
         return logits, bits
 
 
-class DeviceOnlyStepModel:
-    """Fully separated decoding: the side ladder over cached embeddings.
-
-    Every layer's down-projection reads the embedded current position and
-    nothing seeds layer 0; the cached output projection produces logits. No
-    cloud contact, ever. `logits_for` takes a step's contexts like
-    `CloudStepModel.logits_for` and runs the ladder over all of them at once.
-    """
-
-    def __init__(self, config: ModelConfig, side, cache: dict[str, np.ndarray]):
-        self.config = config
-        self.side = side
-        self.tok_emb = np.asarray(cache["tok_emb"], dtype=np.float64)
-        self.pos_emb = np.asarray(cache["pos_emb"], dtype=np.float64)
-        self.out_proj = np.asarray(cache["out_proj"], dtype=np.float64)
-        self.gate_log: list[int] = []
-        self.hidden_calls = 0
-
-    def logits_for(self, contexts) -> tuple[np.ndarray, list[int]]:
-        tokens = [int(ctx[-1]) for ctx in contexts]
-        positions = [min(len(ctx), self.config.max_seq_len) - 1 for ctx in contexts]
-        vecs = self.tok_emb[tokens] + self.pos_emb[positions]
-        side_vecs = side_step_rolled(self.config, self.side, vecs)
-        bits = [1] * len(contexts)
-        self.gate_log.extend(bits)
-        return (vecs + side_vecs) @ self.out_proj, bits
-
-
 def local_step_model(model: SpaModel, policy: str, wire_mode: str = DEFAULT_WIRE_MODE):
     """Step model with the side computed in this process (no wire)."""
     cfg = model.config
-    if policy == "device_only":
-        cache = {name: model.base[name].data for name in DEVICE_CACHE}
-        return DeviceOnlyStepModel(cfg, model.side, cache)
     return CloudStepModel(
         cfg, model.base, model.gate, policy, wire_mode,
         local_side_provider(cfg, model.side), StepCounter(),

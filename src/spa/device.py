@@ -1,8 +1,8 @@
 """Device client: drives a split-decoding session against a cloud endpoint.
 
-The device holds only the side parameters (plus cached embeddings for the
-fully separated policy). It answers each BASE_HIDDENS request, the block of
-one step's gated rows, with one SIDE_OUTPUT block of their side vectors,
+The device holds only the side parameters, and every policy decodes through
+a cloud session. It answers each BASE_HIDDENS request, the block of one
+step's gated rows, with one SIDE_OUTPUT block of their side vectors,
 accumulates GATE_DECISION/TOKEN frames, and keeps its own transmission
 counter, which must agree exactly with the cloud's.
 """
@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import LoadedCheckpoint, load_checkpoint
-from .decoding import (
-    DecodeConfig,
-    DeviceOnlyStepModel,
-    TransmissionCounter,
-    local_side_provider,
-    run_decode,
-)
+from .decoding import DecodeConfig, TransmissionCounter, local_side_provider
 from .errors import ContractError, SpaError
 from .model import ModelConfig, SideParams
 from .tokenizer import BOS, EOS, VOCAB_SIZE, ByteTokenizer
@@ -51,14 +43,12 @@ class SessionRejected(SpaError):
 class SideBundle:
     config: ModelConfig
     side: SideParams
-    cache: dict[str, np.ndarray]
     digest: str
 
     @classmethod
     def from_checkpoint(cls, source: str | Path | LoadedCheckpoint) -> "SideBundle":
         loaded = source if isinstance(source, LoadedCheckpoint) else load_checkpoint(source)
-        side, cache = loaded.build_side_parts()
-        return cls(loaded.config, side, cache, loaded.compat_digest)
+        return cls(loaded.config, loaded.build_side_parts(), loaded.compat_digest)
 
 
 @dataclass
@@ -79,23 +69,6 @@ def _decode_text(config: ModelConfig, tokens) -> str:
     return ""
 
 
-def _device_only(bundle: SideBundle, prompt_ids, dcfg: DecodeConfig) -> GenerationResult:
-    step_model = DeviceOnlyStepModel(bundle.config, bundle.side, bundle.cache)
-    eos = EOS if bundle.config.vocab_size == VOCAB_SIZE else None
-    outcome = run_decode(step_model, prompt_ids, dcfg, bundle.config.vocab_size, eos)
-    return GenerationResult(
-        text=_decode_text(bundle.config, outcome.tokens),
-        prompt_ids=list(prompt_ids),
-        tokens=outcome.tokens,
-        gate_trace=outcome.gate_trace,
-        counter=TransmissionCounter.build(
-            "device_only", bundle.config.n_layers, outcome.tokens, outcome.gate_trace, 0
-        ),
-        completed=True,
-        stopped_by_eos=outcome.stopped_by_eos,
-    )
-
-
 def _protocol_violation(transport, message: str):
     """Tell the cloud why the session ends, then end it."""
     transport.send(ErrorFrame(ErrorCode.PROTOCOL_VIOLATION, message))
@@ -111,7 +84,7 @@ def run_device(
     transport=None,
     frame_timeout: float = 10.0,
 ) -> GenerationResult:
-    """Generate text through a cloud session (or locally for device_only).
+    """Generate text through a cloud session.
 
     The transport, whether passed in or connected here, is closed on every
     way out, so the cloud end never waits out its frame timeout.
@@ -129,10 +102,6 @@ def run_device(
                 raise ContractError("text prompts need a byte-vocabulary checkpoint")
             prompt_ids = [BOS, *ByteTokenizer().encode(prompt_text)]
         prompt_ids = [int(t) for t in prompt_ids]
-
-        if dcfg.policy == "device_only":
-            return _device_only(bundle, prompt_ids, dcfg)
-
         prompt = Prompt(
             token_ids=tuple(prompt_ids),
             policy=dcfg.policy,

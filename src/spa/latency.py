@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,9 +77,13 @@ def parse_profile(path: str | Path) -> LatencyProfile:
         if key not in PROFILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown profile key {key!r}")
         try:
-            values[key] = float(value.strip())
+            number = float(value.strip())
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: {value.strip()!r} is not a number") from None
+        kind = "whole" if key == "C_devices" else "finite"  # is_integer() is False for nan, inf
+        if not (number.is_integer() if kind == "whole" else math.isfinite(number)):
+            raise ConfigError(f"{path}:{lineno}: {key} must be a {kind} number, got {value.strip()!r}")
+        values[key] = number
     kwargs = {
         "tau": values.get("tau", LatencyProfile.tau),
         "t_data": values.get("t_data", LatencyProfile.t_data),
@@ -87,7 +92,10 @@ def parse_profile(path: str | Path) -> LatencyProfile:
         "c_devices": int(values.get("C_devices", LatencyProfile.c_devices)),
         "t_pretrained": values.get("t_pretrained", LatencyProfile.t_pretrained),
     }
-    return LatencyProfile(**kwargs)
+    try:
+        return LatencyProfile(**kwargs)
+    except DomainError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def t_on_devices(profile: LatencyProfile, cdev_divides: bool = False) -> float:

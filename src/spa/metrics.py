@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
 # usage_percentage (and its UndefinedMetricError) is re-exported: it lives
 # beside count_transmissions, which defines the spa policy's M from it
-from .decoding import POLICY_GATE_MODES, local_step_model, usage_percentage
+from .decoding import POLICY_GATE_MODES, usage_percentage
 from .errors import ContractError, UndefinedMetricError
 from .model import SpaModel, position_nll
 from .tokenizer import ByteTokenizer
@@ -68,9 +67,8 @@ def teacher_forced_nll(
     """(summed NLL, scored positions, side-consulted positions) over documents.
 
     Each document is cut to max_seq_len tokens; one shorter than 2 tokens is
-    skipped. A cloud policy scores through `position_nll` under its gate mode
-    from `POLICY_GATE_MODES`; device_only teacher-forces the step model that
-    device-only decoding serves, with all of a document's prefixes in one call.
+    skipped. Every policy scores through `position_nll` under its gate mode
+    from `POLICY_GATE_MODES`.
     """
     if policy not in POLICIES:
         raise ContractError(f"teacher_forced_nll: unknown policy {policy!r}")
@@ -81,12 +79,7 @@ def teacher_forced_nll(
         ids = ids[: model.config.max_seq_len]
         if ids.size < 2:
             continue
-        if policy == "device_only":  # every prefix of the document as one step
-            prefixes = [ids[:i] for i in range(1, ids.size)]
-            logits, gate_trace = local_step_model(model, policy).logits_for(prefixes)
-            nlls = -nc.log_softmax_rows(logits)[np.arange(ids.size - 1), ids[1:]]
-        else:
-            nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
+        nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
         total += nlls.sum()
         count += ids.size - 1
         used += int(np.sum(gate_trace))

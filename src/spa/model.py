@@ -14,8 +14,7 @@ whether the side output is fused in:
 `ladder` is the only implementation of that network, and it is a pure
 function of its input rows: no state is carried between positions or
 steps. Training and the `all_layers` wire mode feed rung i the layer-i
-base hidden; the `final` wire mode feeds every rung the final hidden;
-device-only decoding feeds every rung the embedded token.
+base hidden; the `final` wire mode feeds every rung the final hidden.
 
 `teacher_forced` is the only teacher-forced forward of the fused model: the
 loss, the scorer, the side path's causal effect (CATE) and the gate's

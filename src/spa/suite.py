@@ -25,7 +25,7 @@ from .metrics import perplexity, rouge_l, usage_percentage
 from .model import SpaModel
 from .tokenizer import BOS, EOS, ByteTokenizer
 
-POLICY_ORDER = ("base_only", "lst", "always_side", "spa", "device_only")
+POLICY_ORDER = ("base_only", "lst", "always_side", "spa")
 
 
 @dataclass(frozen=True)

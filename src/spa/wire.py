@@ -27,6 +27,11 @@ block, where n_layers is the number of layers in `all_layers` mode and 1
 in `final` mode. SIDE_OUTPUT answers with one (rows, d_model) block of
 side vectors, row for row, so `rows` must equal the request's `chunk`.
 
+PROMPT's policy byte indexes `POLICIES` (0 spa, 1 always_side, 2 lst, 3
+base_only). That numbering is version 3's; other versions number it
+otherwise, so the cloud refuses their HELLO with VERSION_MISMATCH before it
+reads a PROMPT.
+
 Payloads longer than 16 MiB are rejected with an OVERSIZE error before any
 allocation happens.
 """
@@ -41,7 +46,7 @@ import numpy as np
 
 from .errors import SpaError
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_PAYLOAD = 16 * 1024 * 1024
 HEADER_LEN = 5  # u32 length + u8 type
 
@@ -86,8 +91,8 @@ WIRE_MODES = ("final", "all_layers")
 # the side payload the ladder is trained on: one hidden per layer
 DEFAULT_WIRE_MODE = "all_layers"
 # decode policies shared by decoding and the CLI; the index is the PROMPT
-# policy byte, so the order must never change
-POLICIES = ("spa", "always_side", "device_only", "lst", "base_only")
+# policy byte, so any change to the order takes a new PROTOCOL_VERSION
+POLICIES = ("spa", "always_side", "lst", "base_only")
 STRATEGIES = ("greedy", "beam")
 
 

@@ -31,13 +31,6 @@ def test_beam_search_wrapper_matches_monolithic_beam():
     assert direct.gate_trace == mono.gate_trace
 
 
-def test_beam_search_device_only_policy():
-    model = make_model()
-    out = beam_search(model, [1], width=2, max_new_tokens=3, policy="device_only")
-    assert len(out.tokens) == 3
-    assert out.gate_trace == [1, 1, 1]
-
-
 def test_grad_check_default_tolerance_recorded():
     from spa.gradcheck import grad_check
     from spa.numcore import Tensor

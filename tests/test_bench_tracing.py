@@ -38,8 +38,7 @@ def test_install_wraps_and_uninstall_restores():
         tracing["install"](tracer)
         for name, fn in originals.items():
             assert getattr(spa.decoding, name) is not fn, name
-        for policy, wire in (("always_side", "final"), ("always_side", "all_layers"),
-                             ("device_only", "final")):
+        for policy, wire in (("always_side", "final"), ("always_side", "all_layers")):
             dcfg = DecodeConfig(max_new_tokens=2, policy=policy, wire_mode=wire)
             decode_monolithic(model, np.array([1, 2]), dcfg)
     finally:
@@ -48,9 +47,9 @@ def test_install_wraps_and_uninstall_restores():
         assert getattr(spa.decoding, name) is fn, name
     names = {span["name"] for span in tracer.export()}
     assert {"model.side_step", "model.base_forward", "decoding.logits_for"} <= names
-    # two cloud-path sessions consult the side twice each, device-only twice
+    # two sessions consult the side twice each
     side_steps = sum(span["name"] == "model.side_step" for span in tracer.export())
-    assert side_steps == 6
+    assert side_steps == 4
 
 
 def test_traced_beam_session_keeps_every_wrapped_name_working():

@@ -20,6 +20,8 @@ from spa.checkpoint import (
 )
 from spa.model import ModelConfig, SpaModel
 
+from conftest import STACK_MODEL_CONFIG
+
 CFG = ModelConfig(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=23, max_seq_len=16, side_reduction=8
 )
@@ -74,14 +76,13 @@ class TestKinds:
         with pytest.raises(CheckpointSchemaError):
             loaded.build_side_parts()
 
-    def test_side_checkpoint_carries_embedding_cache(self, model, tmp_path):
+    def test_side_checkpoint_holds_exactly_the_side_net(self, model, tmp_path):
         path = tmp_path / "side.ckpt"
         save_model(model, path, kind="side")
+        _, arrays = read_raw(path)
+        assert set(arrays) == {f"side.{n}" for n, _ in model.side.named()}
         loaded = load_checkpoint(path)
-        side, cache = loaded.build_side_parts()
-        assert side.digest() == model.side.digest()
-        assert np.array_equal(cache["tok_emb"], model.base["tok_emb"].data)
-        assert np.array_equal(cache["out_proj"], model.base["out_proj"].data)
+        assert loaded.build_side_parts().digest() == model.side.digest()
         with pytest.raises(CheckpointSchemaError):
             loaded.build_cloud_parts()
 
@@ -95,6 +96,23 @@ class TestKinds:
         with pytest.raises(CheckpointSchemaError) as e:
             load_checkpoint(path)
         assert "gate." in str(e.value)
+
+    def test_side_checkpoint_with_the_old_embedding_cache_is_refused(self, model, tmp_path):
+        # side files written before protocol v3 also carried these base arrays
+        path = tmp_path / "side.ckpt"
+        save_model(model, path, kind="side")
+        meta, arrays = read_raw(path)
+        arrays.update({f"cache.{n}": model.base[n].data for n in ("tok_emb", "pos_emb", "out_proj")})
+        write_raw(path, meta, arrays)
+        with pytest.raises(CheckpointSchemaError) as e:
+            load_checkpoint(path)
+        assert "cache." in str(e.value)
+
+    def test_acceptance_shape_side_checkpoint_is_the_side_net_alone(self, tmp_path):
+        path = tmp_path / "side.ckpt"
+        save_model(SpaModel.create(STACK_MODEL_CONFIG, seed=0), path, kind="side")
+        # 15,240 bytes of side parameters plus names, shapes and metadata
+        assert path.stat().st_size < 16_500
 
     def test_compat_digest_matches_between_cloud_and_side(self, model, tmp_path):
         save_model(model, tmp_path / "c.ckpt", kind="cloud")

@@ -124,16 +124,6 @@ class TestDecodeAndEval:
         assert code == EXIT_OK
         assert "perplexity=" in capsys.readouterr().out
 
-    def test_eval_device_only_policy(self, full_ckpt, tmp_path, capsys):
-        corpus = tmp_path / "docs"
-        corpus.mkdir()
-        for i in range(6):
-            (corpus / f"{i}.txt").write_text(f"a bright signal {i}")
-        code = main(["eval", "--checkpoint", str(full_ckpt), "--corpus", str(corpus),
-                     "--policy", "device-only"])
-        assert code == EXIT_OK
-        assert "perplexity=" in capsys.readouterr().out
-
     def test_eval_usage_is_that_of_the_scored_positions(self, full_ckpt, tmp_path, capsys):
         corpus = tmp_path / "docs"
         corpus.mkdir()
@@ -148,15 +138,6 @@ class TestDecodeAndEval:
         assert 0 < used < positions, "the gate should fire on part of the positions"
         assert f"perplexity={math.exp(total / positions):.4f}" in out
         assert f"usage={100.0 * used / positions:.1f}%" in out
-
-    def test_generate_device_only_needs_no_server(self, full_ckpt, tmp_path, capsys):
-        side = tmp_path / "side.ckpt"
-        model = load_checkpoint(full_ckpt).build_model()
-        save_model(model, side, kind="side")
-        code = main(["generate", "--side-checkpoint", str(side), "--prompt", "hi",
-                     "--policy", "device-only", "--max-new", "4"])
-        assert code == EXIT_OK
-        assert "M=0.000 round_trips_per_token=0.000" in capsys.readouterr().err
 
     def test_generate_without_connect_is_usage_error(self, full_ckpt, tmp_path):
         side = tmp_path / "side.ckpt"

@@ -178,3 +178,38 @@ class TestFormatsAndProfileFile:
         path.write_text("tau = fast\n")
         with pytest.raises(ConfigError):
             parse_profile(path)
+
+    @pytest.mark.parametrize(
+        "line", ["C_devices = nan", "C_devices = inf", "C_devices = 2.5", "tau = nan",
+                 "t_data = inf", "f_e = -inf", "t_pretrained = nan"]
+    )
+    def test_non_finite_or_fractional_value_rejected_at_its_line(self, tmp_path, line):
+        path = tmp_path / "p.profile"
+        path.write_text(f"# latency profile\n{line}\n")
+        with pytest.raises(ConfigError) as e:
+            parse_profile(path)
+        assert f"{path}:2:" in str(e.value)
+        assert line.split("=")[0].strip() in str(e.value)
+
+    def test_whole_number_c_devices_is_read_exactly(self, tmp_path):
+        path = tmp_path / "p.profile"
+        path.write_text("C_devices = 2.0\n")
+        assert parse_profile(path).c_devices == 2
+
+    @pytest.mark.parametrize("line", ["tau = -1", "f_e = 0", "C_devices = -2"])
+    def test_value_outside_its_domain_is_a_config_error(self, tmp_path, line):
+        path = tmp_path / "p.profile"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ConfigError) as e:
+            parse_profile(path)
+        assert str(path) in str(e.value)
+
+    @pytest.mark.parametrize("line", ["C_devices = nan", "C_devices = inf", "C_devices = 2.5",
+                                      "tau = nan", "t_data = inf", "tau = -1"])
+    def test_cli_rejects_the_profile_with_a_usage_error(self, tmp_path, capsys, line):
+        from spa.cli import EXIT_USAGE, main
+
+        path = tmp_path / "p.profile"
+        path.write_text(f"{line}\n")
+        assert main(["bench-latency", "--profile", str(path)]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err

@@ -174,7 +174,10 @@ class TestScorerMatchesDecodePath:
     """Teacher-forcing the step model that decoding serves by default, one
     position at a time, reproduces the scorer's per-position NLL."""
 
-    @pytest.mark.parametrize("policy", ["spa", "always_side", "lst", "base_only", "device_only"])
+    def test_every_served_policy_is_a_gate_mode(self):
+        assert set(POLICY_GATE_MODES) == set(POLICIES)
+
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_teacher_forced_step_model_matches_scorer(self, policy):
         model = gated_model()
         ids = np.asarray(ByteTokenizer().encode_document(DOCS[0]))[: SCORER_CFG.max_seq_len]
@@ -188,8 +191,6 @@ class TestScorerMatchesDecodePath:
         total, count, used = teacher_forced_nll(model, DOCS[:1], policy)
         assert (count, used) == (ids.size - 1, sum(bits))
         assert abs(total - nlls.sum()) <= 1e-12 * total
-        if policy == "device_only":
-            return
         want, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
         assert list(gate_trace) == bits
         assert np.all(np.abs(nlls - want) <= 1e-12 * np.abs(want))

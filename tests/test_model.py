@@ -9,7 +9,6 @@ import spa.decoding
 from spa import numcore as nc
 from spa.decoding import (
     CloudStepModel,
-    DeviceOnlyStepModel,
     StepCounter,
     beam_decode,
     greedy_decode,
@@ -271,32 +270,6 @@ class TestLadderReference:
             ref_out = ladder_ref(model.side, [final] * LADDER_CFG.n_layers)
             assert out.shape == (LADDER_CFG.d_model,)
             np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12, err_msg=f"step {step}")
-
-    def test_device_only_logits_match_ladder_over_embedding(self):
-        model = seeded_side_model()
-        base = {name: model.base[name].data for name in ("tok_emb", "pos_emb", "out_proj")}
-        step_model = DeviceOnlyStepModel(LADDER_CFG, model.side, base)
-        ctx = [3, 17, 5, 29, 11]
-        for n in range(1, len(ctx) + 1):
-            logits, used = step_model.logits_for([ctx[:n]])
-            e = base["tok_emb"][ctx[n - 1]] + base["pos_emb"][n - 1]
-            side_out = ladder_ref(model.side, [e] * LADDER_CFG.n_layers)
-            assert used == [1]
-            np.testing.assert_allclose(
-                logits[0], (e + side_out) @ base["out_proj"], rtol=1e-10, atol=1e-12
-            )
-
-    def test_device_only_batch_rows_match_single_contexts(self):
-        model = seeded_side_model()
-        base = {name: model.base[name].data for name in ("tok_emb", "pos_emb", "out_proj")}
-        step_model = DeviceOnlyStepModel(LADDER_CFG, model.side, base)
-        contexts = [[3, 17, 5], [29, 11, 2], [8, 8, 39]]
-        logits, used = step_model.logits_for(contexts)
-        assert logits.shape == (3, LADDER_CFG.vocab_size) and used == [1, 1, 1]
-        for row, ctx in zip(logits, contexts):
-            single, _ = step_model.logits_for([ctx])
-            np.testing.assert_allclose(row, single[0], rtol=1e-12, atol=1e-13)
-        assert step_model.gate_log == [1] * 6
 
 
 class TestStatelessSide:

@@ -115,10 +115,6 @@ def test_full_cli_pipeline(tmp_path, capsys):
             server.terminate()
             server.wait(timeout=10)
 
-    assert main(["generate", "--side-checkpoint", str(out / "side.ckpt"),
-                 "--prompt", "hello", "--policy", "device-only",
-                 "--max-new", "4"]) == EXIT_OK
-
     assert main(["eval", "--checkpoint", str(out / "full.ckpt"),
                  "--corpus", str(corpora / "personal"),
                  "--policy", "base-only"]) == EXIT_OK

@@ -28,6 +28,8 @@ from spa.model import ModelConfig, SpaModel
 from spa.errors import SpaError
 from spa.transport import LoopbackTransport, SocketTransport, TransportClosed
 from spa.wire import (
+    HEADER_LEN,
+    POLICIES,
     PROTOCOL_VERSION,
     BaseHiddens,
     ErrorCode,
@@ -35,6 +37,7 @@ from spa.wire import (
     Hello,
     Prompt,
     SideOutput,
+    encode_frame,
 )
 
 CFG = ModelConfig(
@@ -52,15 +55,9 @@ def make_model(seed=0) -> SpaModel:
 
 
 def make_bundle(model: SpaModel) -> SideBundle:
-    cache = {
-        "tok_emb": model.base["tok_emb"].data,
-        "pos_emb": model.base["pos_emb"].data,
-        "out_proj": model.base["out_proj"].data,
-    }
     return SideBundle(
         config=model.config,
         side=model.side,
-        cache=cache,
         digest=compat_digest(model.config, model.base_digest()),
     )
 
@@ -165,7 +162,7 @@ class TestHandshake:
     def test_wrong_digest_rejected_with_digest_mismatch(self):
         model = make_model(4)
         bundle = make_bundle(model)
-        bad = SideBundle(bundle.config, bundle.side, bundle.cache, "ab" * 32)
+        bad = SideBundle(bundle.config, bundle.side, "ab" * 32)
         result, record, _ = loopback_session(
             model, bad, [1], DecodeConfig(max_new_tokens=2, policy="spa")
         )
@@ -174,10 +171,11 @@ class TestHandshake:
         assert str(ErrorCode.DIGEST_MISMATCH.value) in result.error
 
     def test_wrong_version_rejected(self):
-        # version 1 sent one round trip per gated row with a 1-D SIDE_OUTPUT
+        # version 1 sent one round trip per gated row with a 1-D SIDE_OUTPUT;
+        # version 2 numbered the PROMPT policy byte over five policies
         model = make_model(4)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        for version in (1, PROTOCOL_VERSION + 5):
+        for version in (1, 2, PROTOCOL_VERSION + 5):
             dev_end, cloud_end = LoopbackTransport.pair()
             t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
             t.start()
@@ -377,19 +375,32 @@ class TestProtocolViolations:
             assert reply.code == ErrorCode.PROTOCOL_VIOLATION, (len(ids), max_new)
             assert record.gate_log == [] and record.emitted_tokens == []
 
-    def test_device_only_prompt_rejected_by_cloud(self):
+    def test_policy_byte_past_the_table_is_bad_frame(self):
+        # byte len(POLICIES) named base_only in version 2 and names nothing now
         model = make_model(9)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
-        t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
-        t.start()
-        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
-        assert isinstance(dev_end.recv(timeout=5), Hello)
-        dev_end.send(Prompt((1,), "device_only"))
-        reply = dev_end.recv(timeout=5)
-        t.join(timeout=5)
+        server = CloudServer(endpoint).start()
+        try:
+            raw = socket.create_connection(server.address, timeout=5)
+            dev_end = SocketTransport(raw)
+            try:
+                dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+                assert isinstance(dev_end.recv(timeout=5), Hello)
+                frame = bytearray(encode_frame(Prompt((1,), "spa")))
+                policy_at = HEADER_LEN + 4 + 4  # after the id count and the one id
+                assert frame[policy_at] == POLICIES.index("spa")
+                frame[policy_at] = len(POLICIES)
+                raw.sendall(bytes(frame))
+                reply = dev_end.recv(timeout=5)
+            finally:
+                dev_end.close()
+        finally:
+            server.shutdown()
         assert isinstance(reply, ErrorFrame)
-        assert reply.code == ErrorCode.PROTOCOL_VIOLATION
+        assert reply.code == ErrorCode.BAD_FRAME
+        assert "policy" in reply.message
+        (record,) = endpoint.sessions
+        assert record.gate_log == [] and record.emitted_trace == []
 
 
 class TestDeviceSideValidation:
@@ -537,42 +548,18 @@ class TestDeviceSideValidation:
 
 
 class TestDeviceClosesItsTransport:
-    @pytest.mark.parametrize("case", ["text_prompt", "prompt_out_of_range", "device_only"])
+    @pytest.mark.parametrize("case", ["text_prompt", "prompt_out_of_range"])
     def test_cloud_end_sees_the_close_at_once(self, case):
         bundle = make_bundle(make_model(21))  # a 12-token vocabulary, not bytes
         dev_end, cloud_end = LoopbackTransport.pair()
-        if case == "device_only":
-            dcfg = DecodeConfig(max_new_tokens=2, policy="device_only")
-            assert run_device(bundle, dcfg, prompt_ids=[1], transport=dev_end).completed
-        else:
-            prompt = {"prompt_text": "hi"} if case == "text_prompt" else {"prompt_ids": [1]}
-            dcfg = DecodeConfig(max_new_tokens=70000 if case == "prompt_out_of_range" else 2)
-            with pytest.raises(SpaError):
-                run_device(bundle, dcfg, transport=dev_end, **prompt)
+        prompt = {"prompt_text": "hi"} if case == "text_prompt" else {"prompt_ids": [1]}
+        dcfg = DecodeConfig(max_new_tokens=70000 if case == "prompt_out_of_range" else 2)
+        with pytest.raises(SpaError):
+            run_device(bundle, dcfg, transport=dev_end, **prompt)
         start = time.perf_counter()
         with pytest.raises(TransportClosed):
             cloud_end.recv(timeout=5.0)
         assert time.perf_counter() - start < 1.0
-
-
-class TestDeviceOnly:
-    def test_runs_without_any_connection(self):
-        model = make_model(10)
-        bundle = make_bundle(model)
-        dcfg = DecodeConfig(max_new_tokens=5, policy="device_only")
-        result = run_device(bundle, dcfg, prompt_ids=[1, 2])
-        assert result.completed
-        assert len(result.tokens) == 5
-        assert result.counter.transmissions_per_token == 0.0
-        assert result.counter.frames_sent == 0
-
-    def test_matches_monolithic_device_only(self):
-        model = make_model(11)
-        bundle = make_bundle(model)
-        dcfg = DecodeConfig(max_new_tokens=6, policy="device_only")
-        mono = decode_monolithic(model, [3], dcfg)
-        dev = run_device(bundle, dcfg, prompt_ids=[3])
-        assert dev.tokens == mono.tokens
 
 
 class TestTimeout:

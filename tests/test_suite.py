@@ -42,9 +42,7 @@ def suite_config(ckpt, out, **kw):
 class TestSuite:
     def test_rows_cover_every_policy_and_files_embed_digest(self, ckpt, tmp_path):
         report = run_experiment_suite(suite_config(ckpt, tmp_path / "r"))
-        assert {r.policy for r in report.rows} == {
-            "base_only", "lst", "always_side", "spa", "device_only"
-        }
+        assert {r.policy for r in report.rows} == {"base_only", "lst", "always_side", "spa"}
         assert report.digest in report.markdown_path.name
         assert report.digest in report.csv_path.name
         text = report.markdown_path.read_text()

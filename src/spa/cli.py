@@ -395,6 +395,10 @@ def _cmd_grad_check(cfg, args) -> int:
         run(f"matmul[{trial}]",
             lambda a, b: nc.matmul(a, b).sum(),
             [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2)))])
+        run(f"linear[{trial}]",
+            lambda x, w, b: nc.mul(nc.linear(x, w, b), nc.linear(x, w, b)).sum(),
+            [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2))),
+             Tensor(r.standard_normal(2))])
         run(f"layer_norm[{trial}]",
             lambda x, g, b: nc.mul(nc.layer_norm(x, g, b), nc.layer_norm(x, g, b)).sum(),
             [Tensor(r.standard_normal((2, 6))), Tensor(r.standard_normal(6)),

@@ -313,15 +313,16 @@ def base_forward(
 
     x = nc.add(
         nc.embedding(base["tok_emb"], ids.reshape(-1)),
-        nc.embedding(base["pos_emb"], np.tile(np.arange(past_len, t_len), batch)),
+        nc.embedding(base["pos_emb"],
+                     (np.zeros((batch, 1), np.int64) + np.arange(past_len, t_len)).reshape(-1)),
     )
     new_shape, kv_shape = (*ids.shape, d), (*ids.shape[:-1], t_len, d)
     trace = BaseTrace()
     for i in range(config.n_layers):
         p = f"layers.{i}"
         a = nc.layer_norm(x, base[f"{p}.ln1.g"], base[f"{p}.ln1.b"])
-        k = nc.add(nc.matmul(a, base[f"{p}.attn.wk"]), base[f"{p}.attn.bk"])
-        v = nc.add(nc.matmul(a, base[f"{p}.attn.wv"]), base[f"{p}.attn.bv"])
+        k = nc.linear(a, base[f"{p}.attn.wk"], base[f"{p}.attn.bk"])
+        v = nc.linear(a, base[f"{p}.attn.wv"], base[f"{p}.attn.bv"])
         if past is not None:  # per sequence: its past positions, then the new ones
             k = Tensor(np.concatenate([past[i][0], k.data.reshape(new_shape)], -2).reshape(-1, d))
             v = Tensor(np.concatenate([past[i][1], v.data.reshape(new_shape)], -2).reshape(-1, d))
@@ -330,12 +331,12 @@ def base_forward(
             # nothing after this layer's keys and values reads the other rows
             a, x = (Tensor(t.data.reshape(batch, new_len, d)[:, -keep:].reshape(-1, d))
                     for t in (a, x))
-        q = nc.add(nc.matmul(a, base[f"{p}.attn.wq"]), base[f"{p}.attn.bq"])
+        q = nc.linear(a, base[f"{p}.attn.wq"], base[f"{p}.attn.bq"])
         att = nc.causal_attention(q, k, v, config.n_heads, batch)
-        x = nc.add(x, nc.add(nc.matmul(att, base[f"{p}.attn.wo"]), base[f"{p}.attn.bo"]))
+        x = nc.add(x, nc.linear(att, base[f"{p}.attn.wo"], base[f"{p}.attn.bo"]))
         m = nc.layer_norm(x, base[f"{p}.ln2.g"], base[f"{p}.ln2.b"])
-        h1 = nc.gelu(nc.add(nc.matmul(m, base[f"{p}.ffn.w1"]), base[f"{p}.ffn.b1"]))
-        x = nc.add(x, nc.add(nc.matmul(h1, base[f"{p}.ffn.w2"]), base[f"{p}.ffn.b2"]))
+        h1 = nc.gelu(nc.linear(m, base[f"{p}.ffn.w1"], base[f"{p}.ffn.b1"]))
+        x = nc.add(x, nc.linear(h1, base[f"{p}.ffn.w2"], base[f"{p}.ffn.b2"]))
         trace.hiddens.append(x)
     trace.final = nc.layer_norm(x, base["ln_f.g"], base["ln_f.b"])
     trace.logits = nc.matmul(trace.final, base["out_proj"])
@@ -351,12 +352,12 @@ def ladder(config: ModelConfig, side: SideParams, rows: list[Tensor]) -> Tensor:
     if len(rows) != config.n_layers:
         raise ContractError(f"ladder: expected {config.n_layers} layer inputs, got {len(rows)}")
     for i, row in enumerate(rows):
-        z = nc.add(nc.matmul(row, side[f"down.{i}.w"]), side[f"down.{i}.b"])
+        z = nc.linear(row, side[f"down.{i}.w"], side[f"down.{i}.b"])
         if i > 0:
             z = nc.add(z, nc.tsmul(rung, side[f"mix.{i}"]))
-        h1 = nc.gelu(nc.add(nc.matmul(z, side[f"mixer.{i}.w1"]), side[f"mixer.{i}.b1"]))
-        rung = nc.add(nc.matmul(h1, side[f"mixer.{i}.w2"]), side[f"mixer.{i}.b2"])
-    return nc.add(nc.matmul(rung, side["up.w"]), side["up.b"])
+        h1 = nc.gelu(nc.linear(z, side[f"mixer.{i}.w1"], side[f"mixer.{i}.b1"]))
+        rung = nc.linear(h1, side[f"mixer.{i}.w2"], side[f"mixer.{i}.b2"])
+    return nc.linear(rung, side["up.w"], side["up.b"])
 
 
 def side_step_layers(config: ModelConfig, side: SideParams, layer_vecs: np.ndarray) -> np.ndarray:
@@ -384,7 +385,7 @@ def side_step_rolled(config: ModelConfig, side: SideParams, vecs: np.ndarray) ->
 
 
 def gate_logits(gate: GateParams, base_final: Tensor) -> tuple[Tensor, Tensor]:
-    logits = nc.add(nc.matmul(base_final, gate["w"]), gate["b"])
+    logits = nc.linear(base_final, gate["w"], gate["b"])
     return logits, nc.softmax(logits, axis=-1)
 
 

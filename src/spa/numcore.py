@@ -11,6 +11,7 @@ scalars, and per-row scaling.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,6 +32,7 @@ __all__ = [
     "smul",
     "tsmul",
     "matmul",
+    "linear",
     "embedding",
     "scale_rows",
     "column",
@@ -51,8 +53,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = np.ascontiguousarray(arr)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None
@@ -211,15 +212,16 @@ def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Ten
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b (same shape, or b a 1-D bias over a's last axis)."""
-    if a.shape == b.shape:
+    ad, bd = a.data, b.data
+    if ad.shape == bd.shape:
         def bw(go):
             return go, go
-        return _apply(a.data + b.data, (a, b), bw)
-    if b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
+        return _apply(ad + bd, (a, b), bw)
+    if bd.ndim == 1 and ad.ndim >= 1 and ad.shape[-1] == bd.shape[0]:
         def bw(go):
             axes = tuple(range(go.ndim - 1))
             return go, go.sum(axis=axes) if axes else go
-        return _apply(a.data + b.data, (a, b), bw)
+        return _apply(ad + bd, (a, b), bw)
     raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -301,11 +303,11 @@ def column(x: Tensor, idx: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul: need 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise DimensionError(f"matmul: need 2-D operands, got {a.shape} and {b.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
 
     def bw(go):
         return go @ bd.T, ad.T @ go
@@ -313,12 +315,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(ad @ bd, (a, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for (T, n) rows, an (n, m) weight and an (m,) bias, as one op.
+
+    The same IEEE operations as `add(matmul(x, w), b)`, forward and
+    backward, so swapping one for the other changes no bit."""
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise DimensionError(
+            f"linear: need (T, n) rows, an (n, m) weight and an (m,) bias, "
+            f"got {x.shape}, {w.shape} and {b.shape}"
+        )
+    out = xd @ wd
+    out += bd
+
+    def bw(go):
+        return go @ wd.T, xd.T @ go, np.add.reduce(go, axis=0)
+
+    return _apply(out, (x, w, b), bw)
+
+
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: table (V, d), ids any int sequence; out (len(ids), d)."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise DimensionError(f"embedding: ids must be 1-D, got shape {idx.shape}")
-    vocab = table.shape[0]
+    vocab = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         bad = int(idx[(idx < 0) | (idx >= vocab)][0])
         raise IndexError(f"embedding: id {bad} out of range for table of {vocab} rows")
@@ -332,43 +354,51 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def bw(go):
-        inner = (go * p).sum(axis=axis, keepdims=True)
+        inner = np.add.reduce(go * p, axis=axis, keepdims=True)
         return (p * (go - inner),)
 
     return _apply(p, (x,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    """Normalize over the last axis to zero mean / unit variance, then affine.
+
+    Means are `np.add.reduce` then a division by d: the IEEE operations of
+    `ndarray.mean`, without its Python wrapper."""
+    xd, gd, bd = x.data, gain.data, bias.data
+    d = xd.shape[-1]
+    if gd.shape != (d,) or bd.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(xd, axis=-1, keepdims=True)
+    mu /= d
+    centered = xd - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    gd = gain.data
+    out = xhat * gd
+    out += bd
 
     def bw(go):
         dxhat = go * gd
-        term1 = dxhat
-        term2 = dxhat.mean(axis=-1, keepdims=True)
-        term3 = xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv_std * (term1 - term2 - term3)
+        term2 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+        term2 /= d
+        term3 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+        term3 /= d
+        dx = inv_std * (dxhat - term2 - xhat * term3)
         axes = tuple(range(go.ndim - 1))
-        dgain = (go * xhat).sum(axis=axes) if axes else go * xhat
-        dbias = go.sum(axis=axes) if axes else go.copy()
+        dgain = np.add.reduce(go * xhat, axis=axes) if axes else go * xhat
+        dbias = np.add.reduce(go, axis=axes) if axes else go.copy()
         return dx, dgain, dbias
 
-    return _apply(xhat * gd + bias.data, (x, gain, bias), bw)
+    return _apply(out, (x, gain, bias), bw)
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -391,6 +421,15 @@ def gelu(x: Tensor) -> Tensor:
     return _apply(out, (x,), bw)
 
 
+@functools.lru_cache(maxsize=16)
+def _causal_mask(q_len: int, k_len: int) -> np.ndarray:
+    """The additive (q_len, k_len) mask: -inf where query i may not see key
+    j, 0 elsewhere. Cached and shared between calls, so read-only."""
+    mask = np.triu(np.full((q_len, k_len), -np.inf), k=k_len - q_len + 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, batch: int = 1) -> Tensor:
     """Multi-head causal attention of (Tq, d) queries over (Tk, d) keys/values.
 
@@ -403,18 +442,19 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, batch: int =
     one tape op with a hand-written backward so the graph stays small;
     verified against finite differences like every other op.
     """
-    if q.data.ndim != 2 or k.shape != v.shape or k.data.ndim != 2 or k.shape[1] != q.shape[1]:
+    qs, ks = q.data.shape, k.data.shape
+    if len(qs) != 2 or ks != v.data.shape or len(ks) != 2 or ks[1] != qs[1]:
         raise DimensionError(
             f"causal_attention: need (Tq, d) queries and (Tk, d) keys/values, "
             f"got {q.shape}, {k.shape}, {v.shape}"
         )
-    if batch < 1 or q.shape[0] % batch or k.shape[0] % batch:
+    if batch < 1 or qs[0] % batch or ks[0] % batch:
         raise DimensionError(
-            f"causal_attention: {q.shape[0]} query and {k.shape[0]} key rows "
+            f"causal_attention: {qs[0]} query and {ks[0]} key rows "
             f"do not split into {batch} sequences"
         )
-    d_model = q.shape[1]
-    q_len, k_len = q.shape[0] // batch, k.shape[0] // batch
+    d_model = qs[1]
+    q_len, k_len = qs[0] // batch, ks[0] // batch
     if k_len < q_len:
         raise DimensionError(f"causal_attention: {k_len} keys for {q_len} queries")
     if d_model % n_heads:
@@ -429,18 +469,20 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, batch: int =
         return x.transpose(0, 2, 1, 3).reshape(-1, d_model)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    # the softmax runs in place on the one score array, which becomes the weights
+    weights = np.matmul(qh, kh.swapaxes(-1, -2))
+    weights *= scale
     if q_len > 1:  # a single query (a cached decode step) sees every key
-        scores += np.triu(np.full((q_len, k_len), -np.inf), k=k_len - q_len + 1)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+        weights += _causal_mask(q_len, k_len)
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     out = merge(np.matmul(weights, vh))
 
     def bw(go):
         goh = heads(go)
         d_weights = np.matmul(goh, vh.swapaxes(-1, -2))
-        d_scores = weights * (d_weights - (weights * d_weights).sum(axis=-1, keepdims=True))
+        d_scores = weights * (d_weights - np.add.reduce(weights * d_weights, axis=-1, keepdims=True))
         dq = scale * np.matmul(d_scores, kh)
         dk = scale * np.matmul(d_scores.swapaxes(-1, -2), qh)
         dv = np.matmul(weights.swapaxes(-1, -2), goh)
@@ -451,8 +493,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, batch: int =
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Plain-array row-wise log softmax (no tape); used by evaluation paths."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -33,7 +33,9 @@ otherwise, so the cloud refuses their HELLO with VERSION_MISMATCH before it
 reads a PROMPT.
 
 Payloads longer than 16 MiB are rejected with an OVERSIZE error before any
-allocation happens.
+allocation happens. The floats of BASE_HIDDENS and SIDE_OUTPUT must be
+finite: a NaN or an infinity is refused on encode and is a BAD_FRAME on
+decode, since either would decode into garbage tokens without an error.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ DEFAULT_WIRE_MODE = "all_layers"
 # policy byte, so any change to the order takes a new PROTOCOL_VERSION
 POLICIES = ("spa", "always_side", "lst", "base_only")
 STRATEGIES = ("greedy", "beam")
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise BadFrameError(f"{what}: float block holds NaN or infinity")
+    return arr
 
 
 def _code(options: tuple[str, ...], value: str, what: str) -> int:
@@ -206,7 +214,7 @@ def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
             )
         n_layers, chunk, d = arr.shape
         head = struct.pack(">IBHH", msg.step, n_layers, chunk, d)
-        return MsgType.BASE_HIDDENS, head + arr.astype(">f8").tobytes()
+        return MsgType.BASE_HIDDENS, head + _finite(arr, "BASE_HIDDENS").astype(">f8").tobytes()
     if isinstance(msg, GateDecision):
         return MsgType.GATE_DECISION, struct.pack(">IB", msg.step, 1 if msg.use_side else 0)
     if isinstance(msg, SideOutput):
@@ -214,7 +222,8 @@ def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
         if arr.ndim != 2:
             raise BadFrameError(f"side vectors must be 2-D (rows, d), got {arr.shape}")
         rows, d = arr.shape
-        return MsgType.SIDE_OUTPUT, struct.pack(">IHH", msg.step, rows, d) + arr.astype(">f8").tobytes()
+        body = _finite(arr, "SIDE_OUTPUT").astype(">f8").tobytes()
+        return MsgType.SIDE_OUTPUT, struct.pack(">IHH", msg.step, rows, d) + body
     if isinstance(msg, Token):
         return MsgType.TOKEN, struct.pack(">II", msg.step, msg.token_id)
     if isinstance(msg, Eos):
@@ -268,8 +277,8 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
         count = n_layers * chunk * d
         if len(payload) != 9 + 8 * count:
             raise BadFrameError("BASE_HIDDENS: float block length mismatch")
-        arr = np.frombuffer(payload, dtype=">f8", count=count, offset=9)
-        return BaseHiddens(step, arr.astype(np.float64).reshape(n_layers, chunk, d))
+        arr = np.frombuffer(payload, dtype=">f8", count=count, offset=9).astype(np.float64)
+        return BaseHiddens(step, _finite(arr, "BASE_HIDDENS").reshape(n_layers, chunk, d))
     if mtype == MsgType.GATE_DECISION:
         if len(payload) != 5:
             raise BadFrameError("GATE_DECISION: wrong payload length")
@@ -280,8 +289,8 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
         step, rows, d = struct.unpack_from(">IHH", payload)
         if len(payload) != 8 + 8 * rows * d:
             raise BadFrameError("SIDE_OUTPUT: float block length mismatch")
-        arr = np.frombuffer(payload, dtype=">f8", count=rows * d, offset=8)
-        return SideOutput(step, arr.astype(np.float64).reshape(rows, d))
+        arr = np.frombuffer(payload, dtype=">f8", count=rows * d, offset=8).astype(np.float64)
+        return SideOutput(step, _finite(arr, "SIDE_OUTPUT").reshape(rows, d))
     if mtype == MsgType.TOKEN:
         if len(payload) != 8:
             raise BadFrameError("TOKEN: wrong payload length")

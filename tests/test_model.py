@@ -272,6 +272,48 @@ class TestLadderReference:
             np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12, err_msg=f"step {step}")
 
 
+class TestDispatchBudget:
+    """A decode step's cost is mostly Python dispatch per `numcore` op, so
+    the op count of each step is pinned: a matmul followed by a bias add
+    in place of one `nc.linear` fails here."""
+
+    @staticmethod
+    def count_ops(monkeypatch, fn):
+        """The name of the op behind every `numcore._apply` call fn makes."""
+        calls = []
+        apply = nc._apply
+
+        def counting(out_data, inputs, backward_fn):
+            calls.append(backward_fn.__qualname__.split(".")[0])
+            return apply(out_data, inputs, backward_fn)
+
+        with monkeypatch.context() as m:
+            m.setattr(nc, "_apply", counting)
+            fn()
+        return calls
+
+    @pytest.mark.parametrize("config", [TINY, LADDER_CFG], ids=["2_layers", "3_layers"])
+    def test_cached_one_token_base_forward(self, monkeypatch, config):
+        model = SpaModel.create(config, seed=3)
+        with nc.no_grad():
+            past = base_forward(config, model.base, [1, 2, 3, 4]).kv
+            calls = self.count_ops(monkeypatch, lambda: base_forward(
+                config, model.base, [5], past=past, last=1))
+        # embeddings, their sum, ln_f and out_proj; per layer ln1, k, v, q,
+        # attention, wo, residual, ln2, w1, gelu, w2, residual
+        assert len(calls) == 5 + 12 * config.n_layers, calls
+        assert calls.count("linear") == 6 * config.n_layers
+
+    @pytest.mark.parametrize("config", [TINY, LADDER_CFG], ids=["2_layers", "3_layers"])
+    def test_side_step_layers(self, monkeypatch, config):
+        model = SpaModel.create(config, seed=3)
+        vecs = np.random.default_rng(0).standard_normal((2, config.n_layers, config.d_model))
+        calls = self.count_ops(monkeypatch, lambda: side_step_layers(config, model.side, vecs))
+        # rung 0: down, w1, gelu, w2; later rungs add the scaled carry; then up
+        assert len(calls) == 4 + 6 * (config.n_layers - 1) + 1, calls
+        assert calls.count("linear") == 3 * config.n_layers + 1
+
+
 class TestStatelessSide:
     """A row's side output is a function of that row's payload alone, so a
     step's logits do not depend on which contexts were evaluated before it

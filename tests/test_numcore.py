@@ -135,6 +135,41 @@ class TestMatmul:
         assert report.max_rel_err < 1e-6, report.summary()
 
 
+def grads_of(f, tensors, go):
+    """Output of f(*tensors) and the gradient of every input when the
+    output's upstream gradient is `go`."""
+    for t in tensors:
+        t.requires_grad, t.grad = True, None
+    with Tape() as tape:
+        out = f(*tensors)
+        loss = nc.mul(out, Tensor(go)).sum()
+    tape.backward(loss)
+    return out.data, [t.grad for t in tensors]
+
+
+class TestLinear:
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_equals_add_of_matmul_bit_for_bit(self, rows):
+        r = rng_for(rows)
+        x, w, b = r.standard_normal((rows, 7)), r.standard_normal((7, 3)), r.standard_normal(3)
+        go = r.standard_normal((rows, 3))
+        fused = grads_of(nc.linear, [Tensor(x), Tensor(w), Tensor(b)], go)
+        pair = grads_of(lambda xx, ww, bb: nc.add(nc.matmul(xx, ww), bb),
+                        [Tensor(x), Tensor(w), Tensor(b)], go)
+        assert np.array_equal(fused[0], pair[0])
+        for got, want in zip(fused[1], pair[1]):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_shapes_are_checked(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        for bad in ((Tensor(np.ones(3)), w, Tensor(np.ones(4))),
+                    (x, Tensor(np.ones((2, 4))), Tensor(np.ones(4))),
+                    (x, w, Tensor(np.ones(3))),
+                    (x, w, Tensor(np.ones((1, 4))))):
+            with pytest.raises(DimensionError, match="linear"):
+                nc.linear(*bad)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = nc.softmax(Tensor([0.0, 0.0])).data
@@ -166,7 +201,36 @@ class TestSoftmax:
         assert ((moderate > 0) & (moderate < 1)).all()
 
 
+def layer_norm_oracle(x, g, b, go, eps=1e-5):
+    """The `ndarray.mean` formulation layer_norm had before its reductions
+    dropped numpy's Python wrappers: output and (dx, dgain, dbias)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    dxhat = go * g
+    term2 = dxhat.mean(axis=-1, keepdims=True)
+    term3 = xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_std * (dxhat - term2 - term3)
+    axes = tuple(range(go.ndim - 1))
+    dgain = (go * xhat).sum(axis=axes) if axes else go * xhat
+    dbias = go.sum(axis=axes) if axes else go.copy()
+    return xhat * g + b, [dx, dgain, dbias]
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(9,), (1, 9), (6, 9)])
+    def test_equals_the_mean_formula_bit_for_bit(self, shape):
+        r = rng_for(len(shape) * 10 + shape[0])
+        x = r.standard_normal(shape) * 3.0 + 1.5
+        g, b, go = r.standard_normal(9), r.standard_normal(9), r.standard_normal(shape)
+        out, grads = grads_of(nc.layer_norm, [Tensor(x), Tensor(g), Tensor(b)], go)
+        want_out, want_grads = layer_norm_oracle(x, g, b, go)
+        assert np.array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_constant_vector_maps_to_zero(self):
         g = Tensor(np.ones(4))
         b = Tensor(np.zeros(4))
@@ -274,6 +338,8 @@ DIFFERENTIABLE_OPS = [
     ("smul", lambda r: (lambda a: nc.smul(a, 2.5).mean(), [Tensor(r.standard_normal(5))])),
     ("tsmul", lambda r: (lambda a, s: nc.tsmul(a, s).sum(), [Tensor(r.standard_normal((2, 3))), Tensor(r.standard_normal(()))])),
     ("matmul", lambda r: (lambda a, b: nc.mul(nc.matmul(a, b), nc.matmul(a, b)).sum(), [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2)))])),
+    ("linear", lambda r: (lambda x, w, b: nc.mul(nc.linear(x, w, b), nc.linear(x, w, b)).sum(), [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2))), Tensor(r.standard_normal(2))])),
+    ("linear_one_row", lambda r: (lambda x, w, b: nc.mul(nc.linear(x, w, b), nc.linear(x, w, b)).sum(), [Tensor(r.standard_normal((1, 5))), Tensor(r.standard_normal((5, 3))), Tensor(r.standard_normal(3))])),
     ("scale_rows", lambda r: (lambda m, w: nc.scale_rows(m, w).sum(), [Tensor(r.standard_normal((4, 3))), Tensor(r.standard_normal(4))])),
     ("column", lambda r: (lambda x: nc.mul(nc.column(x, 1), nc.column(x, 1)).sum(), [Tensor(r.standard_normal((5, 3)))])),
     ("softmax", lambda r: (lambda x: nc.mul(nc.softmax(x), nc.softmax(x)).sum(), [Tensor(r.standard_normal((3, 5)))])),
@@ -288,7 +354,68 @@ DIFFERENTIABLE_OPS = [
 ]
 
 
+def attention_oracle(q, k, v, n_heads, batch, go):
+    """Out-of-place causal attention with a fresh `np.triu` mask per call,
+    as before the mask cache and the in-place softmax: output and
+    (dq, dk, dv)."""
+    d_model = q.shape[1]
+    q_len, k_len = q.shape[0] // batch, k.shape[0] // batch
+    head = d_model // n_heads
+    scale = 1.0 / math.sqrt(head)
+
+    def heads(x):
+        return x.reshape(batch, -1, n_heads, head).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(-1, d_model)
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    if q_len > 1:
+        scores = scores + np.triu(np.full((q_len, k_len), -np.inf), k=k_len - q_len + 1)
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    goh = heads(go)
+    d_weights = np.matmul(goh, vh.swapaxes(-1, -2))
+    d_scores = weights * (d_weights - (weights * d_weights).sum(axis=-1, keepdims=True))
+    dq = scale * np.matmul(d_scores, kh)
+    dk = scale * np.matmul(d_scores.swapaxes(-1, -2), qh)
+    dv = np.matmul(weights.swapaxes(-1, -2), goh)
+    return merge(np.matmul(weights, vh)), [merge(dq), merge(dk), merge(dv)]
+
+
 class TestCausalAttention:
+    @pytest.mark.parametrize("q_len,k_len,batch", [
+        (6, 6, 1),   # square: causal self-attention
+        (1, 7, 1),   # one cached decode step, no mask
+        (3, 8, 1),   # cached block
+        (5, 5, 3),   # batched square
+        (1, 6, 4),   # batched cached step (beam)
+        (2, 6, 2),
+    ])
+    def test_equals_an_out_of_place_reference_bit_for_bit(self, q_len, k_len, batch):
+        r = rng_for(q_len * 100 + k_len * 10 + batch)
+        q = r.standard_normal((batch * q_len, 8))
+        k, v = r.standard_normal((batch * k_len, 8)), r.standard_normal((batch * k_len, 8))
+        go = r.standard_normal(q.shape)
+        for _ in range(2):  # the second call reads the cached mask
+            out, grads = grads_of(lambda a, b_, c: nc.causal_attention(a, b_, c, 2, batch),
+                                  [Tensor(q), Tensor(k), Tensor(v)], go)
+            want_out, want_grads = attention_oracle(q, k, v, 2, batch, go)
+            assert np.array_equal(out, want_out)
+            for got, want in zip(grads, want_grads):
+                assert np.array_equal(got, want)
+
+    def test_cached_mask_is_shared_and_read_only(self):
+        mask = nc._causal_mask(3, 5)
+        assert nc._causal_mask(3, 5) is mask
+        assert np.array_equal(mask, np.triu(np.full((3, 5), -np.inf), k=3))
+        with pytest.raises(ValueError):
+            mask[0, 4] = 0.0
+        with pytest.raises(ValueError):
+            mask += 1.0
+
     def test_key_prefix_equals_last_rows_of_full_call(self):
         r = rng_for(7)
         q, k, v = (r.standard_normal((9, 8)) for _ in range(3))

@@ -2,6 +2,7 @@
 handshake rejection, accounting agreement, timeouts, TCP robustness."""
 
 import socket
+import struct
 import threading
 import time
 
@@ -78,6 +79,14 @@ def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final", wrap=No
     result = run_device(bundle, dcfg, prompt_ids=prompt_ids, transport=dev_end, frame_timeout=5.0)
     t.join(timeout=10)
     return result, record_box["record"], endpoint
+
+
+def send_raw_nan(end: LoopbackTransport, msg) -> None:
+    """Put `msg` on the wire with its last float set to NaN, as a peer that
+    skips `encode_frame`'s finiteness check would."""
+    frame = bytearray(encode_frame(msg))
+    struct.pack_into(">d", frame, len(frame) - 8, np.nan)
+    end._outbox.put(bytes(frame))
 
 
 class FrameSpy:
@@ -315,6 +324,34 @@ class TestProtocolViolations:
         record = box["record"]
         assert record.error and record.emitted_tokens == []
 
+    @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 4)])
+    def test_non_finite_side_output_is_a_bad_frame(self, strategy, width):
+        # decoding a NaN side vector would emit token 0 at every step
+        model = make_model(9)
+        endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
+        dev_end, cloud_end = LoopbackTransport.pair()
+        box = {}
+        t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
+        t.start()
+        dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
+        assert isinstance(dev_end.recv(timeout=5), Hello)
+        dev_end.send(Prompt((1, 2), "always_side", strategy, width, 3))
+        msg = dev_end.recv(timeout=5)
+        assert isinstance(msg, BaseHiddens)
+        send_raw_nan(dev_end, SideOutput(msg.step, np.zeros((msg.hiddens.shape[1], CFG.d_model))))
+        after = []
+        with pytest.raises(TransportClosed):
+            while True:
+                after.append(dev_end.recv(timeout=5))
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert [type(m) for m in after] == [ErrorFrame]
+        assert after[0].code == ErrorCode.BAD_FRAME
+        assert "NaN or infinity" in after[0].message
+        record = box["record"]
+        assert record.error and "NaN or infinity" in record.error
+        assert record.emitted_tokens == []
+
     def test_out_of_vocab_prompt_rejected(self):
         model = make_model(9)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
@@ -544,6 +581,37 @@ class TestDeviceSideValidation:
         assert closed == "closed"
         assert not result.completed
         assert f"BASE_HIDDENS of shape {shape}" in result.error
+        assert result.counter.hidden_round_trips == 0
+
+    def test_non_finite_base_hiddens_get_no_side_output(self):
+        bundle = make_bundle(make_model(17))
+        dev_end, fake_cloud = LoopbackTransport.pair()
+        replies = []
+
+        def impostor():
+            assert isinstance(fake_cloud.recv(timeout=5), Hello)
+            fake_cloud.send(Hello(PROTOCOL_VERSION, "all_layers", bundle.digest))
+            assert isinstance(fake_cloud.recv(timeout=5), Prompt)
+            send_raw_nan(fake_cloud, BaseHiddens(0, np.ones((CFG.n_layers, 1, CFG.d_model))))
+            try:
+                replies.append(fake_cloud.recv(timeout=5))
+            except TransportClosed:
+                replies.append("closed")
+
+        t = threading.Thread(target=impostor)
+        t.start()
+        result = run_device(
+            bundle,
+            DecodeConfig(max_new_tokens=4, policy="always_side"),
+            prompt_ids=[1],
+            transport=dev_end,
+            frame_timeout=2.0,
+        )
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert replies == ["closed"]
+        assert not result.completed
+        assert "NaN or infinity" in result.error
         assert result.counter.hidden_round_trips == 0
 
 

@@ -57,6 +57,13 @@ def random_message(rng: np.random.Generator):
     return ErrorFrame(int(rng.integers(0, 7)), "boom " * int(rng.integers(0, 5)))
 
 
+# the two frames that carry floats, built from a 6-element block
+FLOAT_FRAMES = [
+    lambda block: BaseHiddens(4, block.reshape(2, 1, 3)),
+    lambda block: SideOutput(4, block.reshape(2, 3)),
+]
+
+
 class TestRoundTrip:
     def test_every_variant_round_trips(self):
         rng = np.random.default_rng(0)
@@ -101,6 +108,23 @@ class TestRoundTrip:
     def test_side_output_must_be_a_row_block(self):
         with pytest.raises(BadFrameError):
             encode_frame(SideOutput(0, np.ones(4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", FLOAT_FRAMES, ids=["BASE_HIDDENS", "SIDE_OUTPUT"])
+    def test_non_finite_floats_are_refused_on_encode(self, make, bad):
+        block = np.arange(6.0)
+        block[4] = bad
+        with pytest.raises(BadFrameError, match="NaN or infinity"):
+            encode_frame(make(block))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", FLOAT_FRAMES, ids=["BASE_HIDDENS", "SIDE_OUTPUT"])
+    def test_non_finite_floats_are_a_bad_frame_on_decode(self, make, bad):
+        # a peer that skips the encode check still cannot get one through
+        frame = bytearray(encode_frame(make(np.arange(6.0))))
+        struct.pack_into(">d", frame, len(frame) - 8 * 2, bad)
+        with pytest.raises(BadFrameError, match="NaN or infinity"):
+            decode_frame(bytes(frame))
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -16,8 +16,9 @@ Layout (all integers little-endian):
     checksum         32 bytes, SHA-256 over everything above
 
 Loading verifies magic, then the checksum over the whole body, then the
-version, then the parameter schema, each with its own error type. A
-truncated file therefore fails the checksum rather than crashing a parser.
+version, then the parameter schema (every name and shape, against the
+bundles' declarations), each with its own error type. A truncated file
+therefore fails the checksum rather than crashing a parser.
 """
 
 from __future__ import annotations
@@ -74,24 +75,24 @@ def compat_digest(config: ModelConfig, base_digest: str) -> str:
 
 def write_raw(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     cfg_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += struct.pack("<I", len(cfg_bytes))
-    out += cfg_bytes
     names = sorted(arrays)
-    out += struct.pack("<I", len(names))
+    parts: list = [
+        MAGIC,
+        struct.pack("<II", FORMAT_VERSION, len(cfg_bytes)),
+        cfg_bytes,
+        struct.pack("<I", len(names)),
+    ]
     for name in names:
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         nb = name.encode()
-        out += struct.pack("<H", len(nb))
-        out += nb
-        out += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            out += struct.pack("<I", dim)
-        out += arr.tobytes()
-    out += hashlib.sha256(bytes(out)).digest()
-    Path(path).write_bytes(bytes(out))
+        parts.append(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+        parts.append(memoryview(arr.reshape(-1)))
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    parts.append(h.digest())
+    with open(path, "wb") as f:
+        f.writelines(parts)
 
 
 def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -100,8 +101,8 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointMagicError(f"{path}: bad magic bytes")
     if len(blob) < 4 + 4 + 32:
         raise CheckpointChecksumError(f"{path}: file too short, checksum cannot verify")
-    body, trailer = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != trailer:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise CheckpointChecksumError(f"{path}: checksum mismatch (corrupt or truncated)")
     try:
         off = 4
@@ -113,7 +114,7 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             )
         (cfg_len,) = struct.unpack_from("<I", body, off)
         off += 4
-        meta = json.loads(body[off : off + cfg_len].decode())
+        meta = json.loads(str(body[off : off + cfg_len], "utf-8"))
         off += cfg_len
         (n_params,) = struct.unpack_from("<I", body, off)
         off += 4
@@ -121,7 +122,7 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         for _ in range(n_params):
             (name_len,) = struct.unpack_from("<H", body, off)
             off += 2
-            name = body[off : off + name_len].decode()
+            name = str(body[off : off + name_len], "utf-8")
             off += name_len
             (ndim,) = struct.unpack_from("<B", body, off)
             off += 1
@@ -130,7 +131,7 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             count = int(np.prod(dims)) if dims else 1
             arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(dims)
             off += 8 * count
-            arrays[name] = arr.astype(np.float64).copy()
+            arrays[name] = arr.astype(np.float64)  # an owned, writable copy
     except CheckpointError:
         raise
     except (struct.error, ValueError, UnicodeDecodeError) as e:
@@ -138,17 +139,29 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
+# the parameter bundle behind each group name
+BUNDLES = {"base": BaseParams, "side": SideParams, "gate": GateParams}
+
+
 def _kind_arrays(model: SpaModel, kind: str) -> dict[str, np.ndarray]:
     """The named arrays a checkpoint of `kind` stores for `model`."""
     return {f"{g}.{n}": t.data for g in KIND_GROUPS[kind] for n, t in getattr(model, g).named()}
 
 
-def _expected_names(config: ModelConfig, kind: str) -> set[str]:
-    return set(_kind_arrays(SpaModel.create(config, seed=0), kind))
+def _expected_shapes(config: ModelConfig, kind: str) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every array a checkpoint of `kind` holds, read from
+    the bundles' declarations: no model is built."""
+    return {
+        f"{g}.{n}": shape for g in KIND_GROUPS[kind] for n, shape in BUNDLES[g].shapes(config).items()
+    }
 
 
 @dataclass
 class LoadedCheckpoint:
+    """A checked checkpoint. The `build_*` methods wrap its arrays in
+    tensors as they are, drawing nothing, so the parts share memory with
+    `arrays` and with each other."""
+
     kind: str
     config: ModelConfig
     train_config: dict | None
@@ -156,48 +169,44 @@ class LoadedCheckpoint:
     compat_digest: str
     arrays: dict[str, np.ndarray]
 
+    def _bundle(self, group: str, requires_grad: bool):
+        prefix = f"{group}."
+        arrays = {n[len(prefix) :]: a for n, a in self.arrays.items() if n.startswith(prefix)}
+        return BUNDLES[group].from_arrays(arrays, requires_grad)
+
     def build_model(self) -> SpaModel:
-        """Materialize a SpaModel from a full checkpoint (base arrives frozen)."""
+        """Materialize a SpaModel from a full checkpoint: the base arrives
+        frozen, side and gate trainable."""
         if self.kind != "full":
             raise CheckpointSchemaError(f"cannot build a full model from a {self.kind} checkpoint")
-        model = SpaModel.create(self.config, seed=0)
-        model.base.load_arrays(_strip(self.arrays, "base."))
-        model.side.load_arrays(_strip(self.arrays, "side."))
-        model.gate.load_arrays(_strip(self.arrays, "gate."))
-        model.base.freeze()
-        return model
+        return SpaModel(
+            config=self.config,
+            base=self._bundle("base", requires_grad=False),
+            side=self._bundle("side", requires_grad=True),
+            gate=self._bundle("gate", requires_grad=True),
+        )
 
     def build_base_model(self, seed: int = 0) -> SpaModel:
-        """Frozen base from this checkpoint, fresh (seeded) side and gate."""
+        """Frozen base from this checkpoint, fresh (seeded) side and gate.
+
+        This is the one load path that draws a whole model: the seeded side
+        and gate values come after the base's draws in one generator stream
+        (`SpaModel.create`), so the base is drawn and then replaced."""
         if self.kind not in ("full", "base", "cloud"):
             raise CheckpointSchemaError(f"{self.kind} checkpoint carries no base parameters")
         model = SpaModel.create(self.config, seed=seed)
-        model.base.load_arrays(_strip(self.arrays, "base."))
-        model.base.freeze()
+        model.base = self._bundle("base", requires_grad=False)
         return model
 
     def build_cloud_parts(self) -> tuple[BaseParams, GateParams]:
         if self.kind not in ("full", "cloud"):
             raise CheckpointSchemaError(f"{self.kind} checkpoint has no cloud parts")
-        ref = SpaModel.create(self.config, seed=0)
-        base, gate = ref.base, ref.gate
-        base.load_arrays(_strip(self.arrays, "base."))
-        gate.load_arrays(_strip(self.arrays, "gate."))
-        base.freeze()
-        gate.freeze()
-        return base, gate
+        return self._bundle("base", requires_grad=False), self._bundle("gate", requires_grad=False)
 
     def build_side_parts(self) -> SideParams:
         if self.kind not in ("full", "side"):
             raise CheckpointSchemaError(f"{self.kind} checkpoint has no side parts")
-        side = SpaModel.create(self.config, seed=0).side
-        side.load_arrays(_strip(self.arrays, "side."))
-        side.freeze()
-        return side
-
-
-def _strip(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    return {n[len(prefix) :]: a for n, a in arrays.items() if n.startswith(prefix)}
+        return self._bundle("side", requires_grad=False)
 
 
 def save_model(
@@ -236,17 +245,21 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if kind not in KINDS:
         raise CheckpointSchemaError(f"{path}: unknown checkpoint kind {kind!r}")
     config = ModelConfig.from_dict(meta["model"])
-    expected = _expected_names(config, kind)
-    got = set(arrays)
-    if got != expected:
-        unknown = sorted(got - expected)
-        missing = sorted(expected - got)
+    expected = _expected_shapes(config, kind)
+    if arrays.keys() != expected.keys():
+        unknown = sorted(arrays.keys() - expected.keys())
+        missing = sorted(expected.keys() - arrays.keys())
         parts = []
         if unknown:
             parts.append(f"unknown parameters {unknown[:4]}")
         if missing:
             parts.append(f"missing parameters {missing[:4]}")
         raise CheckpointSchemaError(f"{path}: schema mismatch: " + "; ".join(parts))
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise CheckpointSchemaError(
+                f"{path}: parameter {name} has shape {arrays[name].shape}, expected {shape}"
+            )
     return LoadedCheckpoint(
         kind=kind,
         config=config,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError, DimensionError, UndefinedMetricError
+from .errors import ContractError, DimensionError, DomainError, UndefinedMetricError
 from .model import (
     ModelConfig,
     SpaModel,
@@ -198,7 +198,9 @@ class CloudStepModel:
     `final` mode. That choice of rows is the only use of the wire mode; the
     side step itself carries no state. A step therefore costs at most one
     side round trip, whatever the beam width, and `hidden_calls` counts
-    those calls.
+    those calls. A returned block that is not (G, d_model) raises
+    `DimensionError` and one that is not finite raises `DomainError`, so a
+    broken side network never decodes silently.
 
     The base runs incrementally. The per-layer K/V of the windows evaluated
     on the previous step are kept, keyed by the window's token tuple (the
@@ -261,9 +263,16 @@ class CloudStepModel:
                 )
             else:
                 payload = final[gated, None]
+            rows = final[gated]
             side = self.side_provider(self.steps.take(), payload)
             self.hidden_calls += 1
-            logits[gated] = (final[gated] + side) @ self.base["out_proj"].data
+            if np.shape(side) != rows.shape:
+                raise DimensionError(
+                    f"side provider returned a block of shape {np.shape(side)}, need {rows.shape}"
+                )
+            if not np.isfinite(side).all():
+                raise DomainError("side provider returned non-finite side vectors")
+            logits[gated] = (rows + side) @ self.base["out_proj"].data
         return logits, bits
 
 

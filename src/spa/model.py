@@ -77,11 +77,53 @@ class ModelConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
+# a declared parameter's init: NORMAL draws N(0, _INIT_STD^2) from the
+# bundle's generator, a number fills the shape with that constant
+NORMAL = "normal"
+_INIT_STD = 0.02
+
+# (name, shape, init) of one declared parameter
+ParamDecl = tuple[str, tuple[int, ...], str | float]
+
+
 class ParamBundle:
-    """Named tensors with canonical (sorted-name) ordering for checksums."""
+    """Named tensors with canonical (sorted-name) ordering for checksums.
+
+    Each bundle declares its parameters once in `declare`: name, shape and
+    init, in creation order, which is the order of the random draws.
+    `create` draws a fresh bundle from that declaration; a checkpoint
+    checks its arrays against `shapes` and wraps them with `from_arrays`,
+    which draws nothing.
+    """
 
     def __init__(self, tensors: dict[str, Tensor]):
         self._tensors = dict(tensors)
+
+    @classmethod
+    def declare(cls, cfg: ModelConfig) -> list[ParamDecl]:
+        raise NotImplementedError
+
+    @classmethod
+    def shapes(cls, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+        return {name: shape for name, shape, _ in cls.declare(cfg)}
+
+    @classmethod
+    def create(cls, cfg: ModelConfig, rng: np.random.Generator | None = None):
+        """Fresh trainable parameters; NORMAL inits draw from `rng` in
+        declaration order."""
+        return cls({
+            name: Tensor(
+                rng.standard_normal(shape) * _INIT_STD if init == NORMAL else np.full(shape, init),
+                requires_grad=True,
+            )
+            for name, shape, init in cls.declare(cfg)
+        })
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], requires_grad: bool):
+        """The bundle over `arrays` as they are (float64 arrays of the
+        declared shapes, which the caller has checked): no copy, no draw."""
+        return cls({name: Tensor(a, requires_grad=requires_grad) for name, a in arrays.items()})
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -133,77 +175,47 @@ class ParamBundle:
         return {name: t.data.copy() for name, t in self.named()}
 
 
-_INIT_STD = 0.02
-
-
-def _w(rng, *shape) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * _INIT_STD, requires_grad=True)
-
-
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
-
-
 class BaseParams(ParamBundle):
     @classmethod
-    def create(cls, cfg: ModelConfig, rng: np.random.Generator) -> "BaseParams":
+    def declare(cls, cfg: ModelConfig) -> list[ParamDecl]:
         d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-        t: dict[str, Tensor] = {
-            "tok_emb": _w(rng, v, d),
-            "pos_emb": _w(rng, cfg.max_seq_len, d),
-        }
+        decls = [("tok_emb", (v, d), NORMAL), ("pos_emb", (cfg.max_seq_len, d), NORMAL)]
         for i in range(cfg.n_layers):
             p = f"layers.{i}"
-            t[f"{p}.ln1.g"] = _ones(d)
-            t[f"{p}.ln1.b"] = _zeros(d)
-            for name in ("wq", "wk", "wv", "wo"):
-                t[f"{p}.attn.{name}"] = _w(rng, d, d)
-            for name in ("bq", "bk", "bv", "bo"):
-                t[f"{p}.attn.{name}"] = _zeros(d)
-            t[f"{p}.ln2.g"] = _ones(d)
-            t[f"{p}.ln2.b"] = _zeros(d)
-            t[f"{p}.ffn.w1"] = _w(rng, d, ff)
-            t[f"{p}.ffn.b1"] = _zeros(ff)
-            t[f"{p}.ffn.w2"] = _w(rng, ff, d)
-            t[f"{p}.ffn.b2"] = _zeros(d)
-        t["ln_f.g"] = _ones(d)
-        t["ln_f.b"] = _zeros(d)
-        t["out_proj"] = _w(rng, d, v)
-        return cls(t)
+            decls += [(f"{p}.ln1.g", (d,), 1.0), (f"{p}.ln1.b", (d,), 0.0)]
+            decls += [(f"{p}.attn.{name}", (d, d), NORMAL) for name in ("wq", "wk", "wv", "wo")]
+            decls += [(f"{p}.attn.{name}", (d,), 0.0) for name in ("bq", "bk", "bv", "bo")]
+            decls += [(f"{p}.ln2.g", (d,), 1.0), (f"{p}.ln2.b", (d,), 0.0),
+                      (f"{p}.ffn.w1", (d, ff), NORMAL), (f"{p}.ffn.b1", (ff,), 0.0),
+                      (f"{p}.ffn.w2", (ff, d), NORMAL), (f"{p}.ffn.b2", (d,), 0.0)]
+        return decls + [("ln_f.g", (d,), 1.0), ("ln_f.b", (d,), 0.0), ("out_proj", (d, v), NORMAL)]
 
 
 class SideParams(ParamBundle):
     @classmethod
-    def create(cls, cfg: ModelConfig, rng: np.random.Generator) -> "SideParams":
+    def declare(cls, cfg: ModelConfig) -> list[ParamDecl]:
         d, w = cfg.d_model, cfg.side_width
-        t: dict[str, Tensor] = {}
+        decls = []
         for i in range(cfg.n_layers):
-            t[f"down.{i}.w"] = _w(rng, d, w)
-            t[f"down.{i}.b"] = _zeros(w)
-            t[f"mixer.{i}.w1"] = _w(rng, w, w)
-            t[f"mixer.{i}.b1"] = _zeros(w)
-            t[f"mixer.{i}.w2"] = _w(rng, w, w)
-            t[f"mixer.{i}.b2"] = _zeros(w)
+            decls += [(f"down.{i}.w", (d, w), NORMAL), (f"down.{i}.b", (w,), 0.0),
+                      (f"mixer.{i}.w1", (w, w), NORMAL), (f"mixer.{i}.b1", (w,), 0.0),
+                      (f"mixer.{i}.w2", (w, w), NORMAL), (f"mixer.{i}.b2", (w,), 0.0)]
             if i > 0:
                 # ladder mixing scalar; 1.0 = carry the previous rung fully.
-                # layer 0 has no previous rung, so no scalar.
-                t[f"mix.{i}"] = Tensor(np.asarray(1.0), requires_grad=True)
+                # layer 0 has no previous rung, so no scalar. It is stored
+                # one-element, since a Tensor's data is at least 1-D.
+                decls.append((f"mix.{i}", (1,), 1.0))
         # up-projection is deliberately non-zero at init so every side tensor
         # receives gradient on the first backward pass
-        t["up.w"] = _w(rng, w, d)
-        t["up.b"] = _zeros(d)
-        return cls(t)
+        return decls + [("up.w", (w, d), NORMAL), ("up.b", (d,), 0.0)]
 
 
 class GateParams(ParamBundle):
     @classmethod
-    def create(cls, cfg: ModelConfig) -> "GateParams":
-        # zero init: both classes start at probability 0.5 everywhere
-        return cls({"w": _zeros(cfg.d_model, 2), "b": _zeros(2)})
+    def declare(cls, cfg: ModelConfig) -> list[ParamDecl]:
+        # zero init: both classes start at probability 0.5 everywhere, and
+        # `create` needs no generator
+        return [("w", (cfg.d_model, 2), 0.0), ("b", (2,), 0.0)]
 
 
 @dataclass

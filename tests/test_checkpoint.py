@@ -8,6 +8,8 @@ import pytest
 
 from spa.checkpoint import (
     FORMAT_VERSION,
+    KIND_GROUPS,
+    KINDS,
     MAGIC,
     CheckpointChecksumError,
     CheckpointMagicError,
@@ -18,7 +20,9 @@ from spa.checkpoint import (
     save_model,
     write_raw,
 )
-from spa.model import ModelConfig, SpaModel
+from spa.cloud import CloudEndpoint
+from spa.device import SideBundle
+from spa.model import BaseParams, GateParams, ModelConfig, SideParams, SpaModel
 
 from conftest import STACK_MODEL_CONFIG
 
@@ -55,6 +59,23 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert loaded.build_model().base_digest() == model.base_digest()
         assert loaded.base_digest == model.base_digest()
+
+    def test_raw_arrays_of_any_shape_round_trip(self, tmp_path):
+        arrays = {
+            "scalar": np.asarray(1.5),
+            "empty": np.zeros((3, 0)),
+            "strided": np.arange(12.0).reshape(3, 4)[:, ::2],
+            "int": np.arange(4),
+        }
+        path = tmp_path / "raw.ckpt"
+        write_raw(path, {"k": 1}, arrays)
+        meta, back = read_raw(path)
+        assert meta == {"k": 1} and list(back) == sorted(arrays)
+        for name, arr in arrays.items():
+            # stored at least 1-D, as a Tensor holds it
+            want = np.atleast_1d(arr)
+            assert back[name].dtype == np.float64 and back[name].flags.writeable
+            assert back[name].shape == want.shape and np.array_equal(back[name], want), name
 
     def test_train_config_recorded_verbatim(self, model, tmp_path):
         from spa.training import TrainConfig
@@ -181,3 +202,109 @@ class TestCorruption:
         path = tmp_path / "m.ckpt"
         save_model(model, path, kind="full")
         assert path.read_bytes()[:4] == MAGIC == b"SPA1"
+
+    # one parameter per kind; the transposed ffn weight keeps its element count
+    @pytest.mark.parametrize(
+        "kind,name,bad_shape",
+        [
+            ("full", "side.up.w", (2, 17)),
+            ("full", "base.layers.1.ffn.w1", (32, 16)),
+            ("base", "base.out_proj", (16, 24)),
+            ("cloud", "gate.w", (16, 3)),
+            ("side", "side.up.w", (2, 17)),
+            ("side", "side.mix.1", (2,)),
+        ],
+    )
+    def test_wrong_shaped_parameter_is_schema_error(self, model, tmp_path, kind, name, bad_shape):
+        path = tmp_path / f"{kind}.ckpt"
+        save_model(model, path, kind=kind)
+        meta, arrays = read_raw(path)
+        good_shape = arrays[name].shape
+        arrays[name] = np.zeros(bad_shape)
+        write_raw(path, meta, arrays)
+        with pytest.raises(CheckpointSchemaError) as e:
+            load_checkpoint(path)
+        assert name in str(e.value)
+        assert str(bad_shape) in str(e.value) and str(good_shape) in str(e.value)
+
+
+def _forbid_draws(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a load path drew parameters")
+
+    for cls in (SpaModel, BaseParams, SideParams, GateParams):
+        monkeypatch.setattr(cls, "create", draw)
+    monkeypatch.setattr(np.random, "default_rng", draw)
+
+
+class TestLoadingDrawsNothing:
+    """Every load path but `build_base_model` wraps the file's arrays: no
+    model, bundle or generator is created."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_load_path_draws(self, model, tmp_path, monkeypatch, kind):
+        path = tmp_path / f"{kind}.ckpt"
+        save_model(model, path, kind=kind)
+        _forbid_draws(monkeypatch)
+        loaded = load_checkpoint(path)
+        groups = KIND_GROUPS[kind]
+        if kind == "full":
+            built = loaded.build_model()
+            assert built.base.frozen
+            assert all(t.requires_grad for t in built.trainable_tensors())
+            for (name, orig), (_, new) in zip(model.all_named(), built.all_named()):
+                assert np.array_equal(orig.data, new.data), name
+        if "gate" in groups:
+            base, gate = loaded.build_cloud_parts()
+            assert base.frozen and gate.frozen
+            assert (base.digest(), gate.digest()) == (model.base.digest(), model.gate.digest())
+            endpoint = CloudEndpoint.from_checkpoint(path)
+            assert endpoint.base.digest() == model.base.digest()
+            assert endpoint.digest == loaded.compat_digest
+        if "side" in groups:
+            side = loaded.build_side_parts()
+            assert side.frozen and side.digest() == model.side.digest()
+            # the parts wrap the loaded arrays themselves
+            assert side["up.w"].data is loaded.arrays["side.up.w"]
+            assert SideBundle.from_checkpoint(path).side.digest() == model.side.digest()
+        if "base" in groups:
+            # its seeded side and gate follow the base's draws in one stream
+            with pytest.raises(AssertionError, match="drew parameters"):
+                loaded.build_base_model(seed=1)
+
+
+# Recorded from `SpaModel.create` at the acceptance shape before each bundle
+# declared its parameters in one place; a declaration that reorders, reshapes
+# or re-inits a parameter moves them.
+PINNED_DIGESTS = {
+    0: (
+        "f62485478de8d6f2148d2a72607343278e943ccc3aea1edfd152a6dc51bee231",
+        "db1254aadd407bb4d3d837a8927662ee925a6275ed2723ca8280f2266bf4b04f",
+        "b7c9cb732f17de57b7a9acdc87b578898aacfa9d60c1c7e21ab2b312973a2f2d",
+    ),
+    11: (
+        "fb9fd2c7a50756efff3b97293e4c68dd296f239e438db4b390cef5ca1a5baaea",
+        "ed1bcd2cfc2c91386ee248d4fb0ff133e547e3b71ef4c87562110339f2fce48f",
+        "b7c9cb732f17de57b7a9acdc87b578898aacfa9d60c1c7e21ab2b312973a2f2d",
+    ),
+}
+# sha256 of the full checkpoint `save_model` writes for seed 11
+PINNED_FULL_SHA256 = "e23215ea7479d1f613034db1b42cd512bbd5031bbd6ca13cddf49cbee2f8ac40"
+
+
+class TestDrawOrderPinned:
+    @pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS))
+    def test_create_digests(self, seed):
+        m = SpaModel.create(STACK_MODEL_CONFIG, seed=seed)
+        assert (m.base.digest(), m.side.digest(), m.gate.digest()) == PINNED_DIGESTS[seed]
+
+    def test_full_checkpoint_bytes(self, tmp_path):
+        path = tmp_path / "full.ckpt"
+        save_model(SpaModel.create(STACK_MODEL_CONFIG, seed=11), path, kind="full")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FULL_SHA256
+
+    def test_create_follows_the_declarations(self):
+        m = SpaModel.create(STACK_MODEL_CONFIG, seed=0)
+        for bundle in (m.base, m.side, m.gate):
+            shapes = type(bundle).shapes(STACK_MODEL_CONFIG)
+            assert {n: t.shape for n, t in bundle.named()} == shapes

@@ -17,7 +17,9 @@ from spa.cloud import (
     CloudServer,
 )
 from spa.decoding import (
+    CloudStepModel,
     DecodeConfig,
+    StepCounter,
     decode_monolithic,
     local_side_provider,
     local_step_model,
@@ -26,7 +28,7 @@ from spa.decoding import (
 from spa.device import GenerationResult, SideBundle, run_device
 from spa.checkpoint import compat_digest
 from spa.model import ModelConfig, SpaModel
-from spa.errors import SpaError
+from spa.errors import DimensionError, DomainError, SpaError
 from spa.transport import LoopbackTransport, SocketTransport, TransportClosed
 from spa.wire import (
     HEADER_LEN,
@@ -613,6 +615,57 @@ class TestDeviceSideValidation:
         assert not result.completed
         assert "NaN or infinity" in result.error
         assert result.counter.hidden_round_trips == 0
+
+
+class TestStepModelChecksSideBlocks:
+    """An in-process provider's block is checked as the wire checks a
+    SIDE_OUTPUT: a non-finite or misshapen block raises, where it used to
+    decode token 0 at every step."""
+
+    @staticmethod
+    def _decode(provide, strategy):
+        model = make_model(22)
+        step_model = CloudStepModel(
+            CFG, model.base, model.gate, "always_side", "all_layers", provide, StepCounter()
+        )
+        dcfg = DecodeConfig(max_new_tokens=5, strategy=strategy, beam_width=2, policy="always_side")
+        return run_decode(step_model, [1, 2, 3], dcfg, CFG.vocab_size)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_raises(self, strategy, bad):
+        def provide(step, payload):
+            out = np.zeros((len(payload), CFG.d_model))
+            out[-1, 3] = bad
+            return out
+
+        with pytest.raises(DomainError, match="non-finite"):
+            self._decode(provide, strategy)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("shape", ["wide", "flat", "extra_row"])
+    def test_misshapen_block_raises(self, strategy, shape):
+        def provide(step, payload):
+            g, d = len(payload), CFG.d_model
+            return np.zeros({"wide": (g, d + 1), "flat": (g * d,), "extra_row": (g + 1, d)}[shape])
+
+        with pytest.raises(DimensionError, match="side provider returned a block of shape"):
+            self._decode(provide, strategy)
+
+    def test_finite_block_of_the_right_shape_decodes(self):
+        outcome = self._decode(lambda step, payload: np.zeros((len(payload), CFG.d_model)), "greedy")
+        assert len(outcome.tokens) == 5 and outcome.hidden_calls == 5
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_decode_monolithic_with_a_nan_side_network_raises(self, strategy):
+        model = make_model(23)
+        model.side["up.b"].data[:] = np.nan
+        dcfg = DecodeConfig(max_new_tokens=5, strategy=strategy, beam_width=2, policy="always_side")
+        with pytest.raises(DomainError):
+            decode_monolithic(model, [1, 2, 3], dcfg)
+        # base_only never consults the side network, so it still decodes
+        base_only = DecodeConfig(max_new_tokens=5, strategy=strategy, beam_width=2, policy="base_only")
+        assert len(decode_monolithic(model, [1, 2, 3], base_only).tokens) == 5
 
 
 class TestDeviceClosesItsTransport:

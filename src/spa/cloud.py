@@ -4,7 +4,7 @@ Session flow (device drives): HELLO handshake with a compatibility digest,
 one PROMPT, then for each decode step that gates at least one row a single
 BASE_HIDDENS -> SIDE_OUTPUT round trip carrying all of that step's gated
 rows (one for greedy, up to the beam width for beam search); every emitted
-token is announced as GATE_DECISION then TOKEN, and the session ends with
+token is one TOKEN frame carrying its gate bit, and the session ends with
 EOS. Any violation produces an ERROR frame and closes the session; step
 indices increase strictly across all frames the cloud initiates.
 """
@@ -37,7 +37,6 @@ from .wire import (
     ErrorCode,
     ErrorFrame,
     FrameError,
-    GateDecision,
     Hello,
     OversizeFrameError,
     Prompt,
@@ -255,8 +254,7 @@ class CloudEndpoint:
         )
 
         def on_emit(used: int, tok: int) -> None:
-            transport.send(GateDecision(steps.take(), used))
-            transport.send(Token(steps.take(), tok))
+            transport.send(Token(steps.take(), tok, used))
             record.emitted_trace.append(used)
             record.emitted_tokens.append(tok)
 

@@ -42,8 +42,8 @@ from .wire import DEFAULT_WIRE_MODE, POLICIES, STRATEGIES, WIRE_MODES
 
 # Each cloud policy's gate as a `model.token_loss` gate mode: "hard" takes
 # the classifier's decision, "on" always consults the side network, "off"
-# never does. lst is always_side under the name of the LST baseline.
-POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "lst": "on", "base_only": "off"}
+# never does.
+POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "base_only": "off"}
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,13 @@ def usage_percentage(gate_trace) -> float:
 def count_transmissions(policy: str, n_layers: int, tokens_generated: int, gate_trace=None) -> float:
     """Cloud-device round trips per generated token for an architecture.
 
-    lora and adapter are latency-table architectures only; every decoding
+    lora, adapter and lst are latency-table architectures only (lst, the
+    LST baseline, consults its side network on every token); every decoding
     policy's count follows from its gate mode.
     """
-    if policy == "lora":
-        return float(n_layers)
-    if policy == "adapter":
-        return 2.0 * n_layers
+    table_only = {"lora": float(n_layers), "adapter": 2.0 * n_layers, "lst": 1.0}
+    if policy in table_only:
+        return table_only[policy]
     mode = POLICY_GATE_MODES.get(policy)
     if mode is None:
         raise ContractError(f"unknown architecture {policy!r}")

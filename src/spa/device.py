@@ -3,8 +3,9 @@
 The device holds only the side parameters, and every policy decodes through
 a cloud session. It answers each BASE_HIDDENS request, the block of one
 step's gated rows, with one SIDE_OUTPUT block of their side vectors,
-accumulates GATE_DECISION/TOKEN frames, and keeps its own transmission
-counter, which must agree exactly with the cloud's.
+appends each TOKEN frame's token and gate bit together, so its gate trace
+always matches its tokens, and keeps its own transmission counter, which
+must agree exactly with the cloud's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .wire import (
     Eos,
     ErrorCode,
     ErrorFrame,
-    GateDecision,
     Hello,
     Prompt,
     SideOutput,
@@ -149,7 +149,7 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
         last_step = -1
         while True:
             msg = transport.recv(frame_timeout)
-            if isinstance(msg, (BaseHiddens, GateDecision, Token)):
+            if isinstance(msg, (BaseHiddens, Token)):
                 if msg.step <= last_step:
                     _protocol_violation(
                         transport, f"out-of-order step {msg.step} (last {last_step})"
@@ -170,10 +170,9 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
                 vecs = provider(msg.step, msg.hiddens.transpose(1, 0, 2))
                 transport.send(SideOutput(msg.step, vecs))
                 answered += 1
-            elif isinstance(msg, GateDecision):
-                trace.append(msg.use_side)
             elif isinstance(msg, Token):
                 tokens.append(msg.token_id)
+                trace.append(msg.used)
                 if bundle.config.vocab_size == VOCAB_SIZE and msg.token_id == EOS:
                     stopped_by_eos = True
             elif isinstance(msg, Eos):

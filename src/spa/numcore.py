@@ -146,7 +146,10 @@ class Tape:
         self._consumed = True
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        seen: dict[int, Tensor] = {id(loss): loss}
+        # only leaves, the tensors no entry of this tape produced, keep a
+        # .grad; an intermediate's gradient lives in `grads` alone
+        produced = {id(entry.output) for entry in self._entries}
+        leaves: dict[int, Tensor] = {}
         for entry in reversed(self._entries):
             upstream = grads.get(id(entry.output))
             if upstream is None:
@@ -160,8 +163,9 @@ class Tape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = np.asarray(g, dtype=np.float64)
-                seen[key] = t
-        for key, t in seen.items():
+                if key not in produced:
+                    leaves[key] = t
+        for key, t in leaves.items():
             t.accumulate_grad(grads[key])
         # every output points back at this tape, so the entries would keep the
         # whole graph (activations and closures) alive until a cyclic collection

@@ -6,9 +6,10 @@ for the transmission accounting.
 
 A `SocketTransport` sets `TCP_NODELAY` on the socket it wraps, which covers
 both the device's connected socket and the cloud's accepted one. The cloud
-announces each token as two small frames (GATE_DECISION, then TOKEN) and
-then reads; with Nagle's algorithm on, the second frame would wait for the
-peer's delayed ACK (about 40 ms) on every gated round trip.
+sends a token's small TOKEN frame and, when the next step is gated, its
+BASE_HIDDENS frame before it reads; with Nagle's algorithm on, the second
+frame would wait for the peer's delayed ACK (about 40 ms) on every gated
+round trip.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ Payload layouts:
     PROMPT         u32 count | count x u32 ids | u8 policy | u8 strategy
                    | u16 beam_width | u16 max_new_tokens
     BASE_HIDDENS   u32 step | u8 n_layers | u16 chunk | u16 d_model | floats
-    GATE_DECISION  u32 step | u8 bit
     SIDE_OUTPUT    u32 step | u16 rows | u16 d_model | floats
-    TOKEN          u32 step | u32 token_id
+    TOKEN          u32 step | u32 token_id | u8 used
     EOS            (empty)
     ERROR          u16 code | u16 length | UTF-8 message
 
@@ -27,10 +26,15 @@ block, where n_layers is the number of layers in `all_layers` mode and 1
 in `final` mode. SIDE_OUTPUT answers with one (rows, d_model) block of
 side vectors, row for row, so `rows` must equal the request's `chunk`.
 
-PROMPT's policy byte indexes `POLICIES` (0 spa, 1 always_side, 2 lst, 3
-base_only). That numbering is version 3's; other versions number it
-otherwise, so the cloud refuses their HELLO with VERSION_MISMATCH before it
-reads a PROMPT.
+Each emitted token is one TOKEN frame; `used` is its gate bit (1 when the
+side output was fused into that token's logits), and any byte other than 0
+or 1 is a BAD_FRAME. Type code 4 is unassigned: it was version 3's
+separate gate-decision frame.
+
+PROMPT's policy byte indexes `POLICIES` (0 spa, 1 always_side, 2
+base_only). That numbering and the TOKEN layout are version 4's; other
+versions differ, so the cloud refuses their HELLO with VERSION_MISMATCH
+before it reads a PROMPT.
 
 Payloads longer than 16 MiB are rejected with an OVERSIZE error before any
 allocation happens. The floats of BASE_HIDDENS and SIDE_OUTPUT must be
@@ -48,7 +52,7 @@ import numpy as np
 
 from .errors import SpaError
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MAX_PAYLOAD = 16 * 1024 * 1024
 HEADER_LEN = 5  # u32 length + u8 type
 
@@ -73,7 +77,6 @@ class MsgType(enum.IntEnum):
     HELLO = 1
     PROMPT = 2
     BASE_HIDDENS = 3
-    GATE_DECISION = 4
     SIDE_OUTPUT = 5
     TOKEN = 6
     EOS = 7
@@ -94,7 +97,7 @@ WIRE_MODES = ("final", "all_layers")
 DEFAULT_WIRE_MODE = "all_layers"
 # decode policies shared by decoding and the CLI; the index is the PROMPT
 # policy byte, so any change to the order takes a new PROTOCOL_VERSION
-POLICIES = ("spa", "always_side", "lst", "base_only")
+POLICIES = ("spa", "always_side", "base_only")
 STRATEGIES = ("greedy", "beam")
 
 
@@ -147,12 +150,6 @@ class BaseHiddens:
         )
 
 
-@dataclass(frozen=True)
-class GateDecision:
-    step: int
-    use_side: int
-
-
 @dataclass(eq=False)
 class SideOutput:
     step: int
@@ -171,6 +168,7 @@ class SideOutput:
 class Token:
     step: int
     token_id: int
+    used: int  # the gate bit: 1 if the side output was fused into this token
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ class ErrorFrame:
     message: str
 
 
-WireMessage = Hello | Prompt | BaseHiddens | GateDecision | SideOutput | Token | Eos | ErrorFrame
+WireMessage = Hello | Prompt | BaseHiddens | SideOutput | Token | Eos | ErrorFrame
 
 
 def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
@@ -215,8 +213,6 @@ def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
         n_layers, chunk, d = arr.shape
         head = struct.pack(">IBHH", msg.step, n_layers, chunk, d)
         return MsgType.BASE_HIDDENS, head + _finite(arr, "BASE_HIDDENS").astype(">f8").tobytes()
-    if isinstance(msg, GateDecision):
-        return MsgType.GATE_DECISION, struct.pack(">IB", msg.step, 1 if msg.use_side else 0)
     if isinstance(msg, SideOutput):
         arr = np.asarray(msg.vectors, dtype=np.float64)
         if arr.ndim != 2:
@@ -225,7 +221,9 @@ def _encode_payload(msg: WireMessage) -> tuple[int, bytes]:
         body = _finite(arr, "SIDE_OUTPUT").astype(">f8").tobytes()
         return MsgType.SIDE_OUTPUT, struct.pack(">IHH", msg.step, rows, d) + body
     if isinstance(msg, Token):
-        return MsgType.TOKEN, struct.pack(">II", msg.step, msg.token_id)
+        if msg.used not in (0, 1):
+            raise BadFrameError(f"TOKEN: gate bit {msg.used} is neither 0 nor 1")
+        return MsgType.TOKEN, struct.pack(">IIB", msg.step, msg.token_id, msg.used)
     if isinstance(msg, Eos):
         return MsgType.EOS, b""
     if isinstance(msg, ErrorFrame):
@@ -279,11 +277,6 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
             raise BadFrameError("BASE_HIDDENS: float block length mismatch")
         arr = np.frombuffer(payload, dtype=">f8", count=count, offset=9).astype(np.float64)
         return BaseHiddens(step, _finite(arr, "BASE_HIDDENS").reshape(n_layers, chunk, d))
-    if mtype == MsgType.GATE_DECISION:
-        if len(payload) != 5:
-            raise BadFrameError("GATE_DECISION: wrong payload length")
-        step, bit = struct.unpack(">IB", payload)
-        return GateDecision(step, bit & 1)
     if mtype == MsgType.SIDE_OUTPUT:
         _need(payload, 8, "SIDE_OUTPUT")
         step, rows, d = struct.unpack_from(">IHH", payload)
@@ -292,10 +285,12 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
         arr = np.frombuffer(payload, dtype=">f8", count=rows * d, offset=8).astype(np.float64)
         return SideOutput(step, _finite(arr, "SIDE_OUTPUT").reshape(rows, d))
     if mtype == MsgType.TOKEN:
-        if len(payload) != 8:
+        if len(payload) != 9:
             raise BadFrameError("TOKEN: wrong payload length")
-        step, tok = struct.unpack(">II", payload)
-        return Token(step, tok)
+        step, tok, used = struct.unpack(">IIB", payload)
+        if used > 1:
+            raise BadFrameError(f"TOKEN: gate bit {used} is neither 0 nor 1")
+        return Token(step, tok, used)
     if mtype == MsgType.EOS:
         if payload:
             raise BadFrameError("EOS: payload must be empty")

@@ -221,18 +221,18 @@ def test_criterion_6_personalization_trend(trained_stack):
 
         # soft check: generation quality of the gated policy vs always-side
         tok = ByteTokenizer()
-        spa_rouge, lst_rouge = [], []
+        spa_rouge, always_rouge = [], []
         for doc in test_docs[:6]:
             prompt = [BOS, *tok.encode(doc[:16])]
             reference = doc[16:]
-            for policy, acc in (("spa", spa_rouge), ("lst", lst_rouge)):
+            for policy, acc in (("spa", spa_rouge), ("always_side", always_rouge)):
                 dcfg = DecodeConfig(max_new_tokens=40, policy=policy)
                 out = decode_monolithic(model, prompt, dcfg, eos_id=EOS)
                 acc.append(rouge_l(tok.decode(out.tokens), reference).f_measure)
-        if np.mean(spa_rouge) < np.mean(lst_rouge):
+        if np.mean(spa_rouge) < np.mean(always_rouge):
             warnings.warn(
                 f"soft check: SPA ROUGE-L {np.mean(spa_rouge):.3f} fell below "
-                f"always-side {np.mean(lst_rouge):.3f} on the synthetic prompts"
+                f"always-side {np.mean(always_rouge):.3f} on the synthetic prompts"
             )
 
         assert trained_stack.wall_clock < 30 * 60, (
@@ -241,7 +241,7 @@ def test_criterion_6_personalization_trend(trained_stack):
         print(
             f"  [trend] spa ppl {spa_ppl:.3f} < base {ppl_base_alone:.3f}; "
             f"usage {usage:.3f}; rouge spa {np.mean(spa_rouge):.3f} vs "
-            f"lst {np.mean(lst_rouge):.3f}; pipeline {trained_stack.wall_clock:.0f}s"
+            f"always-side {np.mean(always_rouge):.3f}; pipeline {trained_stack.wall_clock:.0f}s"
         )
 
 

@@ -6,6 +6,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from spa.metrics import teacher_forced_nll
 from spa.model import ModelConfig, SpaModel
 from spa.tokenizer import VOCAB_SIZE
 from spa.training import TrainConfig
+from spa.transport import SocketTransport, TransportClosed
+from spa.wire import PROTOCOL_VERSION, ErrorCode, ErrorFrame, Hello, Prompt, Token
 
 
 @pytest.fixture
@@ -183,6 +186,56 @@ class TestDevicePathErrors:
             server.shutdown()
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: Prompt: field out of range")
+
+    def test_cloud_error_after_tokens_is_an_incomplete_session(self, side_ckpt, capsys):
+        # a scripted cloud streams two tokens, then fails; the device must
+        # report the cloud's error, not trip over its own accounting
+        digest = load_checkpoint(side_ckpt).compat_digest
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def cloud():
+            conn, _ = listener.accept()
+            end = SocketTransport(conn)
+            try:
+                assert isinstance(end.recv(timeout=5), Hello)
+                end.send(Hello(PROTOCOL_VERSION, "all_layers", digest))
+                assert isinstance(end.recv(timeout=5), Prompt)
+                end.send(Token(0, ord("o"), 1))
+                end.send(Token(1, ord("k"), 0))
+                end.send(ErrorFrame(ErrorCode.INTERNAL, "scripted failure"))
+                end.recv(timeout=5)  # until the device closes
+            except TransportClosed:
+                pass
+            finally:
+                end.close()
+
+        t = threading.Thread(target=cloud)
+        t.start()
+        try:
+            host, port = listener.getsockname()
+            code = main(["generate", "--connect", f"{host}:{port}", "--side-checkpoint",
+                         str(side_ckpt), "--prompt", "hi", "--policy", "spa"])
+        finally:
+            t.join(timeout=10)
+            listener.close()
+        assert not t.is_alive()
+        assert code == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert out == "ok\n"
+        assert "tokens=2 M=0.500" in err
+        assert (f"session incomplete: cloud error {ErrorCode.INTERNAL.value}: "
+                "scripted failure") in err
+
+    @pytest.mark.parametrize("command", ["generate", "decode-local", "eval"])
+    def test_lst_is_not_a_decoding_policy(self, full_ckpt, side_ckpt, tmp_path, command, capsys):
+        args = {
+            "generate": ["--connect", "127.0.0.1:1", "--side-checkpoint", str(side_ckpt),
+                         "--prompt", "hi"],
+            "decode-local": ["--checkpoint", str(full_ckpt), "--prompt", "hi"],
+            "eval": ["--checkpoint", str(full_ckpt), "--corpus", str(tmp_path)],
+        }[command]
+        assert main([command, *args, "--policy", "lst"]) == EXIT_USAGE
+        assert "invalid choice: 'lst'" in capsys.readouterr().err
 
     def test_decode_local_with_negative_max_new_is_runtime_error(self, full_ckpt, capsys):
         code = main(["decode-local", "--checkpoint", str(full_ckpt), "--prompt", "x",

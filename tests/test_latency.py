@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spa.errors import ConfigError, DomainError
+from spa.decoding import DecodeConfig, count_transmissions
+from spa.errors import ConfigError, ContractError, DomainError
 from spa.latency import (
     LatencyProfile,
     REFERENCE_ROWS,
@@ -125,6 +126,13 @@ class TestComparisonTable:
             CAL, usage=0.62, n_layers=32, per_arch_cost={"lora": 6.37 / (32 * 50)}
         )
         assert rows[0].t_net == pytest.approx(6.37, abs=1e-9)
+
+    def test_lst_is_a_table_architecture_not_a_decoding_policy(self):
+        # the LST baseline consults its side network once per token at any depth
+        for n_layers in (1, 4, 32):
+            assert count_transmissions("lst", n_layers, 0) == 1.0
+        with pytest.raises(ContractError, match="unknown policy 'lst'"):
+            DecodeConfig(policy="lst")
 
     def test_gate_trace_input(self):
         rows = build_comparison_table(CAL, usage=0.0, n_layers=4, gate_trace=[1, 0, 1, 0, 0])

@@ -433,7 +433,7 @@ class Lockstep:
 class TestIncrementalDecode:
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("wire_mode", ["final", "all_layers"])
-    @pytest.mark.parametrize("policy", ["spa", "always_side", "lst", "base_only"])
+    @pytest.mark.parametrize("policy", ["spa", "always_side", "base_only"])
     def test_cached_steps_match_full_recompute(self, policy, wire_mode, width, monkeypatch):
         model = seeded_side_model()
         model.gate["w"].data[:] = np.random.default_rng(3).standard_normal(model.gate["w"].shape)

@@ -101,6 +101,23 @@ class TestBackward:
             gc.enable()
         assert w.grad is not None and np.any(w.grad)
 
+    def test_only_leaves_keep_a_grad(self):
+        r = rng_for(4)
+        x = Tensor(r.standard_normal((3, 4)))
+        w = Tensor(r.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(r.standard_normal(5), requires_grad=True)
+        with Tape() as tape:
+            product = nc.matmul(x, w)
+            hidden = nc.add(product, b)
+            loss = nc.mul(hidden, hidden).sum()
+        tape.backward(loss)
+        # the intermediates were recorded, but only the leaves keep a gradient
+        assert product.requires_grad and hidden.requires_grad
+        assert product.grad is None and hidden.grad is None and loss.grad is None
+        h = x.data @ w.data + b.data
+        assert np.allclose(w.grad, x.data.T @ (2.0 * h), rtol=1e-12, atol=0.0)
+        assert np.allclose(b.grad, (2.0 * h).sum(axis=0), rtol=1e-12, atol=0.0)
+
     def test_frozen_input_gets_no_grad_but_flow_continues(self):
         frozen = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=False)
         live = Tensor([[1.0], [1.0]], requires_grad=True)

@@ -58,7 +58,7 @@ def test_full_cli_pipeline(tmp_path, capsys):
             assert match, f"no listen banner: {banner!r}"
             addr = f"{match.group(1)}:{match.group(2)}"
 
-            for policy in ("spa", "lst", "base-only", "always-side"):
+            for policy in ("spa", "base-only", "always-side"):
                 code = main(["generate", "--connect", addr,
                              "--side-checkpoint", str(out / "side.ckpt"),
                              "--prompt", "the quiet", "--policy", policy,

@@ -40,6 +40,7 @@ from spa.wire import (
     Hello,
     Prompt,
     SideOutput,
+    Token,
     encode_frame,
 )
 
@@ -183,10 +184,11 @@ class TestHandshake:
 
     def test_wrong_version_rejected(self):
         # version 1 sent one round trip per gated row with a 1-D SIDE_OUTPUT;
-        # version 2 numbered the PROMPT policy byte over five policies
+        # version 2 numbered the PROMPT policy byte over five policies;
+        # version 3 sent each token's gate bit in a frame of its own
         model = make_model(4)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        for version in (1, 2, PROTOCOL_VERSION + 5):
+        for version in (1, 2, 3, PROTOCOL_VERSION + 5):
             dev_end, cloud_end = LoopbackTransport.pair()
             t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
             t.start()
@@ -259,7 +261,7 @@ class TestAccounting:
     def test_two_sided_counters_agree_exactly(self):
         model = make_model(7)
         bundle = make_bundle(model)
-        for policy in ("spa", "lst", "always_side", "base_only"):
+        for policy in POLICIES:
             result, record, _ = loopback_session(
                 model, bundle, [5], DecodeConfig(max_new_tokens=6, policy=policy)
             )
@@ -272,11 +274,11 @@ class TestAccounting:
             assert cloud.gate_trace == dev.gate_trace
             assert cloud.transmissions_per_token == dev.transmissions_per_token
 
-    def test_lst_policy_is_one_round_trip_per_token(self):
+    def test_always_side_policy_is_one_round_trip_per_token(self):
         model = make_model(8)
         bundle = make_bundle(model)
         result, record, _ = loopback_session(
-            model, bundle, [2], DecodeConfig(max_new_tokens=7, policy="lst")
+            model, bundle, [2], DecodeConfig(max_new_tokens=7, policy="always_side")
         )
         assert result.counter.transmissions_per_token == 1.0
         assert record.base_hiddens_sent == len(result.tokens)
@@ -415,7 +417,7 @@ class TestProtocolViolations:
             assert record.gate_log == [] and record.emitted_tokens == []
 
     def test_policy_byte_past_the_table_is_bad_frame(self):
-        # byte len(POLICIES) named base_only in version 2 and names nothing now
+        # byte len(POLICIES) named base_only in version 3 and names nothing now
         model = make_model(9)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
         server = CloudServer(endpoint).start()
@@ -452,10 +454,8 @@ class TestDeviceSideValidation:
             assert isinstance(fake_cloud.recv(timeout=5), Hello)
             fake_cloud.send(Hello(PROTOCOL_VERSION, "final", bundle.digest))
             assert isinstance(fake_cloud.recv(timeout=5), Prompt)
-            from spa.wire import GateDecision, Token
-
-            fake_cloud.send(GateDecision(5, 1))
-            fake_cloud.send(Token(3, 1))  # step goes backwards
+            fake_cloud.send(Token(5, 1, 1))
+            fake_cloud.send(Token(3, 1, 0))  # step goes backwards
 
         t = threading.Thread(target=impostor)
         t.start()
@@ -469,6 +469,39 @@ class TestDeviceSideValidation:
         t.join(timeout=10)
         assert not result.completed
         assert "out-of-order" in result.error
+        assert (result.tokens, result.gate_trace) == ([1], [1])
+
+    def test_cloud_error_after_tokens_leaves_each_token_with_its_gate_bit(self):
+        # version 3 sent a gate bit and its token in two frames, so a session
+        # that ended between them left one more bit than tokens, and reading
+        # M raised ContractError
+        bundle = make_bundle(make_model(16))
+        dev_end, fake_cloud = LoopbackTransport.pair()
+
+        def impostor():
+            assert isinstance(fake_cloud.recv(timeout=5), Hello)
+            fake_cloud.send(Hello(PROTOCOL_VERSION, "final", bundle.digest))
+            assert isinstance(fake_cloud.recv(timeout=5), Prompt)
+            fake_cloud.send(Token(0, 3, 1))
+            fake_cloud.send(Token(1, 5, 0))
+            fake_cloud.send(ErrorFrame(ErrorCode.INTERNAL, "boom"))
+
+        t = threading.Thread(target=impostor)
+        t.start()
+        result = run_device(
+            bundle,
+            DecodeConfig(max_new_tokens=4, policy="spa"),
+            prompt_ids=[1],
+            transport=dev_end,
+            frame_timeout=5.0,
+        )
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert not result.completed
+        assert result.error == f"cloud error {ErrorCode.INTERNAL.value}: boom"
+        assert (result.tokens, result.gate_trace) == ([3, 5], [1, 0])
+        assert len(result.gate_trace) == len(result.tokens)
+        assert result.counter.transmissions_per_token == 0.5
 
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_base_hiddens_chunk_other_than_one_is_protocol_violation(self, chunk):
@@ -913,8 +946,9 @@ class TestOverTcp:
 
     def test_gated_round_trips_do_not_stall(self):
         # every token of an always_side session is one BASE_HIDDENS/SIDE_OUTPUT
-        # round trip followed by two small frames (GATE_DECISION, TOKEN); with
-        # Nagle's algorithm on, each of the 24 waits ~40 ms for a delayed ACK
+        # round trip, and the cloud writes the previous token's TOKEN frame
+        # and the next BASE_HIDDENS back to back before it reads; with Nagle's
+        # algorithm on, each of the 24 waits ~40 ms for a delayed ACK
         model = make_model(19)
         bundle = make_bundle(model)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=5.0)

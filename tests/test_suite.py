@@ -42,7 +42,7 @@ def suite_config(ckpt, out, **kw):
 class TestSuite:
     def test_rows_cover_every_policy_and_files_embed_digest(self, ckpt, tmp_path):
         report = run_experiment_suite(suite_config(ckpt, tmp_path / "r"))
-        assert {r.policy for r in report.rows} == {"base_only", "lst", "always_side", "spa"}
+        assert {r.policy for r in report.rows} == {"base_only", "always_side", "spa"}
         assert report.digest in report.markdown_path.name
         assert report.digest in report.csv_path.name
         text = report.markdown_path.read_text()
@@ -80,7 +80,7 @@ class TestSuite:
         report = run_experiment_suite(suite_config(ckpt, tmp_path / "r"))
         spa = [r for r in report.rows if r.policy == "spa"][0]
         assert spa.usage_percent == pytest.approx(100.0 * spa.ratio)
-        lst = [r for r in report.rows if r.policy == "lst"][0]
-        assert lst.ratio == 1.0
+        always = [r for r in report.rows if r.policy == "always_side"][0]
+        assert always.ratio == 1.0
         base = [r for r in report.rows if r.policy == "base_only"][0]
         assert base.ratio == 0.0

@@ -15,7 +15,6 @@ from spa.wire import (
     BaseHiddens,
     Eos,
     ErrorFrame,
-    GateDecision,
     Hello,
     MsgType,
     OversizeFrameError,
@@ -29,7 +28,7 @@ from spa.wire import (
 
 
 def random_message(rng: np.random.Generator):
-    kind = rng.integers(0, 8)
+    kind = rng.integers(0, 7)
     if kind == 0:
         return Hello(int(rng.integers(0, 10)), ["final", "all_layers"][rng.integers(2)],
                      rng.bytes(32).hex())
@@ -46,13 +45,12 @@ def random_message(rng: np.random.Generator):
         layers, chunk, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 40))
         return BaseHiddens(int(rng.integers(0, 1_000_000)), rng.standard_normal((layers, chunk, d)))
     if kind == 3:
-        return GateDecision(int(rng.integers(0, 1_000_000)), int(rng.integers(0, 2)))
-    if kind == 4:
         rows, d = int(rng.integers(1, 5)), int(rng.integers(1, 80))
         return SideOutput(int(rng.integers(0, 1_000_000)), rng.standard_normal((rows, d)))
+    if kind == 4:
+        return Token(int(rng.integers(0, 1_000_000)), int(rng.integers(0, 70000)),
+                     int(rng.integers(0, 2)))
     if kind == 5:
-        return Token(int(rng.integers(0, 1_000_000)), int(rng.integers(0, 70000)))
-    if kind == 6:
         return Eos()
     return ErrorFrame(int(rng.integers(0, 7)), "boom " * int(rng.integers(0, 5)))
 
@@ -74,13 +72,17 @@ class TestRoundTrip:
             decoded, consumed = decode_frame(encode_frame(msg))
             assert decoded == msg
             assert consumed == len(encode_frame(msg))
-        assert len(seen) == 8  # all variants exercised
+        assert len(seen) == 7  # all variants exercised
 
     def test_header_is_big_endian_payload_length_then_type(self):
-        frame = encode_frame(Token(3, 9))
+        frame = encode_frame(Token(3, 9, 1))
         (length,) = struct.unpack(">I", frame[:4])
         assert length == len(frame) - HEADER_LEN
         assert frame[4] == MsgType.TOKEN
+
+    def test_token_carries_step_token_id_and_gate_bit(self):
+        frame = encode_frame(Token(3, 9, 1))
+        assert frame[HEADER_LEN:] == struct.pack(">IIB", 3, 9, 1)
 
     def test_float_payload_is_bit_exact(self):
         vec = np.array([[1e-308, -0.0, np.pi, 1e308]])
@@ -126,11 +128,11 @@ class TestRoundTrip:
         with pytest.raises(BadFrameError, match="NaN or infinity"):
             decode_frame(bytes(frame))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 1))
     @settings(max_examples=100, deadline=None)
-    def test_token_round_trip_property(self, step, tok):
-        decoded, _ = decode_frame(encode_frame(Token(step, tok)))
-        assert decoded == Token(step, tok)
+    def test_token_round_trip_property(self, step, tok, used):
+        decoded, _ = decode_frame(encode_frame(Token(step, tok, used)))
+        assert decoded == Token(step, tok, used)
 
 
 class TestRobustness:
@@ -157,8 +159,8 @@ class TestRobustness:
             Prompt((1, 2), "spa", "beam", beam_width=65536),
             Prompt((1, 2**32), "spa"),
             Prompt((1, -1), "spa"),
-            Token(2**32, 1),
-            GateDecision(-1, 1),
+            Token(2**32, 1, 0),
+            Token(-1, 1, 1),
             ErrorFrame(70000, "boom"),
             BaseHiddens(0, np.zeros((256, 1, 2))),
         ],
@@ -168,15 +170,25 @@ class TestRobustness:
             encode_frame(msg)
 
     def test_unknown_type_rejected(self):
-        frame = struct.pack(">I", 0) + bytes([99])
-        with pytest.raises(BadFrameError):
-            decode_frame(frame)
+        # type 4 is retired: version 3 sent each token's gate bit in its own frame
+        for mtype, body in ((99, b""), (4, struct.pack(">IB", 7, 1))):
+            frame = struct.pack(">I", len(body)) + bytes([mtype]) + body
+            with pytest.raises(BadFrameError, match=f"unknown message type {mtype}"):
+                decode_frame(frame)
 
     def test_wrong_payload_length_rejected(self):
-        body = struct.pack(">IB", 7, 1) + b"xx"  # GATE_DECISION with 2 extra bytes
-        frame = struct.pack(">I", len(body)) + bytes([MsgType.GATE_DECISION]) + body
-        with pytest.raises(BadFrameError):
+        body = struct.pack(">II", 7, 1)  # a version 3 TOKEN: no gate bit
+        frame = struct.pack(">I", len(body)) + bytes([MsgType.TOKEN]) + body
+        with pytest.raises(BadFrameError, match="TOKEN: wrong payload length"):
             decode_frame(frame)
+
+    def test_token_gate_bit_other_than_0_or_1_rejected(self):
+        body = struct.pack(">IIB", 7, 1, 2)
+        frame = struct.pack(">I", len(body)) + bytes([MsgType.TOKEN]) + body
+        with pytest.raises(BadFrameError, match="gate bit 2"):
+            decode_frame(frame)
+        with pytest.raises(BadFrameError, match="gate bit 2"):
+            encode_frame(Token(7, 1, 2))
 
     def test_bad_enum_codes_rejected(self):
         good = encode_frame(Prompt((1, 2), "spa"))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -16,7 +17,7 @@ import numpy as np
 # beside count_transmissions, which defines the spa policy's M from it
 from .decoding import POLICY_GATE_MODES, usage_percentage
 from .errors import ContractError, UndefinedMetricError
-from .model import SpaModel, position_nll
+from .model import BaseTrace, SpaModel, position_nll
 from .tokenizer import ByteTokenizer
 from .wire import POLICIES
 
@@ -58,28 +59,44 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return RougeScore(p, r, f)
 
 
+def scored_ids(
+    documents: list[str], max_seq_len: int, tokenizer: ByteTokenizer
+) -> list[np.ndarray | None]:
+    """Each document's ids cut to max_seq_len tokens, or None for one left
+    shorter than 2 tokens, which has no position to score."""
+    out = []
+    for doc in documents:
+        ids = np.asarray(tokenizer.encode_document(doc), dtype=np.int64)[:max_seq_len]
+        out.append(ids if ids.size >= 2 else None)
+    return out
+
+
 def teacher_forced_nll(
     model: SpaModel,
     documents: list[str],
     policy: str = "spa",
     tokenizer: ByteTokenizer | None = None,
+    bases: Iterable[BaseTrace | None] | None = None,
 ) -> tuple[float, int, int]:
     """(summed NLL, scored positions, side-consulted positions) over documents.
 
     Each document is cut to max_seq_len tokens; one shorter than 2 tokens is
     skipped. Every policy scores through `position_nll` under its gate mode
-    from `POLICY_GATE_MODES`.
+    from `POLICY_GATE_MODES`. `bases`, when given, holds one entry per
+    document: the base's trace of the document's scored inputs (None for a
+    skipped one), which the scorer reads instead of running the base.
     """
     if policy not in POLICIES:
         raise ContractError(f"teacher_forced_nll: unknown policy {policy!r}")
     tokenizer = tokenizer or ByteTokenizer()
+    if bases is None:
+        bases = [None] * len(documents)
     total, count, used = 0.0, 0, 0
-    for doc in documents:
-        ids = np.asarray(tokenizer.encode_document(doc), dtype=np.int64)
-        ids = ids[: model.config.max_seq_len]
-        if ids.size < 2:
+    for ids, base in zip(scored_ids(documents, model.config.max_seq_len, tokenizer), bases,
+                         strict=True):
+        if ids is None:
             continue
-        nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
+        nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy], base)
         total += nlls.sum()
         count += ids.size - 1
         used += int(np.sum(gate_trace))

@@ -18,7 +18,10 @@ base hidden; the `final` wire mode feeds every rung the final hidden.
 
 `teacher_forced` is the only teacher-forced forward of the fused model: the
 loss, the scorer, the side path's causal effect (CATE) and the gate's
-training labels all read the `TokenLossTrace` it builds.
+training labels all read the `TokenLossTrace` it builds. Given a precomputed
+`BaseTrace` of its inputs it reads the base's features from it instead of
+running the base; side training passes the rows of its table of frozen-base
+features (`spa.training`) that way.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from . import numcore as nc
 from .errors import ContractError, DimensionError
 from .numcore import Tensor
+
+if TYPE_CHECKING:
+    from .training import BaseFeatures
 
 
 @dataclass(frozen=True)
@@ -224,6 +230,10 @@ class SpaModel:
     base: BaseParams
     side: SideParams
     gate: GateParams
+    # side training's table of this base's features over one corpus, built
+    # by the first side-training call and reused while base and corpus stay
+    # the same (`spa.training.BaseFeatures`); not part of the model's value
+    base_features: BaseFeatures | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def create(cls, config: ModelConfig, seed: int = 0) -> "SpaModel":
@@ -462,7 +472,9 @@ class TokenLossTrace:
 GATE_MODES = ("soft", "hard", "off", "on")
 
 
-def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace:
+def teacher_forced(
+    model: SpaModel, token_ids, gate_mode: str, base: BaseTrace | None = None
+) -> TokenLossTrace:
     """The one teacher-forced forward of the fused model, over a (T+1,)
     sequence or a (B, T+1) batch of sequences of one length.
 
@@ -472,6 +484,10 @@ def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace
     sequence, so a loss over the trace is the mean over all of them, and
     row b*T + t depends on sequence b alone. Gate mode "off" skips the
     ladder and keeps the base logits.
+
+    `base`, when given, is the frozen base's trace of the inputs (hiddens,
+    final and logits over all B*T positions, as `base_forward` returns it),
+    and the base is not run.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim not in (1, 2) or ids.shape[-1] < 2 or ids.size < 2:
@@ -481,7 +497,13 @@ def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace
     if gate_mode not in GATE_MODES:
         raise ContractError(f"teacher_forced: unknown gate_mode {gate_mode!r}")
     inputs, targets = ids[..., :-1], ids[..., 1:].reshape(-1)
-    bt = base_forward(model.config, model.base, inputs)
+    if base is None:
+        base = base_forward(model.config, model.base, inputs)
+    elif base.final.shape[0] != targets.shape[0]:
+        raise DimensionError(
+            f"teacher_forced: base trace rows {base.final.shape} do not cover inputs {inputs.shape}"
+        )
+    bt = base
     glog, gprobs = gate_logits(model.gate, bt.final)
     if gate_mode == "soft":
         weights = nc.column(gprobs, 1)
@@ -503,10 +525,13 @@ def teacher_forced(model: SpaModel, token_ids, gate_mode: str) -> TokenLossTrace
     )
 
 
-def token_loss(model: SpaModel, token_ids, gate_mode: str = "soft") -> tuple[Tensor, TokenLossTrace]:
+def token_loss(
+    model: SpaModel, token_ids, gate_mode: str = "soft", base: BaseTrace | None = None
+) -> tuple[Tensor, TokenLossTrace]:
     """Teacher-forced mean NLL of the fused model over a token sequence or
-    a batch of them (the mean over every position of the batch)."""
-    trace = teacher_forced(model, token_ids, gate_mode)
+    a batch of them (the mean over every position of the batch); `base` as
+    in `teacher_forced`."""
+    trace = teacher_forced(model, token_ids, gate_mode, base)
     return nc.cross_entropy(trace.fused_logits, trace.targets), trace
 
 
@@ -516,9 +541,12 @@ def cate_estimate(model: SpaModel, token_ids) -> np.ndarray:
         return teacher_forced(model, token_ids, "on").cate()
 
 
-def position_nll(model: SpaModel, token_ids, gate_mode: str) -> tuple[np.ndarray, np.ndarray]:
+def position_nll(
+    model: SpaModel, token_ids, gate_mode: str, base: BaseTrace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Teacher-forced per-position negative log-likelihoods under a gate mode,
-    with the per-position gate weights that were used."""
+    with the per-position gate weights that were used; `base` as in
+    `teacher_forced`."""
     with nc.no_grad():
-        trace = teacher_forced(model, token_ids, gate_mode)
+        trace = teacher_forced(model, token_ids, gate_mode, base)
     return -trace.target_logprobs(trace.fused_logits.data), trace.gate_trace

@@ -3,9 +3,10 @@
 Storage is row-major contiguous numpy arrays, double precision throughout.
 Gradients are only recorded while a `Tape` is active (``with Tape() as t:``);
 outside a tape, or inside `no_grad()`, every operation is a plain forward
-computation. Broadcasting is deliberately limited to the cases the model
-needs: same-shape elementwise, a 1-D bias over the last axis, python
-scalars, and per-row scaling.
+computation. Each thread has its own stack of active tapes, so a tape opened
+in one thread never records another thread's operations. Broadcasting is
+deliberately limited to the cases the model needs: same-shape elementwise,
+a 1-D bias over the last axis, python scalars, and per-row scaling.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -100,11 +102,25 @@ class _TapeEntry:
     backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]
 
 
-_TAPE_STACK: list["Tape | None"] = []
+class _TapeStack(threading.local):
+    """The calling thread's stack of active tapes: `tape` is the innermost
+    (None outside any tape or under `no_grad`), `outer` the ones it shadows.
+    Every thread starts with an empty stack. The innermost is kept apart so
+    that every op reads it with one attribute lookup."""
+
+    def __init__(self):
+        self.tape: Tape | None = None
+        self.outer: list[Tape | None] = []
+
+    def push(self, tape: "Tape | None") -> None:
+        self.outer.append(self.tape)
+        self.tape = tape
+
+    def pop(self) -> None:
+        self.tape = self.outer.pop()
 
 
-def _current_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+_TAPE_STACK = _TapeStack()
 
 
 class Tape:
@@ -116,7 +132,7 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.push(self)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -175,7 +191,7 @@ class Tape:
 @contextlib.contextmanager
 def no_grad():
     """Disable recording inside the block, even if a tape is active."""
-    _TAPE_STACK.append(None)
+    _TAPE_STACK.push(None)
     try:
         yield
     finally:
@@ -184,7 +200,7 @@ def no_grad():
 
 def recording() -> bool:
     """True when operations are being recorded on a tape."""
-    return _current_tape() is not None
+    return _TAPE_STACK.tape is not None
 
 
 def backward(loss: Tensor) -> None:
@@ -200,7 +216,7 @@ def zero_grad(tensors) -> None:
 
 
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    tape = _current_tape()
+    tape = _TAPE_STACK.tape
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:

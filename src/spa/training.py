@@ -20,6 +20,25 @@ The side/gate objective over a batch is
 each a mean over the batch's positions, where the labels (side-path CATE >
 margin, `TokenLossTrace.cate`) are read off the same soft-gate forward as
 the loss and are constants within a step.
+
+The base is frozen during side training, so its features over the corpus
+never change: `BaseFeatures` holds them, computed once by `base_forward` in
+chunks of batch_size blocks taken in block order. For every training block
+it keeps the per-layer hiddens and the final hidden; for every scored
+validation document, the same over the document. Each side-training batch
+and validation pass reads its rows from the table and recomputes only the
+base logits, `final @ out_proj`, as `teacher_forced`'s precomputed base.
+The table is kept on the model (`SpaModel.base_features`), keyed by the
+model config, the base digest, the exact training block array and the
+validation ids, so the epochs of a call, the calls of a learning-rate grid
+and repeated calls on the same base and corpus share it, and a changed base
+or corpus rebuilds it. It costs (n_layers + 1) * d_model * 8 bytes per
+training or validation position, 1.5 KiB at the bench shape (2 layers,
+d_model 64). With 48-token blocks, seed 1's personalized corpus holds
+2,304 training and 211 validation positions on the small tier (3.7 MiB),
+8,496 and 1,110 on medium (14 MiB) and 33,072 and 3,876 on full (54 MiB).
+The logits are not stored, which would add vocab_size * 8 bytes per
+position.
 """
 
 from __future__ import annotations
@@ -32,8 +51,9 @@ import numpy as np
 from . import numcore as nc
 from .corpus import Corpus
 from .errors import ContractError, SpaError
-from .metrics import teacher_forced_nll
+from .metrics import scored_ids, teacher_forced_nll
 from .model import (
+    BaseTrace,
     GateParams,
     ModelConfig,
     SideParams,
@@ -130,10 +150,13 @@ class TrainResult:
         return self.epochs[-1]
 
 
-def _fused_val_perplexity(model: SpaModel, docs, tokenizer, policy="spa") -> tuple[float, float]:
+def _fused_val_perplexity(
+    model: SpaModel, docs, tokenizer, policy="spa", bases=None
+) -> tuple[float, float]:
     """(perplexity, gate usage rate) of `policy` on held-out docs; both nan
-    when no document has a scorable position."""
-    total, count, used = teacher_forced_nll(model, docs, policy, tokenizer)
+    when no document has a scorable position. `bases` as in
+    `teacher_forced_nll`."""
+    total, count, used = teacher_forced_nll(model, docs, policy, tokenizer, bases)
     if not count:
         return float("nan"), float("nan")
     return math.exp(total / count), used / count
@@ -143,34 +166,39 @@ def _fused_val_perplexity(model: SpaModel, docs, tokenizer, policy="spa") -> tup
 _STAGE_WORDS = {"pretrain": "pretraining", "side": "side training"}
 
 
+def _training_split(
+    corpus: Corpus, tokenizer: ByteTokenizer, tcfg: TrainConfig
+) -> tuple[np.ndarray, list[str]]:
+    """(training blocks, validation documents) of the corpus under the seed."""
+    train_docs, val_docs, _ = corpus.splits(tcfg.seed)
+    return token_blocks(train_docs, tokenizer, tcfg.block_size), val_docs
+
+
 def _train_epochs(
     stage: str,
     params: list[Tensor],
     tcfg: TrainConfig,
-    corpus: Corpus,
-    tokenizer: ByteTokenizer,
+    n_blocks: int,
     batch_loss,
     validate,
     log,
 ) -> TrainResult:
-    """The one training loop: seeded shuffles of the corpus's training
+    """The one training loop: seeded shuffles of the `n_blocks` training
     blocks; per batch, one Adam step on `params` against
-    `batch_loss(ids)`, a scalar from one forward over the batch's (B, T+1)
-    block array; then `validate(val_docs)` -> (val perplexity, gate usage
+    `batch_loss(batch)`, a scalar from one forward over the blocks whose
+    indices `batch` holds; then `validate()` -> (val perplexity, gate usage
     or None) after every epoch. `stage` names the run in log lines and
     errors."""
-    train_docs, val_docs, _ = corpus.splits(tcfg.seed)
-    blocks = token_blocks(train_docs, tokenizer, tcfg.block_size)
     opt = Adam(params, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
     rng = np.random.default_rng(tcfg.seed)
     result = TrainResult()
     for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(blocks))
+        order = rng.permutation(n_blocks)
         losses = []
         for start in range(0, len(order), tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
             with Tape() as tape:
-                loss = batch_loss(blocks[batch])
+                loss = batch_loss(batch)
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(
                     f"{_STAGE_WORDS[stage]} loss became non-finite at epoch {epoch}, "
@@ -180,7 +208,7 @@ def _train_epochs(
             tape.backward(loss)
             opt.step()
             losses.append(loss.item())
-        entry = EpochLog(epoch, float(np.mean(losses)), *validate(val_docs))
+        entry = EpochLog(epoch, float(np.mean(losses)), *validate())
         result.epochs.append(entry)
         if log:
             line = (f"{stage} epoch {entry.epoch}: loss {entry.train_loss:.4f} "
@@ -205,18 +233,80 @@ def pretrain_base(
     tokenizer = tokenizer or ByteTokenizer()
     if model is None:
         model = SpaModel.create(config, seed=tcfg.seed)
+    blocks, val_docs = _training_split(corpus, tokenizer, tcfg)
 
-    def batch_loss(ids):
+    def batch_loss(batch):
+        ids = blocks[batch]
         logits = base_forward(config, model.base, ids[:, :-1]).logits
         return nc.cross_entropy(logits, ids[:, 1:].reshape(-1))
 
-    def validate(val_docs):
+    def validate():
         return _fused_val_perplexity(model, val_docs, tokenizer, "base_only")[0], None
 
-    result = _train_epochs("pretrain", model.base.tensors(), tcfg, corpus, tokenizer,
+    result = _train_epochs("pretrain", model.base.tensors(), tcfg, len(blocks),
                            batch_loss, validate, log)
     model.base.freeze()
     return model, result
+
+
+@dataclass(eq=False)
+class BaseFeatures:
+    """The frozen base's features over one corpus (module docstring).
+
+    `hiddens[i]` and `final` are (n_blocks, T, d_model) arrays over the
+    training blocks in block order; `val` holds each validation document's
+    base trace without logits, or None for a document with nothing to
+    score. Readers get the logits recomputed as `final @ out_proj`, the op
+    `base_forward` ends with.
+    """
+
+    key: tuple
+    hiddens: list[np.ndarray]
+    final: np.ndarray
+    val: list[BaseTrace | None]
+
+    @classmethod
+    def for_model(cls, model: SpaModel, digest: str, blocks: np.ndarray, val_docs: list[str],
+                  tokenizer: ByteTokenizer, chunk: int) -> "BaseFeatures":
+        """The model's table for this base (`digest`) and corpus, built and
+        installed on the model unless the one it holds has that key."""
+        val_ids = scored_ids(val_docs, model.config.max_seq_len, tokenizer)
+        key = (model.config, digest, blocks.shape, blocks.tobytes(),
+               tuple(None if ids is None else ids.tobytes() for ids in val_ids))
+        if model.base_features is None or model.base_features.key != key:
+            model.base_features = None  # drop the stale table before building
+            model.base_features = cls._build(model, key, blocks, val_ids, chunk)
+        return model.base_features
+
+    @classmethod
+    def _build(cls, model, key, blocks, val_ids, chunk) -> "BaseFeatures":
+        cfg = model.config
+        shape = (blocks.shape[0], blocks.shape[1] - 1, cfg.d_model)
+        hiddens = [np.empty(shape) for _ in range(cfg.n_layers)]
+        final = np.empty(shape)
+        with nc.no_grad():
+            for start in range(0, shape[0], chunk):
+                trace = base_forward(cfg, model.base, blocks[start : start + chunk, :-1])
+                for store, t in zip([*hiddens, final], [*trace.hiddens, trace.final]):
+                    store[start : start + chunk] = t.data.reshape(-1, *shape[1:])
+            val = [None if ids is None
+                   else replace(base_forward(cfg, model.base, ids[:-1]), logits=None, kv=[])
+                   for ids in val_ids]
+        return cls(key, hiddens, final, val)
+
+    def batch(self, batch: np.ndarray, out_proj: Tensor) -> BaseTrace:
+        """The base trace of the blocks whose indices `batch` holds, rows
+        block by block as `base_forward` lays out a (B, T) batch."""
+        d = self.final.shape[-1]
+        final = Tensor(self.final[batch].reshape(-1, d))
+        return BaseTrace([Tensor(h[batch].reshape(-1, d)) for h in self.hiddens], final,
+                         nc.matmul(final, out_proj))
+
+    def val_traces(self, out_proj: Tensor):
+        """One base trace per validation document (None where it has nothing
+        to score), each built as it is read."""
+        return (None if t is None else replace(t, logits=nc.matmul(t.final, out_proj))
+                for t in self.val)
 
 
 def reinit_side_and_gate(model: SpaModel, seed: int) -> None:
@@ -231,10 +321,13 @@ def gate_labels(trace: TokenLossTrace, margin: float) -> np.ndarray:
     return (trace.cate() > margin).astype(np.int64)
 
 
-def side_objective(model: SpaModel, ids, tcfg: TrainConfig) -> Tensor:
+def side_objective(
+    model: SpaModel, ids, tcfg: TrainConfig, base: BaseTrace | None = None
+) -> Tensor:
     """The side/gate objective (module docstring) over a (T+1,) block or a
-    (B, T+1) batch of blocks, from one soft-gate forward."""
-    fused_nll, trace = token_loss(model, ids, gate_mode="soft")
+    (B, T+1) batch of blocks, from one soft-gate forward; `base` as in
+    `teacher_forced`."""
+    fused_nll, trace = token_loss(model, ids, gate_mode="soft", base=base)
     gate_ce = nc.cross_entropy(trace.gate_logits, gate_labels(trace, tcfg.gate_margin))
     usage = nc.column(trace.gate_probs, 1).mean()
     return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight))
@@ -254,15 +347,20 @@ def train_side_and_gate(
         raise ContractError("train_side_and_gate: corpus is empty")
     tokenizer = tokenizer or ByteTokenizer()
     digest_before = model.base_digest()
+    blocks, val_docs = _training_split(corpus, tokenizer, tcfg)
+    features = BaseFeatures.for_model(model, digest_before, blocks, val_docs, tokenizer,
+                                      tcfg.batch_size)
+    out_proj = model.base["out_proj"]
 
-    def batch_loss(ids):
-        return side_objective(model, ids, tcfg)
+    def batch_loss(batch):
+        return side_objective(model, blocks[batch], tcfg, features.batch(batch, out_proj))
 
-    def validate(val_docs):
-        return _fused_val_perplexity(model, val_docs, tokenizer)
+    def validate():
+        return _fused_val_perplexity(model, val_docs, tokenizer,
+                                     bases=features.val_traces(out_proj))
 
-    result = _train_epochs("side", model.side.tensors() + model.gate.tensors(), tcfg, corpus,
-                           tokenizer, batch_loss, validate, log)
+    result = _train_epochs("side", model.side.tensors() + model.gate.tensors(), tcfg,
+                           len(blocks), batch_loss, validate, log)
     if model.base_digest() != digest_before:
         raise ContractError("frozen base changed during side training (checksum mismatch)")
     return result

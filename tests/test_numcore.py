@@ -2,6 +2,7 @@
 
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -126,6 +127,35 @@ class TestBackward:
         tape.backward(loss)
         assert frozen.grad is None
         assert live.grad is not None
+
+
+class TestTapeThreads:
+    def test_a_tape_records_only_its_own_threads_ops(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        seen = {}
+
+        def other_thread():
+            seen["recording"] = nc.recording()
+            out = nc.mul(w, w)
+            seen["tracked"] = out.requires_grad
+            with nc.no_grad():
+                pass
+            seen["recording_after"] = nc.recording()
+
+        with Tape() as tape:
+            first = nc.mul(w, w)
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert len(tape) == 1
+            # the other thread's no_grad() left this thread's tape in place
+            assert nc.recording()
+            loss = nc.add(first, w).sum()
+        assert seen == {"recording": False, "tracked": False, "recording_after": False}
+        assert len(tape) == 3
+        tape.backward(loss)
+        assert np.allclose(w.grad, 2.0 * w.data + 1.0)
 
 
 class TestMatmul:

@@ -1,5 +1,6 @@
 """Pretraining, side/gate training, frozen-base invariants, reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import spa.model
 from spa import numcore as nc
 from spa.corpus import Corpus, make_synthetic_personalized_corpus
-from spa.errors import ContractError
-from spa.metrics import perplexity
+from spa.errors import ContractError, DimensionError
+from spa.metrics import perplexity, teacher_forced_nll
 from spa.model import (
     GATE_MODES,
     ModelConfig,
@@ -237,38 +238,166 @@ class TestGateLabels:
                 assert np.array_equal(gate_labels(trace, margin), want), margin
 
 
-class TestOneForwardPerBatch:
-    def test_epoch_runs_base_and_ladder_once_per_batch_and_scored_document(
-        self, pretrained, monkeypatch
-    ):
+def fresh_model(seed=23):
+    model = SpaModel.create(CFG, seed=seed)
+    model.base.freeze()
+    return model
+
+
+def hex_logs(result):
+    return [(e.train_loss.hex(), e.val_perplexity.hex(), e.gate_usage.hex())
+            for e in result.epochs]
+
+
+def reference_side_training(model, tcfg, corpus):
+    """Side training as one forward of `side_objective` per batch, base
+    included, and the scorer run afresh after every epoch: the formulation
+    the table of base features must reproduce bit for bit."""
+    tok = ByteTokenizer()
+    train_docs, val_docs, _ = corpus.splits(tcfg.seed)
+    blocks = token_blocks(train_docs, tok, tcfg.block_size)
+    opt = Adam(model.side.tensors() + model.gate.tensors(), tcfg.learning_rate,
+               tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
+    rng = np.random.default_rng(tcfg.seed)
+    logs = []
+    for _ in range(tcfg.epochs):
+        order = rng.permutation(len(blocks))
+        losses = []
+        for start in range(0, len(order), tcfg.batch_size):
+            with Tape() as tape:
+                loss = side_objective(model, blocks[order[start : start + tcfg.batch_size]], tcfg)
+            opt.zero_grad()
+            tape.backward(loss)
+            opt.step()
+            losses.append(loss.item())
+        total, count, used = teacher_forced_nll(model, val_docs, "spa", tok)
+        logs.append((float(np.mean(losses)).hex(), math.exp(total / count).hex(),
+                     (used / count).hex()))
+    return logs
+
+
+class TestBaseFeatures:
+    """Side training runs the frozen base once per training block and
+    scored validation document for each base and corpus, and reads every
+    batch and validation pass from that table."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"base_forward": [], "ladder": 0}
+        real_forward, real_ladder = spa.model.base_forward, spa.model.ladder
+
+        def forward(*args, **kwargs):
+            calls["base_forward"].append(np.asarray(args[2]).copy())
+            return real_forward(*args, **kwargs)
+
+        def ladder_(*args, **kwargs):
+            calls["ladder"] += 1
+            return real_ladder(*args, **kwargs)
+
+        for module in (spa.model, spa.training):
+            monkeypatch.setattr(module, "base_forward", forward)
+        monkeypatch.setattr(spa.model, "ladder", ladder_)
+        return calls
+
+    @staticmethod
+    def split(corpus, tcfg):
+        tok = ByteTokenizer()
+        train_docs, val_docs, _ = corpus.splits(tcfg.seed)
+        blocks = token_blocks(train_docs, tok, tcfg.block_size)
+        val_ids = [np.asarray(tok.encode_document(d))[: CFG.max_seq_len] for d in val_docs]
+        return blocks, [ids for ids in val_ids if ids.size >= 2]
+
+    def test_base_runs_once_per_block_and_scored_document(self, monkeypatch):
+        _, pers = small_corpora()
+        tcfg = TrainConfig(**{**TCFG.to_dict(), "epochs": 3})
+        blocks, scored = self.split(pers, tcfg)
+        batches = math.ceil(len(blocks) / tcfg.batch_size)
+        assert batches > 1 and len(blocks) % tcfg.batch_size and scored
+        model = fresh_model()
+        calls = self.count_calls(monkeypatch)
+        train_side_and_gate(model, tcfg, pers)
+        # the training blocks in block order, in chunks of batch_size, then
+        # each scored validation document's inputs
+        want = [blocks[i : i + tcfg.batch_size, :-1] for i in range(0, len(blocks), tcfg.batch_size)]
+        want += [ids[:-1] for ids in scored]
+        assert len(calls["base_forward"]) == len(want)
+        for got, ids in zip(calls["base_forward"], want):
+            assert np.array_equal(got, ids)
+        # the ladder still runs once per batch and scored document, every epoch
+        assert calls["ladder"] == tcfg.epochs * (batches + len(scored))
+
+        calls["base_forward"].clear()
+        calls["ladder"] = 0
+        reinit_side_and_gate(model, 3)
+        train_side_and_gate(model, tcfg, pers)
+        assert calls["base_forward"] == []
+        assert calls["ladder"] == tcfg.epochs * (batches + len(scored))
+
+    def test_epoch_logs_equal_the_per_batch_formulation(self, pretrained):
         model, _, _ = pretrained
         _, pers = small_corpora()
-        quick = TrainConfig(**{**TCFG.to_dict(), "epochs": 1})
-        tok = ByteTokenizer()
-        train_docs, val_docs, _ = pers.splits(quick.seed)
-        blocks = len(token_blocks(train_docs, tok, quick.block_size))
-        scored = sum(len(tok.encode_document(d)[: CFG.max_seq_len]) >= 2 for d in val_docs)
-        calls = {"base_forward": 0, "ladder": 0}
-        batch_positions = []  # training forwards take (B, T) id arrays
-        for name in calls:
-            real = getattr(spa.model, name)
+        tcfg = TrainConfig(**{**TCFG.to_dict(), "epochs": 3})
+        reinit_side_and_gate(model, 17)
+        want = reference_side_training(model, tcfg, pers)
+        want_params = (model.side.digest(), model.gate.digest())
+        for _ in range(2):  # the call that fills the table, then one that reuses it
+            reinit_side_and_gate(model, 17)
+            result = train_side_and_gate(model, tcfg, pers)
+            assert hex_logs(result) == want
+            assert (model.side.digest(), model.gate.digest()) == want_params
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                if _name == "base_forward" and np.ndim(args[2]) == 2:
-                    batch_positions.append(np.size(args[2]))
-                return _real(*args, **kwargs)
+    def test_second_call_equals_a_first_call_on_a_fresh_model(self):
+        _, pers = small_corpora()
+        warm = fresh_model()
+        train_side_and_gate(warm, TCFG, pers)
+        reinit_side_and_gate(warm, 5)
+        second = train_side_and_gate(warm, TCFG, pers)
+        cold = fresh_model()
+        reinit_side_and_gate(cold, 5)
+        assert hex_logs(second) == hex_logs(train_side_and_gate(cold, TCFG, pers))
+        assert (warm.side.digest(), warm.gate.digest()) == (cold.side.digest(), cold.gate.digest())
 
-            monkeypatch.setattr(spa.model, name, counted)
-        reinit_side_and_gate(model, 3)
-        train_side_and_gate(model, quick, pers)
-        batches = math.ceil(blocks / quick.batch_size)
-        assert batches > 1 and scored > 0
-        assert calls == {"base_forward": batches + scored, "ladder": batches + scored}
-        # every training block is forwarded once, in batches of batch_size
-        assert len(batch_positions) == batches
-        assert sum(batch_positions) == blocks * quick.block_size
-        assert max(batch_positions) == quick.batch_size * quick.block_size
+    def test_a_changed_base_or_corpus_rebuilds_the_table(self, monkeypatch):
+        base_corpus, pers = small_corpora()
+        other = Corpus("o", base_corpus.documents[:24])
+        tcfg = TrainConfig(**{**TCFG.to_dict(), "epochs": 1})
+
+        def perturb(model):
+            model.base.thaw()
+            model.base["layers.0.ffn.w1"].data[0, 0] += 0.5
+            model.base.freeze()
+
+        def expected(corpus, perturbed):
+            model = fresh_model()
+            if perturbed:
+                perturb(model)
+            reinit_side_and_gate(model, 5)
+            return hex_logs(train_side_and_gate(model, tcfg, corpus))
+
+        want_perturbed, want_other = expected(pers, True), expected(other, True)
+        model = fresh_model()
+        train_side_and_gate(model, tcfg, pers)  # the table of the unperturbed base
+        calls = self.count_calls(monkeypatch)
+
+        def assert_rebuilt(corpus, want):
+            blocks, scored = self.split(corpus, tcfg)
+            calls["base_forward"].clear()
+            reinit_side_and_gate(model, 5)
+            assert hex_logs(train_side_and_gate(model, tcfg, corpus)) == want
+            assert len(calls["base_forward"]) == (
+                math.ceil(len(blocks) / tcfg.batch_size) + len(scored))
+
+        perturb(model)
+        assert_rebuilt(pers, want_perturbed)
+        assert_rebuilt(other, want_other)
+
+    def test_table_is_not_part_of_the_models_value(self):
+        _, pers = small_corpora()
+        model = fresh_model()
+        train_side_and_gate(model, TrainConfig(**{**TCFG.to_dict(), "epochs": 1}), pers)
+        assert model.base_features is not None
+        assert model == dataclasses.replace(model, base_features=None)
+        assert "base_features" not in repr(model)
 
 
 def assert_rel(actual, want, rel):
@@ -345,6 +474,21 @@ class TestBatchedForward:
         for p, want in zip(params, per_block):
             assert_rel(p.grad, want, 1e-10)
         nc.zero_grad(params)
+
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    def test_a_precomputed_base_is_read_in_place_of_the_base(self, gated_model, n_blocks):
+        blocks = random_blocks(n_blocks)
+        ids = blocks[0] if n_blocks == 1 else blocks
+        with nc.no_grad():
+            base = base_forward(CFG, gated_model.base, ids[..., :-1])
+            for gate_mode in GATE_MODES:
+                want = teacher_forced(gated_model, ids, gate_mode)
+                got = teacher_forced(gated_model, ids, gate_mode, base)
+                assert got.base is base
+                assert got.fused_logits.data.tobytes() == want.fused_logits.data.tobytes()
+                assert got.gate_trace.tobytes() == want.gate_trace.tobytes()
+            with pytest.raises(DimensionError):
+                teacher_forced(gated_model, random_blocks(n_blocks + 1), "soft", base)
 
     def test_one_dimensional_forward_is_the_composition_of_its_parts(self, gated_model):
         """The 1-D path runs base, gate, ladder and fusion on the sequence's

@@ -21,7 +21,9 @@ loss, the scorer, the side path's causal effect (CATE) and the gate's
 training labels all read the `TokenLossTrace` it builds. Given a precomputed
 `BaseTrace` of its inputs it reads the base's features from it instead of
 running the base; side training passes the rows of its table of frozen-base
-features (`spa.training`) that way.
+features (`spa.training`) that way. Such a trace may carry no logits: the
+forward then computes them only where it returns them as the fused logits,
+and `cate` reads the base's target log-probs stored on the trace.
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ class ParamBundle:
         for name, t in self.named():
             h.update(name.encode())
             h.update(repr(t.shape).encode())
-            h.update(t.data.astype("<f8", copy=False).tobytes())
+            # hashed through the buffer protocol: no copy of a contiguous <f8 array
+            h.update(np.ascontiguousarray(t.data, dtype="<f8"))
         return h.hexdigest()
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
@@ -277,12 +280,17 @@ class BaseTrace:
     holds each layer's attention keys and values over every position
     attended (past and new), ready to be passed back as `past`: (Tk, d)
     arrays for 1-D ids, (B, Tk, d) for a batch.
+
+    `target_logprobs`, which `base_forward` leaves None, holds a
+    precomputed trace's base log-prob of each row's target, in place of
+    `logits` (`teacher_forced`).
     """
 
     hiddens: list[Tensor] = field(default_factory=list)
     final: Tensor | None = None
     logits: Tensor | None = None
     kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    target_logprobs: np.ndarray | None = None
 
 
 def base_forward(
@@ -457,16 +465,25 @@ class TokenLossTrace:
 
     def target_logprobs(self, logits: np.ndarray) -> np.ndarray:
         """log softmax(logits)[t, targets[t]] at every position t."""
-        return nc.log_softmax_rows(logits)[np.arange(self.targets.shape[0]), self.targets]
+        return nc.target_log_softmax(logits, self.targets)
 
     def cate(self) -> np.ndarray:
         """Per-position log-likelihood gain of fusing the whole side output
         over the base alone, lp(final + side_out)[t] - lp(base logits)[t],
-        whatever gate the trace ran; positive means the side path helps."""
+        whatever gate the trace ran; positive means the side path helps.
+        The base term is the base trace's stored `target_logprobs` when it
+        has them, else computed from its logits."""
         if self.side_out is None:
             raise ContractError("cate: the trace ran no side network (gate mode 'off')")
+        base_lp = self.base.target_logprobs
+        if base_lp is None:
+            if self.base.logits is None:
+                raise ContractError(
+                    "cate: the base trace carries neither logits nor target log-probs"
+                )
+            base_lp = self.target_logprobs(self.base.logits.data)
         on_logits = (self.base.final.data + self.side_out.data) @ self.out_proj.data
-        return self.target_logprobs(on_logits) - self.target_logprobs(self.base.logits.data)
+        return self.target_logprobs(on_logits) - base_lp
 
 
 GATE_MODES = ("soft", "hard", "off", "on")
@@ -485,9 +502,11 @@ def teacher_forced(
     row b*T + t depends on sequence b alone. Gate mode "off" skips the
     ladder and keeps the base logits.
 
-    `base`, when given, is the frozen base's trace of the inputs (hiddens,
-    final and logits over all B*T positions, as `base_forward` returns it),
-    and the base is not run.
+    `base`, when given, is the frozen base's trace of the inputs (hiddens
+    and final over all B*T positions, as `base_forward` returns them), and
+    the base is not run. It may leave out the logits, which are then
+    computed here only where the fused logits are the base's, and may
+    carry one stored base target log-prob per target for `cate`.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim not in (1, 2) or ids.shape[-1] < 2 or ids.size < 2:
@@ -503,6 +522,11 @@ def teacher_forced(
         raise DimensionError(
             f"teacher_forced: base trace rows {base.final.shape} do not cover inputs {inputs.shape}"
         )
+    elif base.target_logprobs is not None and base.target_logprobs.shape != targets.shape:
+        raise DimensionError(
+            f"teacher_forced: stored base log-probs {base.target_logprobs.shape} "
+            f"do not cover targets {targets.shape}"
+        )
     bt = base
     glog, gprobs = gate_logits(model.gate, bt.final)
     if gate_mode == "soft":
@@ -516,7 +540,8 @@ def teacher_forced(
     side_out = None if gate_mode == "off" else ladder(model.config, model.side, bt.hiddens)
     if gate_mode == "off" or (gate_mode == "hard" and not used.any()):
         # nothing is fused: the base logits are the fused logits, bit for bit
-        fused_logits = bt.logits
+        # (`base_forward` ends with this matmul)
+        fused_logits = bt.logits if bt.logits is not None else nc.matmul(bt.final, out_proj)
     else:
         _, fused_logits = fuse(bt.final, side_out, weights, out_proj)
     return TokenLossTrace(

@@ -323,6 +323,9 @@ def column(x: Tensor, idx: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for 2-D operands. The backward skips the product of an operand
+    whose `requires_grad` is False (`Tape.backward` would drop it), so a
+    frozen projection costs no weight-gradient product."""
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2:
         raise DimensionError(f"matmul: need 2-D operands, got {a.shape} and {b.shape}")
@@ -330,7 +333,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
 
     def bw(go):
-        return go @ bd.T, ad.T @ go
+        return (go @ bd.T if a.requires_grad else None,
+                ad.T @ go if b.requires_grad else None)
 
     return _apply(ad @ bd, (a, b), bw)
 
@@ -339,7 +343,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for (T, n) rows, an (n, m) weight and an (m,) bias, as one op.
 
     The same IEEE operations as `add(matmul(x, w), b)`, forward and
-    backward, so swapping one for the other changes no bit."""
+    backward, so swapping one for the other changes no bit. Like `matmul`,
+    its backward computes no gradient for an input that takes none (a
+    frozen weight, a constant input row)."""
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise DimensionError(
@@ -350,7 +356,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out += bd
 
     def bw(go):
-        return go @ wd.T, xd.T @ go, np.add.reduce(go, axis=0)
+        return (go @ wd.T if x.requires_grad else None,
+                xd.T @ go if w.requires_grad else None,
+                np.add.reduce(go, axis=0) if b.requires_grad else None)
 
     return _apply(out, (x, w, b), bw)
 
@@ -515,6 +523,16 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Plain-array row-wise log softmax (no tape); used by evaluation paths."""
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def target_log_softmax(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """log_softmax_rows(logits)[t, targets[t]] for every row t, bit for bit:
+    the target entries are gathered before the log-sum-exp is subtracted,
+    through the same IEEE operations, so only one entry per row pays it."""
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    picked = shifted[np.arange(targets.shape[0]), targets]
+    np.exp(shifted, out=shifted)
+    return picked - np.log(np.add.reduce(shifted, axis=-1))
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

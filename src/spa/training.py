@@ -24,21 +24,24 @@ the loss and are constants within a step.
 The base is frozen during side training, so its features over the corpus
 never change: `BaseFeatures` holds them, computed once by `base_forward` in
 chunks of batch_size blocks taken in block order. For every training block
-it keeps the per-layer hiddens and the final hidden; for every scored
-validation document, the same over the document. Each side-training batch
-and validation pass reads its rows from the table and recomputes only the
-base logits, `final @ out_proj`, as `teacher_forced`'s precomputed base.
-The table is kept on the model (`SpaModel.base_features`), keyed by the
-model config, the base digest, the exact training block array and the
-validation ids, so the epochs of a call, the calls of a learning-rate grid
-and repeated calls on the same base and corpus share it, and a changed base
-or corpus rebuilds it. It costs (n_layers + 1) * d_model * 8 bytes per
-training or validation position, 1.5 KiB at the bench shape (2 layers,
-d_model 64). With 48-token blocks, seed 1's personalized corpus holds
-2,304 training and 211 validation positions on the small tier (3.7 MiB),
-8,496 and 1,110 on medium (14 MiB) and 33,072 and 3,876 on full (54 MiB).
-The logits are not stored, which would add vocab_size * 8 bytes per
-position.
+it keeps the per-layer hiddens, the final hidden and the base's log-prob of
+each position's target (the base half of the gate labels' CATE); for every
+scored validation document, the hiddens and final hidden over the document.
+Each side-training batch and validation pass reads its rows from the table
+as `teacher_forced`'s precomputed base, and no reader gets base logits:
+batches need none, and validation computes `final @ out_proj` only where
+the fused logits are the base's (nothing fused in). The table is kept on
+the model (`SpaModel.base_features`), keyed by the model config, the base
+digest, the exact training block array and the validation ids, so the
+epochs of a call, the calls of a learning-rate grid and repeated calls on
+the same base and corpus share it, and a changed base or corpus rebuilds
+it. It costs (n_layers + 1) * d_model * 8 bytes per training or validation
+position, 1.5 KiB at the bench shape (2 layers, d_model 64), plus 8 bytes
+per training position for the target log-prob. With 48-token blocks, seed
+1's personalized corpus holds 2,304 training and 211 validation positions
+on the small tier (3.7 MiB), 8,496 and 1,110 on medium (14 MiB) and 33,072
+and 3,876 on full (54 MiB). The logits are not stored, which would add
+vocab_size * 8 bytes per position.
 """
 
 from __future__ import annotations
@@ -254,15 +257,16 @@ class BaseFeatures:
     """The frozen base's features over one corpus (module docstring).
 
     `hiddens[i]` and `final` are (n_blocks, T, d_model) arrays over the
-    training blocks in block order; `val` holds each validation document's
+    training blocks in block order, and `target_logprobs` the (n_blocks, T)
+    base log-probs of their targets; `val` holds each validation document's
     base trace without logits, or None for a document with nothing to
-    score. Readers get the logits recomputed as `final @ out_proj`, the op
-    `base_forward` ends with.
+    score.
     """
 
     key: tuple
     hiddens: list[np.ndarray]
     final: np.ndarray
+    target_logprobs: np.ndarray
     val: list[BaseTrace | None]
 
     @classmethod
@@ -284,29 +288,28 @@ class BaseFeatures:
         shape = (blocks.shape[0], blocks.shape[1] - 1, cfg.d_model)
         hiddens = [np.empty(shape) for _ in range(cfg.n_layers)]
         final = np.empty(shape)
+        target_lp = np.empty(shape[:2])
         with nc.no_grad():
             for start in range(0, shape[0], chunk):
-                trace = base_forward(cfg, model.base, blocks[start : start + chunk, :-1])
+                ids = blocks[start : start + chunk]
+                trace = base_forward(cfg, model.base, ids[:, :-1])
                 for store, t in zip([*hiddens, final], [*trace.hiddens, trace.final]):
                     store[start : start + chunk] = t.data.reshape(-1, *shape[1:])
+                target_lp[start : start + chunk] = nc.target_log_softmax(
+                    trace.logits.data, ids[:, 1:].reshape(-1)).reshape(-1, shape[1])
             val = [None if ids is None
                    else replace(base_forward(cfg, model.base, ids[:-1]), logits=None, kv=[])
                    for ids in val_ids]
-        return cls(key, hiddens, final, val)
+        return cls(key, hiddens, final, target_lp, val)
 
-    def batch(self, batch: np.ndarray, out_proj: Tensor) -> BaseTrace:
+    def batch(self, batch: np.ndarray) -> BaseTrace:
         """The base trace of the blocks whose indices `batch` holds, rows
-        block by block as `base_forward` lays out a (B, T) batch."""
+        block by block as `base_forward` lays out a (B, T) batch, with the
+        stored target log-probs in place of logits."""
         d = self.final.shape[-1]
-        final = Tensor(self.final[batch].reshape(-1, d))
-        return BaseTrace([Tensor(h[batch].reshape(-1, d)) for h in self.hiddens], final,
-                         nc.matmul(final, out_proj))
-
-    def val_traces(self, out_proj: Tensor):
-        """One base trace per validation document (None where it has nothing
-        to score), each built as it is read."""
-        return (None if t is None else replace(t, logits=nc.matmul(t.final, out_proj))
-                for t in self.val)
+        return BaseTrace([Tensor(h[batch].reshape(-1, d)) for h in self.hiddens],
+                         Tensor(self.final[batch].reshape(-1, d)),
+                         target_logprobs=self.target_logprobs[batch].reshape(-1))
 
 
 def reinit_side_and_gate(model: SpaModel, seed: int) -> None:
@@ -350,14 +353,12 @@ def train_side_and_gate(
     blocks, val_docs = _training_split(corpus, tokenizer, tcfg)
     features = BaseFeatures.for_model(model, digest_before, blocks, val_docs, tokenizer,
                                       tcfg.batch_size)
-    out_proj = model.base["out_proj"]
 
     def batch_loss(batch):
-        return side_objective(model, blocks[batch], tcfg, features.batch(batch, out_proj))
+        return side_objective(model, blocks[batch], tcfg, features.batch(batch))
 
     def validate():
-        return _fused_val_perplexity(model, val_docs, tokenizer,
-                                     bases=features.val_traces(out_proj))
+        return _fused_val_perplexity(model, val_docs, tokenizer, bases=features.val)
 
     result = _train_epochs("side", model.side.tensors() + model.gate.tensors(), tcfg,
                            len(blocks), batch_loss, validate, log)

@@ -194,6 +194,48 @@ def grads_of(f, tensors, go):
     return out.data, [t.grad for t in tensors]
 
 
+def backward_rule(f, tensors):
+    """The backward rule that one tape-recorded call f(*tensors) left on
+    the tape, which records it as its only entry."""
+    with Tape() as tape:
+        f(*tensors)
+    assert len(tape) == 1
+    return tape._entries[0].backward
+
+
+class TestFrozenInputs:
+    """`matmul` and `linear` compute no gradient for an input that takes
+    none, and the trainable inputs' gradients keep their bits."""
+
+    @staticmethod
+    def operands(rows=5):
+        r = rng_for(rows)
+        return (r.standard_normal((rows, 7)), r.standard_normal((7, 3)),
+                r.standard_normal(3), r.standard_normal((rows, 3)))
+
+    @staticmethod
+    def assert_skipped(f, arrays, frozen, go, want):
+        tensors = [Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)]
+        grads = backward_rule(f, tensors)(go)
+        assert len(grads) == len(want)
+        for i, g in enumerate(grads):
+            if i in frozen:
+                assert g is None
+            else:
+                assert np.array_equal(g, want[i])
+
+    @pytest.mark.parametrize("frozen", [(), (0,), (1,)])
+    def test_matmul_skips_a_frozen_operand(self, frozen):
+        x, w, _, go = self.operands()
+        self.assert_skipped(nc.matmul, (x, w), frozen, go, (go @ w.T, x.T @ go))
+
+    @pytest.mark.parametrize("frozen", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    def test_linear_skips_every_frozen_input(self, frozen):
+        x, w, b, go = self.operands()
+        self.assert_skipped(nc.linear, (x, w, b), frozen, go,
+                            (go @ w.T, x.T @ go, np.add.reduce(go, axis=0)))
+
+
 class TestLinear:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_equals_add_of_matmul_bit_for_bit(self, rows):
@@ -341,6 +383,18 @@ class TestCrossEntropy:
             logits = r.standard_normal((4, 6))
             targets = r.integers(0, 6, size=4)
             assert nc.cross_entropy(Tensor(logits), targets).item() >= 0.0
+
+
+class TestTargetLogSoftmax:
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_is_the_gather_of_the_full_log_softmax_bit_for_bit(self, scale):
+        r = rng_for(11)
+        logits = r.standard_normal((9, 50)) * scale
+        targets = r.integers(0, 50, size=9)
+        want = nc.log_softmax_rows(logits)[np.arange(9), targets]
+        kept = logits.copy()
+        assert nc.target_log_softmax(logits, targets).tobytes() == want.tobytes()
+        assert np.array_equal(logits, kept)
 
 
 class TestGradCheckHarness:

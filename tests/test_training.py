@@ -26,6 +26,7 @@ from spa.numcore import Tape
 from spa.tokenizer import VOCAB_SIZE, ByteTokenizer
 from spa.training import (
     Adam,
+    BaseFeatures,
     TrainConfig,
     TrainingDivergedError,
     gate_labels,
@@ -511,6 +512,51 @@ class TestBatchedForward:
                 assert trace.fused_logits.data.tobytes() == want.data.tobytes()
                 assert trace.gate_logits.data.tobytes() == glog.data.tobytes()
                 assert trace.gate_trace.tobytes() == weights.tobytes()
+
+
+class TestStoredBaseLogprobs:
+    """Side-training batches carry the base's stored target log-probs in
+    place of base logits, and `cate` from them is the full forward's."""
+
+    @staticmethod
+    def table(model, blocks):
+        # a shallow copy, so the table is not installed on the shared fixture
+        model = dataclasses.replace(model)
+        return model, BaseFeatures.for_model(model, model.base_digest(), blocks, [],
+                                             ByteTokenizer(), chunk=2)
+
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_cate_from_the_table_equals_a_full_forward(self, gated_model, gate_mode):
+        blocks = random_blocks(5)
+        model, features = self.table(gated_model, blocks)
+        batch = np.array([3, 0, 4])  # rows from three different build chunks
+        base = features.batch(batch)
+        assert base.logits is None
+        assert base.target_logprobs.shape == (3 * (blocks.shape[1] - 1),)
+        with nc.no_grad():
+            got = teacher_forced(model, blocks[batch], gate_mode, base)
+            want = teacher_forced(model, blocks[batch], gate_mode)
+        # under "off" the logits missing from the table are computed as the fused ones
+        assert got.fused_logits.data.tobytes() == want.fused_logits.data.tobytes()
+        if gate_mode != "off":
+            assert np.array_equal(got.cate(), want.cate())
+
+    def test_stored_logprobs_must_cover_every_target(self, gated_model):
+        blocks = random_blocks(3)
+        model, features = self.table(gated_model, blocks)
+        base = features.batch(np.array([0, 1]))
+        short = dataclasses.replace(base, target_logprobs=base.target_logprobs[:-1])
+        with pytest.raises(DimensionError, match="log-probs"):
+            teacher_forced(model, blocks[:2], "soft", short)
+
+    def test_cate_without_logits_or_stored_logprobs_is_a_contract_error(self, gated_model):
+        blocks = random_blocks(2)
+        model, features = self.table(gated_model, blocks)
+        bare = dataclasses.replace(features.batch(np.array([0, 1])), target_logprobs=None)
+        with nc.no_grad():
+            trace = teacher_forced(model, blocks, "soft", bare)
+        with pytest.raises(ContractError, match="neither logits nor"):
+            trace.cate()
 
 
 class TestEpochLoss:

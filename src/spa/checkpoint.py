@@ -214,7 +214,6 @@ def save_model(
     path: str | Path,
     kind: str = "full",
     train_config: dict | None = None,
-    extra: dict | None = None,
 ) -> None:
     if kind not in KINDS:
         raise CheckpointSchemaError(f"unknown checkpoint kind {kind!r}")
@@ -227,8 +226,6 @@ def save_model(
         "base_digest": base_digest,
         "compat_digest": compat_digest(model.config, base_digest),
     }
-    if extra:
-        meta["extra"] = extra
     write_raw(path, meta, arrays)
 
 

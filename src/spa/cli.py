@@ -384,7 +384,7 @@ def _cmd_grad_check(cfg, args) -> int:
 
     def run(name, f, tensors):
         nonlocal failures
-        report = grad_check(f, tensors, h=1e-5)
+        report = grad_check(f, tensors)
         status = "ok" if report.passed(args.tol) else "FAIL"
         if status == "FAIL":
             failures += 1

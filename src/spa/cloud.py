@@ -143,8 +143,7 @@ class CloudEndpoint:
             self._fail(transport, ErrorCode.INTERNAL, str(e))
         finally:
             record.counter = TransmissionCounter.build(
-                record.policy or "base_only", self.config.n_layers, record.emitted_tokens,
-                record.emitted_trace, record.base_hiddens_sent, transport,
+                record.emitted_tokens, record.emitted_trace, record.base_hiddens_sent, transport
             )
             try:
                 transport.close()

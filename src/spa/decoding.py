@@ -1,8 +1,9 @@
 """Decoding: gating policies, greedy/beam search, transmission accounting.
 
 `POLICY_GATE_MODES` is the one statement of what each cloud policy does
-with the gate bit; the step engine, `count_transmissions` and the
-teacher-forced scorer in `metrics` all read it.
+with the gate bit; the step engine and the teacher-forced scorer in
+`metrics` read it. M, the round trips per token, needs no policy: it is
+the mean of the emitted gate bits (`count_transmissions`).
 
 One step engine backs every path. The cloud session and the monolithic
 decoder run the same `CloudStepModel` code on the same array shapes; the
@@ -68,48 +69,25 @@ class DecodeConfig:
 
 
 def usage_percentage(gate_trace) -> float:
-    """100 x (decisions that used the side path) / (total decisions).
-
-    count_transmissions defines the spa policy's M as this value / 100, so
-    the two agree bit for bit by construction.
-    """
+    """100 x (decisions that used the side path) / (total decisions)."""
     trace = np.asarray(gate_trace, dtype=np.float64)
     if trace.size == 0:
         raise UndefinedMetricError("usage percentage is undefined for an empty gate trace")
     return 100.0 * (float(trace.sum()) / trace.size)
 
 
-def count_transmissions(policy: str, n_layers: int, tokens_generated: int, gate_trace=None) -> float:
-    """Cloud-device round trips per generated token for an architecture.
-
-    lora, adapter and lst are latency-table architectures only (lst, the
-    LST baseline, consults its side network on every token); every decoding
-    policy's count follows from its gate mode.
-    """
-    table_only = {"lora": float(n_layers), "adapter": 2.0 * n_layers, "lst": 1.0}
-    if policy in table_only:
-        return table_only[policy]
-    mode = POLICY_GATE_MODES.get(policy)
-    if mode is None:
-        raise ContractError(f"unknown architecture {policy!r}")
-    if mode != "hard":
-        return float(mode == "on")
-    if gate_trace is None:
-        raise ContractError("spa transmission count needs the gate trace")
-    trace = np.asarray(gate_trace, dtype=np.float64)
-    if tokens_generated and trace.size != tokens_generated:
-        raise ContractError(
-            f"gate trace length {trace.size} != tokens generated {tokens_generated}"
-        )
-    if not trace.size:
+def count_transmissions(gate_trace) -> float:
+    """M, cloud-device round trips per generated token: the mean of the
+    emitted gate bits (`usage_percentage` / 100), 0.0 when nothing was
+    emitted. Every policy's M follows: all ones under `always_side`, all
+    zeros under `base_only`."""
+    if not len(gate_trace):
         return 0.0
-    return usage_percentage(trace) / 100.0
+    return usage_percentage(gate_trace) / 100.0
 
 
 @dataclass
 class TransmissionCounter:
-    policy: str
-    n_layers: int
     frames_sent: int = 0
     frames_received: int = 0
     bytes_sent: int = 0
@@ -119,13 +97,9 @@ class TransmissionCounter:
     gate_trace: list[int] = field(default_factory=list)
 
     @classmethod
-    def build(
-        cls, policy: str, n_layers: int, tokens, gate_trace, round_trips: int, transport=None
-    ) -> "TransmissionCounter":
+    def build(cls, tokens, gate_trace, round_trips: int, transport=None) -> "TransmissionCounter":
         """Counter for a finished session; frame and byte counts come from `transport`."""
         counter = cls(
-            policy=policy,
-            n_layers=n_layers,
             hidden_round_trips=round_trips,
             tokens_generated=len(tokens),
             gate_trace=list(gate_trace),
@@ -139,9 +113,7 @@ class TransmissionCounter:
 
     @property
     def transmissions_per_token(self) -> float:
-        return count_transmissions(
-            self.policy, self.n_layers, self.tokens_generated, self.gate_trace
-        )
+        return count_transmissions(self.gate_trace)
 
     @property
     def round_trips_per_token(self) -> float:
@@ -426,8 +398,6 @@ def decode_monolithic(
         tokens=outcome.tokens,
         gate_trace=outcome.gate_trace,
         stopped_by_eos=outcome.stopped_by_eos,
-        counter=TransmissionCounter.build(
-            dcfg.policy, cfg.n_layers, outcome.tokens, outcome.gate_trace, outcome.hidden_calls
-        ),
+        counter=TransmissionCounter.build(outcome.tokens, outcome.gate_trace, outcome.hidden_calls),
         gate_log=list(step_model.gate_log),
     )

@@ -195,9 +195,7 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
         prompt_ids=list(prompt.token_ids),
         tokens=tokens,
         gate_trace=trace,
-        counter=TransmissionCounter.build(
-            dcfg.policy, bundle.config.n_layers, tokens, trace, answered, transport
-        ),
+        counter=TransmissionCounter.build(tokens, trace, answered, transport),
         completed=completed,
         stopped_by_eos=stopped_by_eos,
         error=error,

@@ -10,7 +10,8 @@ conventional reading) and the network term
 
     t_net = n_tokens * M * (tau + t_data)
 
-where M is the per-token transmission count of the architecture. The
+where M is the per-token transmission count of the architecture: fixed
+for the baselines, the measured gate usage for spa (`table_m`). The
 comparison table also carries a bundled reference column set, measured on a
 32-layer cloud deployment, because the reference rows' per-transmission
 costs are not mutually consistent under any single (tau + t_data)
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .decoding import count_transmissions
 from .errors import ConfigError, DomainError
 
 # reference measurements for a 32-layer cloud model, 50 generated tokens:
@@ -37,7 +37,14 @@ REFERENCE_ROWS = {
     "lst": (0.20, 3.29, 0.31, 3.60, 1.0),
     "spa": (0.21, 3.30, 0.18, 3.48, 0.62),
 }
-TABLE_ARCHS = ("lora", "adapter", "lst", "spa")
+
+
+def table_m(n_layers: int, usage: float) -> dict[str, float]:
+    """M of each table architecture, in table order, on an n_layers cloud:
+    LoRA and adapters exchange activations at every layer (adapters twice),
+    the LST baseline (Sung et al., arXiv 2206.06522) consults its side
+    network once per token, and spa at its gate usage."""
+    return {"lora": float(n_layers), "adapter": 2.0 * n_layers, "lst": 1.0, "spa": usage}
 
 
 @dataclass(frozen=True)
@@ -154,20 +161,16 @@ def build_comparison_table(
     n_tokens: int = 50,
     cdev_divides: bool = False,
     per_arch_cost: dict[str, float] | None = None,
-    gate_trace=None,
 ) -> list[ArchLatencyRow]:
-    """One row per architecture; modeled and reference columns side by side."""
+    """One row per architecture; modeled and reference columns side by side.
+    `usage` is spa's M, its gate usage rate."""
     if n_layers < 1:
         raise DomainError("n_layers must be >= 1")
     if not 0.0 <= usage <= 1.0:
         raise DomainError("usage must lie in [0, 1]")
-    trace = gate_trace if gate_trace is not None else [usage]
     rows = []
     per_arch_cost = per_arch_cost or {}
-    for arch in TABLE_ARCHS:
-        m = count_transmissions(arch, n_layers, 0, trace if arch == "spa" else None)
-        if arch == "spa" and gate_trace is None:
-            m = usage
+    for arch, m in table_m(n_layers, usage).items():
         cost = per_arch_cost.get(arch)
         dev = t_on_devices(profile, cdev_divides) * n_tokens
         pre = profile.t_pretrained * n_tokens

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 # usage_percentage (and its UndefinedMetricError) is re-exported: it lives
-# beside count_transmissions, which defines the spa policy's M from it
+# beside count_transmissions, which defines every policy's M from it
 from .decoding import POLICY_GATE_MODES, usage_percentage
 from .errors import ContractError, UndefinedMetricError
 from .model import BaseTrace, SpaModel, position_nll

@@ -47,6 +47,7 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+_LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -231,18 +232,15 @@ def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Ten
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b (same shape, or b a 1-D bias over a's last axis)."""
+    """a + b, same shapes only."""
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def bw(go):
-            return go, go
-        return _apply(ad + bd, (a, b), bw)
-    if bd.ndim == 1 and ad.ndim >= 1 and ad.shape[-1] == bd.shape[0]:
-        def bw(go):
-            axes = tuple(range(go.ndim - 1))
-            return go, go.sum(axis=axes) if axes else go
-        return _apply(ad + bd, (a, b), bw)
-    raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    if ad.shape != bd.shape:
+        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def bw(go):
+        return go, go
+
+    return _apply(ad + bd, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -342,10 +340,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for (T, n) rows, an (n, m) weight and an (m,) bias, as one op.
 
-    The same IEEE operations as `add(matmul(x, w), b)`, forward and
-    backward, so swapping one for the other changes no bit. Like `matmul`,
-    its backward computes no gradient for an input that takes none (a
-    frozen weight, a constant input row)."""
+    The same IEEE operations as `matmul(x, w)` followed by a broadcast add
+    of `b`, forward and backward, bit for bit. Like `matmul`, its backward
+    computes no gradient for an input that takes none (a frozen weight, a
+    constant input row)."""
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise DimensionError(
@@ -393,7 +391,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _apply(p, (x,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine.
 
     Means are `np.add.reduce` then a division by d: the IEEE operations of
@@ -409,7 +407,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     centered = xd - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
     var /= d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = centered * inv_std
     out = xhat * gd
     out += bd

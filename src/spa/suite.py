@@ -26,6 +26,7 @@ from .model import SpaModel
 from .tokenizer import BOS, EOS, ByteTokenizer
 
 POLICY_ORDER = ("base_only", "always_side", "spa")
+PROMPT_CHARS = 16  # each test document's head that prompts; the rest is the reference
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,7 @@ class SuiteConfig:
     checkpoints: dict[str, str | Path]  # tier -> full checkpoint path
     corpus_seed: int = 0
     n_prompts: int = 6
-    prompt_chars: int = 16
     max_new_tokens: int = 40
-    policies: tuple[str, ...] = POLICY_ORDER
     profile: LatencyProfile = LatencyProfile(t_pretrained=3.29 / 50)
     out_dir: str | Path = "reports"
 
@@ -68,9 +67,9 @@ def _suite_digest(cfg: SuiteConfig, tier_digests: dict[str, str]) -> str:
         {
             "corpus_seed": cfg.corpus_seed,
             "n_prompts": cfg.n_prompts,
-            "prompt_chars": cfg.prompt_chars,
+            "prompt_chars": PROMPT_CHARS,
             "max_new_tokens": cfg.max_new_tokens,
-            "policies": list(cfg.policies),
+            "policies": list(POLICY_ORDER),
             "tiers": tier_digests,
         },
         sort_keys=True,
@@ -101,7 +100,7 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
     for tier in sorted(cfg.checkpoints):
         model = loaded[tier]
         if model is None:
-            for policy in cfg.policies:
+            for policy in POLICY_ORDER:
                 report.rows.append(
                     ExperimentRow(
                         run_id=f"{tier}-{policy}", tier=tier, policy=policy,
@@ -115,11 +114,11 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
         _, _, test_docs = personalized.splits(cfg.corpus_seed)
         prompts = []
         for doc in test_docs[: cfg.n_prompts]:
-            head, tail = doc[: cfg.prompt_chars], doc[cfg.prompt_chars :]
+            head, tail = doc[:PROMPT_CHARS], doc[PROMPT_CHARS:]
             prompts.append(([BOS, *tok.encode(head)], tail))
 
         spa_trace: list[int] = []
-        for policy in cfg.policies:
+        for policy in POLICY_ORDER:
             run_id = f"{tier}-{policy}"
             dcfg = DecodeConfig(max_new_tokens=cfg.max_new_tokens, policy=policy)
             rouge_vals = []
@@ -131,12 +130,11 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
                 traces.extend(result.gate_trace)
             if policy == "spa":
                 spa_trace = traces
-            ratio = count_transmissions(policy, model.config.n_layers, 0, traces or [0])
             row = ExperimentRow(
                 run_id=run_id,
                 tier=tier,
                 policy=policy,
-                ratio=ratio,
+                ratio=count_transmissions(traces),
                 usage_percent=usage_percentage(traces) if traces else None,
                 rouge_f=float(np.mean(rouge_vals)) if rouge_vals else None,
                 perplexity=perplexity(model, test_docs, policy, tok),

@@ -81,9 +81,6 @@ class TrainConfig:
     batch_size: int = 8
     epochs: int = 15
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     gate_margin: float = 0.0
     usage_weight: float = 0.01
     block_size: int = 48
@@ -95,27 +92,28 @@ class TrainConfig:
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, tensors: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors: list[Tensor], lr: float):
         self.tensors = list(tensors)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.tensors]
         self._v = [np.zeros_like(p.data) for p in self.tensors]
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for p, m, v in zip(self.tensors, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.tensors:
@@ -192,7 +190,7 @@ def _train_epochs(
     indices `batch` holds; then `validate()` -> (val perplexity, gate usage
     or None) after every epoch. `stage` names the run in log lines and
     errors."""
-    opt = Adam(params, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
+    opt = Adam(params, tcfg.learning_rate)
     rng = np.random.default_rng(tcfg.seed)
     result = TrainResult()
     for epoch in range(tcfg.epochs):
@@ -228,14 +226,12 @@ def pretrain_base(
     corpus: Corpus,
     tokenizer: ByteTokenizer | None = None,
     log=None,
-    model: SpaModel | None = None,
 ) -> tuple[SpaModel, TrainResult]:
     """Train the base LM with plain cross-entropy, then freeze it."""
     if not corpus.documents:
         raise ContractError("pretrain_base: corpus is empty")
     tokenizer = tokenizer or ByteTokenizer()
-    if model is None:
-        model = SpaModel.create(config, seed=tcfg.seed)
+    model = SpaModel.create(config, seed=tcfg.seed)
     blocks, val_docs = _training_split(corpus, tokenizer, tcfg)
 
     def batch_loss(batch):

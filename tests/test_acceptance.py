@@ -149,7 +149,7 @@ def test_criterion_4_gradient_correctness():
                 return nc.add(nc.add(fused_nll, gate_ce),
                               nc.smul(usage, tcfg.usage_weight))
 
-            report = grad_check(full_loss, params, h=1e-5)
+            report = grad_check(full_loss, params)
             assert report.passed(1e-4), f"seed {seed}: {report.summary()}"
 
 
@@ -174,7 +174,7 @@ def test_criterion_4_gradient_correctness_over_a_batch():
                 return nc.add(nc.add(fused_nll, gate_ce),
                               nc.smul(usage, tcfg.usage_weight))
 
-            report = grad_check(full_loss, params, h=1e-5)
+            report = grad_check(full_loss, params)
             assert report.passed(1e-4), f"seed {seed}: {report.summary()}"
 
 

@@ -31,16 +31,5 @@ def test_beam_search_wrapper_matches_monolithic_beam():
     assert direct.gate_trace == mono.gate_trace
 
 
-def test_grad_check_default_tolerance_recorded():
-    from spa.gradcheck import grad_check
-    from spa.numcore import Tensor
-
-    report = grad_check(lambda t: t.sum(), Tensor(np.ones(3)))
-    assert report.tol == 1e-4
-    assert report.ok
-    assert report.passed()
-    assert not report.passed(1e-18)
-
-
 def test_byte_vocab_constant_exported():
     assert VOCAB_SIZE == 259

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, subcommand wiring, config file handling."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import spa_console
 from spa.checkpoint import load_checkpoint, save_model
 from spa.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from spa.cloud import serve_cloud
+from spa.configfile import SCHEMA
 from spa.corpus import load_text_dir
 from spa.metrics import teacher_forced_nll
 from spa.model import ModelConfig, SpaModel
@@ -256,6 +258,14 @@ class TestGradCheckCommand:
 
 
 class TestConfigFile:
+    def test_every_setting_is_reachable(self):
+        """Each training and model setting is a config-file key and a flag;
+        only vocab_size is fixed, by the tokenizer."""
+        train = {f.name for f in dataclasses.fields(TrainConfig)}
+        model = {f.name for f in dataclasses.fields(ModelConfig)}
+        assert train == set(SCHEMA["train"])
+        assert model == set(SCHEMA["model"]) | {"vocab_size"}
+
     def test_config_overrides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "spa.cfg"
         cfg.write_text("[latency]\nprofile = " + str(tmp_path / "p.profile") + "\n")

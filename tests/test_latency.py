@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spa.decoding import DecodeConfig, count_transmissions
+from spa.decoding import DecodeConfig
 from spa.errors import ConfigError, ContractError, DomainError
 from spa.latency import (
     LatencyProfile,
@@ -14,6 +14,7 @@ from spa.latency import (
     t_net,
     t_on_devices,
     t_total,
+    table_m,
 )
 
 # the calibration that reproduces the reference LST row exactly
@@ -130,14 +131,9 @@ class TestComparisonTable:
     def test_lst_is_a_table_architecture_not_a_decoding_policy(self):
         # the LST baseline consults its side network once per token at any depth
         for n_layers in (1, 4, 32):
-            assert count_transmissions("lst", n_layers, 0) == 1.0
+            assert table_m(n_layers, 0.5)["lst"] == 1.0
         with pytest.raises(ContractError, match="unknown policy 'lst'"):
             DecodeConfig(policy="lst")
-
-    def test_gate_trace_input(self):
-        rows = build_comparison_table(CAL, usage=0.0, n_layers=4, gate_trace=[1, 0, 1, 0, 0])
-        spa = [r for r in rows if r.arch == "spa"][0]
-        assert spa.ratio == pytest.approx(0.4)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(DomainError):

@@ -165,9 +165,29 @@ class TestEveryPolicy:
         prompt = [BOS, *ByteTokenizer().encode("the amber")]
         result = decode_monolithic(model, prompt, DecodeConfig(max_new_tokens=6, policy=policy))
         assert len(result.tokens) == 6
-        m = count_transmissions(policy, SCORER_CFG.n_layers, 6, result.gate_trace)
-        assert 0.0 <= m <= 1.0
-        assert m == result.counter.transmissions_per_token
+
+
+class TestTransmissionCount:
+    """M, round trips per token, is the mean of the emitted gate bits under
+    every policy and search."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_m_is_the_gate_bit_mean(self, policy, strategy):
+        prompt = [BOS, *ByteTokenizer().encode("the amber")]
+        dcfg = DecodeConfig(max_new_tokens=6, strategy=strategy, beam_width=4, policy=policy)
+        result = decode_monolithic(gated_model(), prompt, dcfg)
+        m = result.counter.transmissions_per_token
+        assert m == usage_percentage(result.gate_trace) / 100.0
+        if policy != "spa":
+            assert m == float(policy == "always_side")
+
+    def test_empty_trace_gives_zero(self):
+        assert count_transmissions([]) == 0.0
+        for policy in POLICIES:
+            dcfg = DecodeConfig(max_new_tokens=0, policy=policy)
+            result = decode_monolithic(gated_model(), [BOS], dcfg)
+            assert result.counter.transmissions_per_token == 0.0
 
 
 class TestScorerMatchesDecodePath:

@@ -712,5 +712,5 @@ class TestFullModelGradCheck:
             loss, _ = token_loss(model, ids, gate_mode="soft")
             return loss
 
-        report = grad_check(f, params, h=1e-5)
+        report = grad_check(f, params)
         assert report.passed(1e-4), report.summary()

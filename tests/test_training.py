@@ -113,15 +113,19 @@ class TestPretrain:
         _, val_docs, _ = base_corpus.splits(TCFG.seed)
         assert result.final.val_perplexity == perplexity(model, val_docs, "base_only")
 
-    def test_nan_parameter_aborts_with_divergence_error(self):
+    def test_nan_parameter_aborts_with_divergence_error(self, monkeypatch):
         base_corpus, _ = small_corpora()
-        model = SpaModel.create(CFG, seed=0)
-        # poison a parameter every forward pass reads
-        model.base["pos_emb"].data[0, 0] = np.nan
+        create = SpaModel.create
+
+        def poisoned(config, seed):
+            model = create(config, seed=seed)
+            # poison a parameter every forward pass reads
+            model.base["pos_emb"].data[0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(SpaModel, "create", staticmethod(poisoned))
         with pytest.raises(TrainingDivergedError):
-            pretrain_base(
-                CFG, TrainConfig(**{**TCFG.to_dict(), "epochs": 1}), base_corpus, model=model
-            )
+            pretrain_base(CFG, TrainConfig(**{**TCFG.to_dict(), "epochs": 1}), base_corpus)
 
 
 class TestSideTraining:
@@ -257,8 +261,7 @@ def reference_side_training(model, tcfg, corpus):
     tok = ByteTokenizer()
     train_docs, val_docs, _ = corpus.splits(tcfg.seed)
     blocks = token_blocks(train_docs, tok, tcfg.block_size)
-    opt = Adam(model.side.tensors() + model.gate.tensors(), tcfg.learning_rate,
-               tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
+    opt = Adam(model.side.tensors() + model.gate.tensors(), tcfg.learning_rate)
     rng = np.random.default_rng(tcfg.seed)
     logs = []
     for _ in range(tcfg.epochs):
@@ -583,7 +586,7 @@ class TestEpochLoss:
                                  b[:, 1:].reshape(-1)).item()
                 for b in batches
             ])
-        _, result = pretrain_base(CFG, tcfg, base_corpus, model=model)
+        _, result = pretrain_base(CFG, tcfg, base_corpus)
         assert_rel(result.final.train_loss, want, 1e-12)
 
     def test_side_epoch_loss_is_the_mean_of_batch_losses(self, gated_model):

@@ -5,25 +5,21 @@ one PROMPT, then for each decode step that gates at least one row a single
 BASE_HIDDENS -> SIDE_OUTPUT round trip carrying all of that step's gated
 rows (one for greedy, up to the beam width for beam search); every emitted
 token is one TOKEN frame carrying its gate bit, and the session ends with
-EOS. Any violation produces an ERROR frame and closes the session; step
-indices increase strictly across all frames the cloud initiates.
+EOS. Any failure ends the session with at most one ERROR frame, whose code
+the error carries (`spa.wire`); step indices increase strictly across all
+frames the cloud initiates.
 """
 
 from __future__ import annotations
 
+import itertools
 import socketserver
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import compat_digest, load_checkpoint
-from .decoding import (
-    CloudStepModel,
-    DecodeConfig,
-    StepCounter,
-    TransmissionCounter,
-    run_decode,
-)
+from .decoding import CloudStepModel, DecodeConfig, TransmissionCounter, run_decode
 from .errors import SpaError
 from .model import BaseParams, GateParams, ModelConfig, SpaModel
 from .tokenizer import EOS as EOS_TOKEN
@@ -36,10 +32,10 @@ from .wire import (
     Eos,
     ErrorCode,
     ErrorFrame,
-    FrameError,
     Hello,
-    OversizeFrameError,
+    PeerError,
     Prompt,
+    ProtocolViolation,
     SideOutput,
     Token,
 )
@@ -53,10 +49,6 @@ MAX_BEAM_WIDTH = 16
 MAX_NEW_TOKENS = 1024
 # longest prompt a PROMPT may carry: bounds the context the cloud holds
 MAX_PROMPT_TOKENS = 4096
-
-
-class SessionAborted(SpaError):
-    pass
 
 
 @dataclass
@@ -118,29 +110,18 @@ class CloudEndpoint:
             self.sessions.append(record)
         return record
 
-    def _fail(self, transport, code: int, message: str) -> None:
-        try:
-            transport.send(ErrorFrame(code, message))
-        except SpaError:
-            pass
-
     def handle_session(self, transport) -> SessionRecord:
         record = self._new_record()
         try:
             self._run_session(transport, record)
-        except SessionAborted as e:
-            record.error = str(e)
-        except OversizeFrameError as e:
-            record.error = str(e)
-            self._fail(transport, ErrorCode.OVERSIZE, str(e))
-        except FrameError as e:
-            record.error = str(e)
-            self._fail(transport, ErrorCode.BAD_FRAME, str(e))
-        except (TransportClosed, TransportTimeout) as e:
+        except (PeerError, TransportClosed, TransportTimeout) as e:
             record.error = str(e)
         except SpaError as e:
             record.error = str(e)
-            self._fail(transport, ErrorCode.INTERNAL, str(e))
+            try:
+                transport.send(ErrorFrame(getattr(e, "code", ErrorCode.INTERNAL), str(e)))
+            except SpaError:
+                pass
         finally:
             record.counter = TransmissionCounter.build(
                 record.emitted_tokens, record.emitted_trace, record.base_hiddens_sent, transport
@@ -151,115 +132,75 @@ class CloudEndpoint:
                 pass
         return record
 
-    def _abort(self, transport, code: int, message: str) -> SessionRecord:
-        self._fail(transport, code, message)
-        raise SessionAborted(message)
+    def _recv(self, transport, want: type, violation: str):
+        """The next frame, which must be a `want`; an ERROR ends the session."""
+        msg = transport.recv(self.frame_timeout)
+        if isinstance(msg, ErrorFrame):
+            raise PeerError(msg, "device error")
+        if not isinstance(msg, want):
+            raise ProtocolViolation(violation)
+        return msg
 
     def _run_session(self, transport, record: SessionRecord) -> None:
-        hello = transport.recv(self.frame_timeout)
-        if not isinstance(hello, Hello):
-            self._abort(
-                transport, ErrorCode.PROTOCOL_VIOLATION, "session must start with HELLO"
-            )
+        hello = self._recv(transport, Hello, "session must start with HELLO")
         if hello.version != PROTOCOL_VERSION:
-            self._abort(
-                transport,
-                ErrorCode.VERSION_MISMATCH,
+            raise ProtocolViolation(
                 f"protocol version {hello.version} unsupported (need {PROTOCOL_VERSION})",
+                ErrorCode.VERSION_MISMATCH,
             )
         if hello.digest != self.digest:
-            self._abort(
-                transport, ErrorCode.DIGEST_MISMATCH, "model compatibility digest mismatch"
-            )
+            raise ProtocolViolation("model compatibility digest mismatch",
+                                    ErrorCode.DIGEST_MISMATCH)
         transport.send(Hello(PROTOCOL_VERSION, self.wire_mode, self.digest))
 
-        prompt = transport.recv(self.frame_timeout)
-        if not isinstance(prompt, Prompt):
-            self._abort(transport, ErrorCode.PROTOCOL_VIOLATION, "expected PROMPT after HELLO")
-        if not prompt.token_ids:
-            self._abort(transport, ErrorCode.PROTOCOL_VIOLATION, "prompt must not be empty")
-        if len(prompt.token_ids) > MAX_PROMPT_TOKENS:
-            self._abort(
-                transport,
-                ErrorCode.PROTOCOL_VIOLATION,
-                f"prompt of {len(prompt.token_ids)} tokens exceeds {MAX_PROMPT_TOKENS}",
-            )
-        if max(prompt.token_ids) >= self.config.vocab_size:
-            self._abort(
-                transport,
-                ErrorCode.PROTOCOL_VIOLATION,
-                f"prompt token {max(prompt.token_ids)} out of range "
-                f"for vocab {self.config.vocab_size}",
+        prompt = self._recv(transport, Prompt, "expected PROMPT after HELLO")
+        ids = prompt.token_ids
+        if not ids:
+            raise ProtocolViolation("prompt must not be empty")
+        if len(ids) > MAX_PROMPT_TOKENS:
+            raise ProtocolViolation(f"prompt of {len(ids)} tokens exceeds {MAX_PROMPT_TOKENS}")
+        if max(ids) >= self.config.vocab_size:
+            raise ProtocolViolation(
+                f"prompt token {max(ids)} out of range for vocab {self.config.vocab_size}"
             )
         if not 1 <= prompt.beam_width <= MAX_BEAM_WIDTH:
-            self._abort(
-                transport,
-                ErrorCode.PROTOCOL_VIOLATION,
-                f"beam width {prompt.beam_width} outside 1..{MAX_BEAM_WIDTH}",
-            )
+            raise ProtocolViolation(f"beam width {prompt.beam_width} outside 1..{MAX_BEAM_WIDTH}")
         if prompt.max_new_tokens > MAX_NEW_TOKENS:
-            self._abort(
-                transport,
-                ErrorCode.PROTOCOL_VIOLATION,
-                f"max_new_tokens {prompt.max_new_tokens} exceeds {MAX_NEW_TOKENS}",
+            raise ProtocolViolation(
+                f"max_new_tokens {prompt.max_new_tokens} exceeds {MAX_NEW_TOKENS}"
             )
         record.policy = prompt.policy
-        record.prompt_len = len(prompt.token_ids)
-        dcfg = DecodeConfig(
-            max_new_tokens=prompt.max_new_tokens,
-            strategy=prompt.strategy,
-            beam_width=prompt.beam_width,
-            policy=prompt.policy,
-            wire_mode=self.wire_mode,
-        )
-        steps = StepCounter()
+        record.prompt_len = len(ids)
+        dcfg = DecodeConfig(max_new_tokens=prompt.max_new_tokens, strategy=prompt.strategy,
+                            beam_width=prompt.beam_width, policy=prompt.policy,
+                            wire_mode=self.wire_mode)
+        steps = itertools.count()
 
         def wire_side_provider(step: int, payload) -> "np.ndarray":
             # payload is (G, R, d); the frame carries (R, G, d), chunk = G
             transport.send(BaseHiddens(step, payload.transpose(1, 0, 2)))
             record.base_hiddens_sent += 1
-            reply = transport.recv(self.frame_timeout)
-            if isinstance(reply, ErrorFrame):
-                raise SessionAborted(f"device error {reply.code}: {reply.message}")
-            if not isinstance(reply, SideOutput):
-                self._abort(
-                    transport,
-                    ErrorCode.PROTOCOL_VIOLATION,
-                    f"expected SIDE_OUTPUT for step {step}",
-                )
+            reply = self._recv(transport, SideOutput, f"expected SIDE_OUTPUT for step {step}")
             if reply.step != step:
-                self._abort(
-                    transport,
-                    ErrorCode.PROTOCOL_VIOLATION,
-                    f"SIDE_OUTPUT step {reply.step} does not match request {step}",
+                raise ProtocolViolation(
+                    f"SIDE_OUTPUT step {reply.step} does not match request {step}"
                 )
             want = (len(payload), self.config.d_model)
             if reply.vectors.shape != want:
-                self._abort(
-                    transport,
-                    ErrorCode.PROTOCOL_VIOLATION,
-                    f"SIDE_OUTPUT block has shape {reply.vectors.shape}, need {want}",
+                raise ProtocolViolation(
+                    f"SIDE_OUTPUT block has shape {reply.vectors.shape}, need {want}"
                 )
             return reply.vectors
 
-        step_model = CloudStepModel(
-            self.config,
-            self.base,
-            self.gate,
-            prompt.policy,
-            self.wire_mode,
-            wire_side_provider,
-            steps,
-        )
+        step_model = CloudStepModel(self.config, self.base, self.gate, prompt.policy,
+                                    self.wire_mode, wire_side_provider, steps)
 
         def on_emit(used: int, tok: int) -> None:
-            transport.send(Token(steps.take(), tok, used))
+            transport.send(Token(next(steps), tok, used))
             record.emitted_trace.append(used)
             record.emitted_tokens.append(tok)
 
-        run_decode(
-            step_model, prompt.token_ids, dcfg, self.config.vocab_size, self.eos_id, on_emit
-        )
+        run_decode(step_model, ids, dcfg, self.config.vocab_size, self.eos_id, on_emit)
         record.gate_log = list(step_model.gate_log)
         transport.send(Eos())
 

@@ -25,7 +25,9 @@ FFN and output projection over one row per context, not the whole window.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -126,18 +128,6 @@ class TransmissionCounter:
         return self.hidden_round_trips / self.tokens_generated
 
 
-class StepCounter:
-    """Session-wide strictly increasing step index source."""
-
-    def __init__(self):
-        self._next = 0
-
-    def take(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
-
-
 def local_side_provider(config: ModelConfig, side):
     """Side computation as the device performs it: a pure function of one
     (G, R, d_model) block holding a step's G gated rows, returning their
@@ -164,13 +154,14 @@ class CloudStepModel:
     `logits_for` takes the step's contexts, all of one length (greedy passes
     one, beam search every live hypothesis), runs the base once over all of
     them, gates every row and returns (B, V) logits with B gate bits. If any
-    row is gated, the side provider is called once for the step, under one
-    step index, with a (G, R, d_model) block of the G gated rows in order:
-    R = L per-layer hiddens in `all_layers` mode, R = 1 final hidden in
-    `final` mode. That choice of rows is the only use of the wire mode; the
-    side step itself carries no state. A step therefore costs at most one
-    side round trip, whatever the beam width, and `hidden_calls` counts
-    those calls. A returned block that is not (G, d_model) raises
+    row is gated, the side provider is called once for the step, under the
+    next index drawn from `steps` (a session's strictly increasing step
+    indices, such as `itertools.count()`), with a (G, R, d_model) block of
+    the G gated rows in order: R = L per-layer hiddens in `all_layers` mode,
+    R = 1 final hidden in `final` mode. That choice of rows is the only use
+    of the wire mode; the side step itself carries no state. A step
+    therefore costs at most one side round trip, whatever the beam width,
+    and `hidden_calls` counts those calls. A returned block that is not (G, d_model) raises
     `DimensionError` and one that is not finite raises `DomainError`, so a
     broken side network never decodes silently.
 
@@ -184,7 +175,8 @@ class CloudStepModel:
     full. Windows of max_seq_len tokens cannot be extended and are not kept.
     """
 
-    def __init__(self, config, base, gate, policy, wire_mode, side_provider, steps: StepCounter):
+    def __init__(self, config, base, gate, policy, wire_mode, side_provider,
+                 steps: Iterator[int]):
         if policy not in POLICY_GATE_MODES:
             raise ContractError(f"unknown policy {policy!r}")
         self.config = config
@@ -236,7 +228,7 @@ class CloudStepModel:
             else:
                 payload = final[gated, None]
             rows = final[gated]
-            side = self.side_provider(self.steps.take(), payload)
+            side = self.side_provider(next(self.steps), payload)
             self.hidden_calls += 1
             if np.shape(side) != rows.shape:
                 raise DimensionError(
@@ -253,7 +245,7 @@ def local_step_model(model: SpaModel, policy: str, wire_mode: str = DEFAULT_WIRE
     cfg = model.config
     return CloudStepModel(
         cfg, model.base, model.gate, policy, wire_mode,
-        local_side_provider(cfg, model.side), StepCounter(),
+        local_side_provider(cfg, model.side), itertools.count(),
     )
 
 

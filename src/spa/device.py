@@ -23,20 +23,15 @@ from .wire import (
     PROTOCOL_VERSION,
     BaseHiddens,
     Eos,
-    ErrorCode,
     ErrorFrame,
     Hello,
+    PeerError,
     Prompt,
+    ProtocolViolation,
     SideOutput,
     Token,
     encode_frame,
 )
-
-
-class SessionRejected(SpaError):
-    def __init__(self, frame: ErrorFrame):
-        super().__init__(frame.message)
-        self.frame = frame
 
 
 @dataclass
@@ -67,12 +62,6 @@ def _decode_text(config: ModelConfig, tokens) -> str:
     if config.vocab_size == VOCAB_SIZE:
         return ByteTokenizer().decode(tokens)
     return ""
-
-
-def _protocol_violation(transport, message: str):
-    """Tell the cloud why the session ends, then end it."""
-    transport.send(ErrorFrame(ErrorCode.PROTOCOL_VIOLATION, message))
-    raise ContractError(message)
 
 
 def run_device(
@@ -136,9 +125,9 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
         transport.send(Hello(PROTOCOL_VERSION, dcfg.wire_mode, bundle.digest))
         reply = transport.recv(frame_timeout)
         if isinstance(reply, ErrorFrame):
-            raise SessionRejected(reply)
+            raise PeerError(reply, "handshake rejected:")
         if not isinstance(reply, Hello):
-            raise ContractError("expected HELLO (or ERROR) from the cloud")
+            raise ProtocolViolation("expected HELLO (or ERROR) from the cloud")
         provider = local_side_provider(bundle.config, bundle.side)
         # the cloud's HELLO names the session's wire mode: per-layer hiddens
         # or the final hidden alone, each d_model wide
@@ -151,21 +140,16 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
             msg = transport.recv(frame_timeout)
             if isinstance(msg, (BaseHiddens, Token)):
                 if msg.step <= last_step:
-                    _protocol_violation(
-                        transport, f"out-of-order step {msg.step} (last {last_step})"
-                    )
+                    raise ProtocolViolation(f"out-of-order step {msg.step} (last {last_step})")
                 last_step = msg.step
             if isinstance(msg, BaseHiddens):
                 n_rows, chunk, width = msg.hiddens.shape
                 if not 1 <= chunk <= max_chunk:
-                    _protocol_violation(
-                        transport, f"BASE_HIDDENS chunk {chunk} outside 1..{max_chunk}"
-                    )
+                    raise ProtocolViolation(f"BASE_HIDDENS chunk {chunk} outside 1..{max_chunk}")
                 if (n_rows, width) != (rows, bundle.config.d_model):
-                    _protocol_violation(
-                        transport,
+                    raise ProtocolViolation(
                         f"BASE_HIDDENS of shape {msg.hiddens.shape}: {reply.wire_mode} mode "
-                        f"needs ({rows}, chunk, {bundle.config.d_model})",
+                        f"needs ({rows}, chunk, {bundle.config.d_model})"
                     )
                 vecs = provider(msg.step, msg.hiddens.transpose(1, 0, 2))
                 transport.send(SideOutput(msg.step, vecs))
@@ -179,16 +163,19 @@ def _session(bundle: SideBundle, dcfg: DecodeConfig, prompt: Prompt, transport,
                 completed = True
                 break
             elif isinstance(msg, ErrorFrame):
-                error = f"cloud error {msg.code}: {msg.message}"
-                break
+                raise PeerError(msg, "cloud error")
             else:
-                raise ContractError(f"unexpected frame {type(msg).__name__} mid-session")
-    except SessionRejected as e:
-        error = f"handshake rejected: {e.frame.code}: {e.frame.message}"
+                raise ProtocolViolation(f"unexpected frame {type(msg).__name__} mid-session")
+    except ProtocolViolation as e:
+        error = str(e)
+        try:  # tell the cloud why the session ends
+            transport.send(ErrorFrame(e.code, error))
+        except SpaError:
+            pass
     except TransportTimeout as e:
         error = f"timeout: {e}"
-    except (TransportClosed, SpaError) as e:
-        error = error or str(e)
+    except SpaError as e:
+        error = str(e)
 
     return GenerationResult(
         text=_decode_text(bundle.config, tokens),

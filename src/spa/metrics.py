@@ -59,11 +59,10 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return RougeScore(p, r, f)
 
 
-def scored_ids(
-    documents: list[str], max_seq_len: int, tokenizer: ByteTokenizer
-) -> list[np.ndarray | None]:
-    """Each document's ids cut to max_seq_len tokens, or None for one left
-    shorter than 2 tokens, which has no position to score."""
+def scored_ids(documents: list[str], max_seq_len: int) -> list[np.ndarray | None]:
+    """Each document's byte-token ids cut to max_seq_len tokens, or None for
+    one left shorter than 2 tokens, which has no position to score."""
+    tokenizer = ByteTokenizer()
     out = []
     for doc in documents:
         ids = np.asarray(tokenizer.encode_document(doc), dtype=np.int64)[:max_seq_len]
@@ -75,7 +74,6 @@ def teacher_forced_nll(
     model: SpaModel,
     documents: list[str],
     policy: str = "spa",
-    tokenizer: ByteTokenizer | None = None,
     bases: Iterable[BaseTrace | None] | None = None,
 ) -> tuple[float, int, int]:
     """(summed NLL, scored positions, side-consulted positions) over documents.
@@ -88,12 +86,10 @@ def teacher_forced_nll(
     """
     if policy not in POLICIES:
         raise ContractError(f"teacher_forced_nll: unknown policy {policy!r}")
-    tokenizer = tokenizer or ByteTokenizer()
     if bases is None:
         bases = [None] * len(documents)
     total, count, used = 0.0, 0, 0
-    for ids, base in zip(scored_ids(documents, model.config.max_seq_len, tokenizer), bases,
-                         strict=True):
+    for ids, base in zip(scored_ids(documents, model.config.max_seq_len), bases, strict=True):
         if ids is None:
             continue
         nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy], base)
@@ -103,16 +99,11 @@ def teacher_forced_nll(
     return total, count, used
 
 
-def perplexity(
-    model: SpaModel,
-    documents: list[str],
-    policy: str = "spa",
-    tokenizer: ByteTokenizer | None = None,
-) -> float:
+def perplexity(model: SpaModel, documents: list[str], policy: str = "spa") -> float:
     """exp(mean token NLL) over documents under a decoding policy."""
     if not documents:
         raise ContractError("perplexity: no documents")
-    total, count, _ = teacher_forced_nll(model, documents, policy, tokenizer)
+    total, count, _ = teacher_forced_nll(model, documents, policy)
     if count == 0:
         raise ContractError("perplexity: documents held no scorable positions")
     return math.exp(total / count)

@@ -137,7 +137,7 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
                 ratio=count_transmissions(traces),
                 usage_percent=usage_percentage(traces) if traces else None,
                 rouge_f=float(np.mean(rouge_vals)) if rouge_vals else None,
-                perplexity=perplexity(model, test_docs, policy, tok),
+                perplexity=perplexity(model, test_docs, policy),
             )
             report.rows.append(row)
             say(f"{run_id}: ratio {row.ratio:.3f} rouge {row.rouge_f:.3f} "

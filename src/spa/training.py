@@ -151,13 +151,11 @@ class TrainResult:
         return self.epochs[-1]
 
 
-def _fused_val_perplexity(
-    model: SpaModel, docs, tokenizer, policy="spa", bases=None
-) -> tuple[float, float]:
+def _fused_val_perplexity(model: SpaModel, docs, policy="spa", bases=None) -> tuple[float, float]:
     """(perplexity, gate usage rate) of `policy` on held-out docs; both nan
     when no document has a scorable position. `bases` as in
     `teacher_forced_nll`."""
-    total, count, used = teacher_forced_nll(model, docs, policy, tokenizer, bases)
+    total, count, used = teacher_forced_nll(model, docs, policy, bases)
     if not count:
         return float("nan"), float("nan")
     return math.exp(total / count), used / count
@@ -167,12 +165,10 @@ def _fused_val_perplexity(
 _STAGE_WORDS = {"pretrain": "pretraining", "side": "side training"}
 
 
-def _training_split(
-    corpus: Corpus, tokenizer: ByteTokenizer, tcfg: TrainConfig
-) -> tuple[np.ndarray, list[str]]:
+def _training_split(corpus: Corpus, tcfg: TrainConfig) -> tuple[np.ndarray, list[str]]:
     """(training blocks, validation documents) of the corpus under the seed."""
     train_docs, val_docs, _ = corpus.splits(tcfg.seed)
-    return token_blocks(train_docs, tokenizer, tcfg.block_size), val_docs
+    return token_blocks(train_docs, ByteTokenizer(), tcfg.block_size), val_docs
 
 
 def _train_epochs(
@@ -221,18 +217,13 @@ def _train_epochs(
 
 
 def pretrain_base(
-    config: ModelConfig,
-    tcfg: TrainConfig,
-    corpus: Corpus,
-    tokenizer: ByteTokenizer | None = None,
-    log=None,
+    config: ModelConfig, tcfg: TrainConfig, corpus: Corpus, log=None
 ) -> tuple[SpaModel, TrainResult]:
     """Train the base LM with plain cross-entropy, then freeze it."""
     if not corpus.documents:
         raise ContractError("pretrain_base: corpus is empty")
-    tokenizer = tokenizer or ByteTokenizer()
     model = SpaModel.create(config, seed=tcfg.seed)
-    blocks, val_docs = _training_split(corpus, tokenizer, tcfg)
+    blocks, val_docs = _training_split(corpus, tcfg)
 
     def batch_loss(batch):
         ids = blocks[batch]
@@ -240,7 +231,7 @@ def pretrain_base(
         return nc.cross_entropy(logits, ids[:, 1:].reshape(-1))
 
     def validate():
-        return _fused_val_perplexity(model, val_docs, tokenizer, "base_only")[0], None
+        return _fused_val_perplexity(model, val_docs, "base_only")[0], None
 
     result = _train_epochs("pretrain", model.base.tensors(), tcfg, len(blocks),
                            batch_loss, validate, log)
@@ -267,10 +258,10 @@ class BaseFeatures:
 
     @classmethod
     def for_model(cls, model: SpaModel, digest: str, blocks: np.ndarray, val_docs: list[str],
-                  tokenizer: ByteTokenizer, chunk: int) -> "BaseFeatures":
+                  chunk: int) -> "BaseFeatures":
         """The model's table for this base (`digest`) and corpus, built and
         installed on the model unless the one it holds has that key."""
-        val_ids = scored_ids(val_docs, model.config.max_seq_len, tokenizer)
+        val_ids = scored_ids(val_docs, model.config.max_seq_len)
         key = (model.config, digest, blocks.shape, blocks.tobytes(),
                tuple(None if ids is None else ids.tobytes() for ids in val_ids))
         if model.base_features is None or model.base_features.key != key:
@@ -332,32 +323,25 @@ def side_objective(
     return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight))
 
 
-def train_side_and_gate(
-    model: SpaModel,
-    tcfg: TrainConfig,
-    corpus: Corpus,
-    tokenizer: ByteTokenizer | None = None,
-    log=None,
-) -> TrainResult:
+def train_side_and_gate(model: SpaModel, tcfg: TrainConfig, corpus: Corpus,
+                        log=None) -> TrainResult:
     """Optimize side + gate against the combined objective; base must be frozen."""
     if not model.base.frozen:
         raise ContractError("train_side_and_gate: base parameters must be frozen first")
     if not corpus.documents:
         raise ContractError("train_side_and_gate: corpus is empty")
-    tokenizer = tokenizer or ByteTokenizer()
     digest_before = model.base_digest()
-    blocks, val_docs = _training_split(corpus, tokenizer, tcfg)
-    features = BaseFeatures.for_model(model, digest_before, blocks, val_docs, tokenizer,
-                                      tcfg.batch_size)
+    blocks, val_docs = _training_split(corpus, tcfg)
+    features = BaseFeatures.for_model(model, digest_before, blocks, val_docs, tcfg.batch_size)
 
     def batch_loss(batch):
         return side_objective(model, blocks[batch], tcfg, features.batch(batch))
 
     def validate():
-        return _fused_val_perplexity(model, val_docs, tokenizer, bases=features.val)
+        return _fused_val_perplexity(model, val_docs, bases=features.val)
 
-    result = _train_epochs("side", model.side.tensors() + model.gate.tensors(), tcfg,
-                           len(blocks), batch_loss, validate, log)
+    result = _train_epochs("side", model.trainable_tensors(), tcfg, len(blocks),
+                           batch_loss, validate, log)
     if model.base_digest() != digest_before:
         raise ContractError("frozen base changed during side training (checksum mismatch)")
     return result
@@ -374,12 +358,7 @@ class GridRun:
 
 
 def run_lr_grid(
-    model: SpaModel,
-    tcfg: TrainConfig,
-    corpus: Corpus,
-    tokenizer: ByteTokenizer | None = None,
-    grid=LR_GRID,
-    log=None,
+    model: SpaModel, tcfg: TrainConfig, corpus: Corpus, grid=LR_GRID, log=None
 ) -> tuple[GridRun, list[GridRun]]:
     """Train side + gate once per learning rate; keep the best validation loss.
 
@@ -390,8 +369,7 @@ def run_lr_grid(
     for lr in grid:
         reinit_side_and_gate(model, tcfg.seed)
         before = model.base_digest()
-        result = train_side_and_gate(model, replace(tcfg, learning_rate=lr), corpus, tokenizer,
-                                     log=log)
+        result = train_side_and_gate(model, replace(tcfg, learning_rate=lr), corpus, log=log)
         runs.append(
             GridRun(
                 learning_rate=lr,

@@ -40,6 +40,21 @@ Payloads longer than 16 MiB are rejected with an OVERSIZE error before any
 allocation happens. The floats of BASE_HIDDENS and SIDE_OUTPUT must be
 finite: a NaN or an infinity is refused on encode and is a BAD_FRAME on
 decode, since either would decode into garbage tokens without an error.
+
+A failure ends the session with at most one ERROR frame, sent by the end
+that found it; the error raised carries the frame's code:
+
+    failure                    code                sent by
+    malformed frame            BAD_FRAME           cloud
+    oversize frame             OVERSIZE            cloud
+    HELLO of another version   VERSION_MISMATCH    cloud
+    HELLO of another digest    DIGEST_MISMATCH     cloud
+    broken session rule        PROTOCOL_VIOLATION  cloud or device
+    anything else              INTERNAL            cloud
+
+An ERROR frame received is never answered (`PeerError`), and a transport
+that closes or times out gets nothing: both only end the session. The
+device answers no malformed frame; it ends the session without a reply.
 """
 
 from __future__ import annotations
@@ -55,22 +70,6 @@ from .errors import SpaError
 PROTOCOL_VERSION = 4
 MAX_PAYLOAD = 16 * 1024 * 1024
 HEADER_LEN = 5  # u32 length + u8 type
-
-
-class FrameError(SpaError):
-    pass
-
-
-class TruncatedFrameError(FrameError):
-    pass
-
-
-class OversizeFrameError(FrameError):
-    pass
-
-
-class BadFrameError(FrameError):
-    pass
 
 
 class MsgType(enum.IntEnum):
@@ -90,6 +89,31 @@ class ErrorCode(enum.IntEnum):
     OVERSIZE = 4
     BAD_FRAME = 5
     INTERNAL = 6
+
+
+class FrameError(SpaError):
+    code = ErrorCode.BAD_FRAME
+
+
+class TruncatedFrameError(FrameError):
+    pass
+
+
+class OversizeFrameError(FrameError):
+    code = ErrorCode.OVERSIZE
+
+
+class BadFrameError(FrameError):
+    pass
+
+
+class ProtocolViolation(SpaError):
+    """The peer broke a session rule or failed the handshake; the session
+    ends with an ERROR of `code`."""
+
+    def __init__(self, message: str, code: ErrorCode = ErrorCode.PROTOCOL_VIOLATION):
+        super().__init__(message)
+        self.code = code
 
 
 WIRE_MODES = ("final", "all_layers")
@@ -180,6 +204,14 @@ class Eos:
 class ErrorFrame:
     code: int
     message: str
+
+
+class PeerError(SpaError):
+    """The peer sent `frame`, an ERROR: the session is over and nothing
+    answers it. The text is `what` followed by the frame's code and message."""
+
+    def __init__(self, frame: ErrorFrame, what: str):
+        super().__init__(f"{what} {frame.code}: {frame.message}")
 
 
 WireMessage = Hello | Prompt | BaseHiddens | SideOutput | Token | Eos | ErrorFrame

@@ -19,7 +19,6 @@ from spa.cloud import CloudEndpoint
 from spa.decoding import (
     CloudStepModel,
     DecodeConfig,
-    StepCounter,
     beam_decode,
     decode_monolithic,
     greedy_decode,
@@ -320,12 +319,12 @@ def test_criterion_10_beam_search(trained_stack):
             prompt = [BOS, *(int(t) for t in rng.integers(32, 127, rng.integers(1, 8)))]
             greedy = greedy_decode(
                 CloudStepModel(cfg, model.base, model.gate, "spa", "all_layers",
-                               provider(), StepCounter()),
+                               provider(), itertools.count()),
                 prompt, 6, eos_id=EOS,
             )
             beam1 = beam_decode(
                 CloudStepModel(cfg, model.base, model.gate, "spa", "all_layers",
-                               provider(), StepCounter()),
+                               provider(), itertools.count()),
                 prompt, 1, 6, cfg.vocab_size, eos_id=EOS,
             )
             assert beam1.tokens == greedy.tokens, f"prompt {i}"
@@ -346,7 +345,7 @@ def test_criterion_10_beam_search(trained_stack):
                 return CloudStepModel(
                     small_cfg, small.base, small.gate, "spa", "all_layers",
                     local_side_provider(small_cfg, small.side),
-                    StepCounter(),
+                    itertools.count(),
                 )
 
             def score(tokens, prompt):

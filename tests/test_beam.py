@@ -1,6 +1,7 @@
 """Beam search: reduction to greedy, exhaustive-search agreement, scoring,
 top-k pruning against a full-vocabulary reference, one batched step."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,6 @@ from spa import numcore as nc
 from spa.decoding import (
     CloudStepModel,
     DecodeConfig,
-    StepCounter,
     beam_decode,
     decode_monolithic,
     greedy_decode,
@@ -39,7 +39,7 @@ def make_model(seed):
 def fresh_step_model(model, wire_mode="all_layers", policy="spa"):
     provider = local_side_provider(CFG, model.side)
     return CloudStepModel(
-        CFG, model.base, model.gate, policy, wire_mode, provider, StepCounter()
+        CFG, model.base, model.gate, policy, wire_mode, provider, itertools.count()
     )
 
 

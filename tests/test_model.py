@@ -1,5 +1,6 @@
 """Forward traces, fusion math, gate behaviour, and the token loss."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import spa.decoding
 from spa import numcore as nc
 from spa.decoding import (
     CloudStepModel,
-    StepCounter,
     beam_decode,
     greedy_decode,
     local_side_provider,
@@ -372,7 +372,7 @@ class FullRecompute:
     def __init__(self, model, policy, wire_mode):
         self.model, self.policy, self.wire_mode = model, policy, wire_mode
         self.calls: list = []
-        self.steps = StepCounter()
+        self.steps = itertools.count()
         self.gate_log: list[int] = []
 
     def logits_for(self, contexts):
@@ -387,13 +387,13 @@ class FullRecompute:
         rows, bits = [], []
         for ctx in contexts:
             step = CloudStepModel(
-                m.config, m.base, m.gate, self.policy, self.wire_mode, one_row, StepCounter()
+                m.config, m.base, m.gate, self.policy, self.wire_mode, one_row, itertools.count()
             )
             logits, used = step.logits_for([ctx])
             rows.append(logits[0])
             bits.extend(used)
         if payloads:
-            self.calls.append((self.steps.take(), np.concatenate(payloads)))
+            self.calls.append((next(self.steps), np.concatenate(payloads)))
         self.gate_log.extend(bits)
         return np.stack(rows), bits
 
@@ -463,7 +463,7 @@ class TestIncrementalDecode:
 
             provider = recording_provider(model)
             batched = CloudStepModel(
-                model.config, model.base, model.gate, policy, wire_mode, provider, StepCounter()
+                model.config, model.base, model.gate, policy, wire_mode, provider, itertools.count()
             )
             lockstep = Lockstep(batched, FullRecompute(model, policy, wire_mode))
             got = decode(lockstep)

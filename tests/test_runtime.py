@@ -1,6 +1,7 @@
 """Split sessions: loopback equivalence with the monolithic decoder,
 handshake rejection, accounting agreement, timeouts, TCP robustness."""
 
+import itertools
 import socket
 import struct
 import threading
@@ -19,7 +20,6 @@ from spa.cloud import (
 from spa.decoding import (
     CloudStepModel,
     DecodeConfig,
-    StepCounter,
     decode_monolithic,
     local_side_provider,
     local_step_model,
@@ -443,6 +443,59 @@ class TestProtocolViolations:
         (record,) = endpoint.sessions
         assert record.gate_log == [] and record.emitted_trace == []
 
+    @staticmethod
+    def frames_until_close(dev_end):
+        after = []
+        with pytest.raises(TransportClosed):
+            while True:
+                after.append(dev_end.recv(timeout=5))
+        return after
+
+    def test_unexpected_error_in_a_session_is_answered_with_internal(self, monkeypatch):
+        def broken(self, contexts):
+            raise DomainError("logits out of range")
+
+        monkeypatch.setattr(CloudStepModel, "logits_for", broken)
+        endpoint = CloudEndpoint.from_model(make_model(9), frame_timeout=2.0)
+        dev_end, cloud_end = LoopbackTransport.pair()
+        box = {}
+        t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
+        t.start()
+        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        assert isinstance(dev_end.recv(timeout=5), Hello)
+        dev_end.send(Prompt((1, 2), "spa", "greedy", 1, 3))
+        after = self.frames_until_close(dev_end)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert after == [ErrorFrame(ErrorCode.INTERNAL, "logits out of range")]
+        assert box["record"].error == "logits out of range"
+
+    @pytest.mark.parametrize("stage", ["HELLO", "PROMPT", "SIDE_OUTPUT"])
+    def test_error_from_the_device_is_not_answered(self, stage):
+        endpoint = CloudEndpoint.from_model(make_model(9), frame_timeout=2.0)
+        dev_end, cloud_end = LoopbackTransport.pair()
+        box = {}
+        t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
+        t.start()
+        if stage != "HELLO":
+            dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+            assert isinstance(dev_end.recv(timeout=5), Hello)
+        if stage == "SIDE_OUTPUT":
+            dev_end.send(Prompt((1, 2), "always_side", "greedy", 1, 3))
+            assert isinstance(dev_end.recv(timeout=5), BaseHiddens)
+        # the frame in place of `stage`
+        dev_end.send(ErrorFrame(ErrorCode.PROTOCOL_VIOLATION, "no side network here"))
+        after = self.frames_until_close(dev_end)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert after == []
+        record = box["record"]
+        assert record.error == (
+            f"device error {ErrorCode.PROTOCOL_VIOLATION.value}: no side network here"
+        )
+        assert record.emitted_tokens == []
+        assert record.counter.frames_received == dev_end.frames_sent
+
 
 class TestDeviceSideValidation:
     def test_device_rejects_regressed_step_index(self):
@@ -470,6 +523,37 @@ class TestDeviceSideValidation:
         assert not result.completed
         assert "out-of-order" in result.error
         assert (result.tokens, result.gate_trace) == ([1], [1])
+
+    @pytest.mark.parametrize("stage", ["handshake", "mid-session"])
+    def test_unexpected_frame_is_answered_with_protocol_violation(self, stage):
+        bundle = make_bundle(make_model(16))
+        dev_end, fake_cloud = LoopbackTransport.pair()
+        replies = []
+
+        def impostor():
+            assert isinstance(fake_cloud.recv(timeout=5), Hello)
+            if stage == "mid-session":
+                fake_cloud.send(Hello(PROTOCOL_VERSION, "final", bundle.digest))
+                assert isinstance(fake_cloud.recv(timeout=5), Prompt)
+            fake_cloud.send(Prompt((1,), "spa"))  # a frame no cloud sends
+            replies.append(fake_cloud.recv(timeout=5))
+
+        t = threading.Thread(target=impostor)
+        t.start()
+        result = run_device(
+            bundle,
+            DecodeConfig(max_new_tokens=4, policy="spa"),
+            prompt_ids=[1],
+            transport=dev_end,
+            frame_timeout=5.0,
+        )
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert not result.completed
+        (refusal,) = replies
+        assert refusal == ErrorFrame(ErrorCode.PROTOCOL_VIOLATION, result.error)
+        want = "expected HELLO" if stage == "handshake" else "unexpected frame Prompt"
+        assert want in result.error
 
     def test_cloud_error_after_tokens_leaves_each_token_with_its_gate_bit(self):
         # version 3 sent a gate bit and its token in two frames, so a session
@@ -659,7 +743,7 @@ class TestStepModelChecksSideBlocks:
     def _decode(provide, strategy):
         model = make_model(22)
         step_model = CloudStepModel(
-            CFG, model.base, model.gate, "always_side", "all_layers", provide, StepCounter()
+            CFG, model.base, model.gate, "always_side", "all_layers", provide, itertools.count()
         )
         dcfg = DecodeConfig(max_new_tokens=5, strategy=strategy, beam_width=2, policy="always_side")
         return run_decode(step_model, [1, 2, 3], dcfg, CFG.vocab_size)

@@ -274,7 +274,7 @@ def reference_side_training(model, tcfg, corpus):
             tape.backward(loss)
             opt.step()
             losses.append(loss.item())
-        total, count, used = teacher_forced_nll(model, val_docs, "spa", tok)
+        total, count, used = teacher_forced_nll(model, val_docs, "spa")
         logs.append((float(np.mean(losses)).hex(), math.exp(total / count).hex(),
                      (used / count).hex()))
     return logs
@@ -525,8 +525,7 @@ class TestStoredBaseLogprobs:
     def table(model, blocks):
         # a shallow copy, so the table is not installed on the shared fixture
         model = dataclasses.replace(model)
-        return model, BaseFeatures.for_model(model, model.base_digest(), blocks, [],
-                                             ByteTokenizer(), chunk=2)
+        return model, BaseFeatures.for_model(model, model.base_digest(), blocks, [], chunk=2)
 
     @pytest.mark.parametrize("gate_mode", GATE_MODES)
     def test_cate_from_the_table_equals_a_full_forward(self, gated_model, gate_mode):

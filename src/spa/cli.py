@@ -37,6 +37,7 @@ from .training import (
     run_lr_grid,
     train_side_and_gate,
 )
+from .transport import DEFAULT_TIMEOUT
 from .wire import DEFAULT_WIRE_MODE, POLICIES, WIRE_MODES
 
 EXIT_OK = 0
@@ -128,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=sorted(POLICY_FLAGS), default="spa")
     p.add_argument("--beam", type=int, default=1, help="beam width; 1 = greedy")
     p.add_argument("--max-new", type=int, default=50)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
 
     p = sub.add_parser("decode-local", help="monolithic decoding (split-path oracle)")
     p.add_argument("--checkpoint", required=True, help="full checkpoint")

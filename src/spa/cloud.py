@@ -24,7 +24,7 @@ from .errors import SpaError
 from .model import BaseParams, GateParams, ModelConfig, SpaModel
 from .tokenizer import EOS as EOS_TOKEN
 from .tokenizer import VOCAB_SIZE as BYTE_VOCAB
-from .transport import SocketTransport, TransportClosed, TransportTimeout
+from .transport import DEFAULT_TIMEOUT, SocketTransport, TransportClosed, TransportTimeout
 from .wire import (
     DEFAULT_WIRE_MODE,
     PROTOCOL_VERSION,
@@ -74,7 +74,7 @@ class CloudEndpoint:
         gate: GateParams,
         digest: str,
         wire_mode: str = DEFAULT_WIRE_MODE,
-        frame_timeout: float = 10.0,
+        frame_timeout: float = DEFAULT_TIMEOUT,
     ):
         self.config = config
         self.base = base
@@ -172,8 +172,7 @@ class CloudEndpoint:
         record.policy = prompt.policy
         record.prompt_len = len(ids)
         dcfg = DecodeConfig(max_new_tokens=prompt.max_new_tokens, strategy=prompt.strategy,
-                            beam_width=prompt.beam_width, policy=prompt.policy,
-                            wire_mode=self.wire_mode)
+                            beam_width=prompt.beam_width, policy=prompt.policy)
         steps = itertools.count()
 
         def wire_side_provider(step: int, payload) -> "np.ndarray":

@@ -18,7 +18,7 @@ from .decoding import DecodeConfig, TransmissionCounter, local_side_provider
 from .errors import ContractError, SpaError
 from .model import ModelConfig, SideParams
 from .tokenizer import BOS, EOS, VOCAB_SIZE, ByteTokenizer
-from .transport import SocketTransport, TransportClosed, TransportTimeout
+from .transport import DEFAULT_TIMEOUT, SocketTransport, TransportClosed, TransportTimeout
 from .wire import (
     PROTOCOL_VERSION,
     BaseHiddens,
@@ -71,7 +71,7 @@ def run_device(
     prompt_ids=None,
     connect: tuple[str, int] | None = None,
     transport=None,
-    frame_timeout: float = 10.0,
+    frame_timeout: float = DEFAULT_TIMEOUT,
 ) -> GenerationResult:
     """Generate text through a cloud session.
 

@@ -18,6 +18,10 @@ Payload layouts:
     EOS            (empty)
     ERROR          u16 code | u16 length | UTF-8 message
 
+The cloud's wire mode governs a session: its HELLO names the mode it
+serves, and the device checks every BASE_HIDDENS block against it. The
+wire_mode byte of the device's HELLO is not read.
+
 A decode step makes at most one BASE_HIDDENS -> SIDE_OUTPUT round trip.
 BASE_HIDDENS carries every row the gate sent to the side in that step:
 `chunk` is the number of those gated rows (1 for greedy, up to the beam
@@ -336,14 +340,21 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
     raise BadFrameError(f"unknown message type {mtype}")
 
 
-def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
-    """Decode one frame from the head of buf; returns (message, bytes consumed)."""
-    if len(buf) < HEADER_LEN:
-        raise TruncatedFrameError(f"frame header needs {HEADER_LEN} bytes, have {len(buf)}")
+def frame_length(buf: bytes) -> int | None:
+    """Size of the frame at the head of buf, header included, once its
+    4-byte length is there (None before). A declared payload over
+    MAX_PAYLOAD raises OversizeFrameError, so no reader waits for it."""
+    if len(buf) < 4:
+        return None
     (length,) = struct.unpack_from(">I", buf)
     if length > MAX_PAYLOAD:
         raise OversizeFrameError(f"declared payload of {length} bytes exceeds {MAX_PAYLOAD}")
-    total = HEADER_LEN + length
-    if len(buf) < total:
-        raise TruncatedFrameError(f"frame needs {total} bytes, have {len(buf)}")
+    return HEADER_LEN + length
+
+
+def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
+    """Decode one frame from the head of buf; returns (message, bytes consumed)."""
+    total = frame_length(buf)
+    if total is None or len(buf) < total:
+        raise TruncatedFrameError(f"frame needs {total or HEADER_LEN} bytes, have {len(buf)}")
     return decode_payload(buf[4], buf[HEADER_LEN:total]), total

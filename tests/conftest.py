@@ -1,5 +1,7 @@
-"""Session fixtures: one fully trained toy stack shared by the acceptance suite."""
+"""Session fixtures: one fully trained toy stack shared by the acceptance
+suite, and connected TCP transport pairs for split sessions."""
 
+import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -11,6 +13,7 @@ from spa.corpus import Corpus, make_synthetic_personalized_corpus
 from spa.model import ModelConfig, SpaModel
 from spa.tokenizer import VOCAB_SIZE
 from spa.training import GridRun, TrainConfig, TrainResult, pretrain_base, run_lr_grid
+from spa.transport import SocketTransport
 
 STACK_SEED = 11
 
@@ -23,6 +26,26 @@ STACK_MODEL_CONFIG = ModelConfig(
     max_seq_len=128,
     side_reduction=8,
 )
+
+
+_open_ends: list[SocketTransport] = []
+
+
+def tcp_pair() -> tuple[SocketTransport, SocketTransport]:
+    """Two connected transports over 127.0.0.1; both close when the test ends."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        near = socket.create_connection(listener.getsockname())
+        far, _ = listener.accept()
+    pair = SocketTransport(near), SocketTransport(far)
+    _open_ends.extend(pair)
+    return pair
+
+
+@pytest.fixture(autouse=True)
+def _close_tcp_pairs():
+    yield
+    while _open_ends:
+        _open_ends.pop().close()
 
 
 @dataclass

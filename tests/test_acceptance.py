@@ -31,7 +31,6 @@ from spa.metrics import lcs_length, perplexity, rouge_l, usage_percentage
 from spa.model import ModelConfig, SpaModel, token_loss
 from spa.tokenizer import BOS, EOS, ByteTokenizer
 from spa.training import TrainConfig, gate_labels
-from spa.transport import LoopbackTransport
 from spa.wire import (
     BadFrameError,
     OversizeFrameError,
@@ -40,7 +39,7 @@ from spa.wire import (
     encode_frame,
 )
 
-from conftest import STACK_SEED
+from conftest import STACK_SEED, tcp_pair
 
 
 @contextlib.contextmanager
@@ -55,7 +54,7 @@ def criterion(number: int, description: str):
 
 def loopback_generate(model, bundle, prompt_ids, dcfg):
     endpoint = CloudEndpoint.from_model(model, wire_mode=dcfg.wire_mode, frame_timeout=30.0)
-    dev_end, cloud_end = LoopbackTransport.pair()
+    dev_end, cloud_end = tcp_pair()
     box = {}
 
     def serve():

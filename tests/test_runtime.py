@@ -29,7 +29,7 @@ from spa.device import GenerationResult, SideBundle, run_device
 from spa.checkpoint import compat_digest
 from spa.model import ModelConfig, SpaModel
 from spa.errors import DimensionError, DomainError, SpaError
-from spa.transport import LoopbackTransport, SocketTransport, TransportClosed
+from spa.transport import SocketTransport, TransportClosed, TransportTimeout
 from spa.wire import (
     HEADER_LEN,
     POLICIES,
@@ -41,8 +41,11 @@ from spa.wire import (
     Prompt,
     SideOutput,
     Token,
+    TruncatedFrameError,
     encode_frame,
 )
+
+from conftest import tcp_pair
 
 CFG = ModelConfig(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=12, max_seq_len=24, side_reduction=8
@@ -67,9 +70,9 @@ def make_bundle(model: SpaModel) -> SideBundle:
 
 
 def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final", wrap=None):
-    """One session over an in-memory pair; `wrap`, if given, wraps the device end."""
+    """One session over a loopback TCP pair; `wrap`, if given, wraps the device end."""
     endpoint = CloudEndpoint.from_model(model, wire_mode=wire_mode, frame_timeout=5.0)
-    dev_end, cloud_end = LoopbackTransport.pair()
+    dev_end, cloud_end = tcp_pair()
     record_box = {}
 
     def serve():
@@ -84,12 +87,12 @@ def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final", wrap=No
     return result, record_box["record"], endpoint
 
 
-def send_raw_nan(end: LoopbackTransport, msg) -> None:
+def send_raw_nan(end: SocketTransport, msg) -> None:
     """Put `msg` on the wire with its last float set to NaN, as a peer that
     skips `encode_frame`'s finiteness check would."""
     frame = bytearray(encode_frame(msg))
     struct.pack_into(">d", frame, len(frame) - 8, np.nan)
-    end._outbox.put(bytes(frame))
+    end._sock.sendall(frame)
 
 
 class FrameSpy:
@@ -189,7 +192,7 @@ class TestHandshake:
         model = make_model(4)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
         for version in (1, 2, 3, PROTOCOL_VERSION + 5):
-            dev_end, cloud_end = LoopbackTransport.pair()
+            dev_end, cloud_end = tcp_pair()
             t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
             t.start()
             dev_end.send(Hello(version, "final", endpoint.digest))
@@ -204,7 +207,7 @@ class TestHandshake:
     def test_prompt_before_hello_is_protocol_violation(self):
         model = make_model(4)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
         t.start()
         dev_end.send(Prompt((1,), "spa"))
@@ -288,7 +291,7 @@ class TestProtocolViolations:
     def test_out_of_order_side_output_rejected(self):
         model = make_model(9)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
         t.start()
         dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
@@ -307,7 +310,7 @@ class TestProtocolViolations:
     def test_side_output_rows_must_match_chunk(self, strategy, width, extra_rows):
         model = make_model(9)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
@@ -333,7 +336,7 @@ class TestProtocolViolations:
         # decoding a NaN side vector would emit token 0 at every step
         model = make_model(9)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
@@ -359,7 +362,7 @@ class TestProtocolViolations:
     def test_out_of_vocab_prompt_rejected(self):
         model = make_model(9)
         endpoint = CloudEndpoint.from_model(model, frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
         t.start()
         dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
@@ -373,7 +376,7 @@ class TestProtocolViolations:
     @staticmethod
     def refused(endpoint, prompt):
         """Send `prompt` after a good handshake; return the cloud's reply and record."""
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
@@ -457,7 +460,7 @@ class TestProtocolViolations:
 
         monkeypatch.setattr(CloudStepModel, "logits_for", broken)
         endpoint = CloudEndpoint.from_model(make_model(9), frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
@@ -473,7 +476,7 @@ class TestProtocolViolations:
     @pytest.mark.parametrize("stage", ["HELLO", "PROMPT", "SIDE_OUTPUT"])
     def test_error_from_the_device_is_not_answered(self, stage):
         endpoint = CloudEndpoint.from_model(make_model(9), frame_timeout=2.0)
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
@@ -501,7 +504,7 @@ class TestDeviceSideValidation:
     def test_device_rejects_regressed_step_index(self):
         model = make_model(16)
         bundle = make_bundle(model)
-        dev_end, fake_cloud = LoopbackTransport.pair()
+        dev_end, fake_cloud = tcp_pair()
 
         def impostor():
             assert isinstance(fake_cloud.recv(timeout=5), Hello)
@@ -527,7 +530,7 @@ class TestDeviceSideValidation:
     @pytest.mark.parametrize("stage", ["handshake", "mid-session"])
     def test_unexpected_frame_is_answered_with_protocol_violation(self, stage):
         bundle = make_bundle(make_model(16))
-        dev_end, fake_cloud = LoopbackTransport.pair()
+        dev_end, fake_cloud = tcp_pair()
         replies = []
 
         def impostor():
@@ -560,7 +563,7 @@ class TestDeviceSideValidation:
         # that ended between them left one more bit than tokens, and reading
         # M raised ContractError
         bundle = make_bundle(make_model(16))
-        dev_end, fake_cloud = LoopbackTransport.pair()
+        dev_end, fake_cloud = tcp_pair()
 
         def impostor():
             assert isinstance(fake_cloud.recv(timeout=5), Hello)
@@ -591,7 +594,7 @@ class TestDeviceSideValidation:
     def test_base_hiddens_chunk_other_than_one_is_protocol_violation(self, chunk):
         model = make_model(17)
         bundle = make_bundle(model)
-        dev_end, fake_cloud = LoopbackTransport.pair()
+        dev_end, fake_cloud = tcp_pair()
         replies = []
 
         def impostor():
@@ -622,7 +625,7 @@ class TestDeviceSideValidation:
     def test_base_hiddens_chunk_is_bounded_by_the_prompted_beam_width(self, wire_mode):
         model = make_model(17)
         bundle = make_bundle(model)
-        dev_end, fake_cloud = LoopbackTransport.pair()
+        dev_end, fake_cloud = tcp_pair()
         width, rows = 4, 1 if wire_mode == "final" else CFG.n_layers
         block = np.random.default_rng(2).standard_normal((rows, width + 1, CFG.d_model))
         replies = []
@@ -668,7 +671,7 @@ class TestDeviceSideValidation:
     ])
     def test_base_hiddens_of_the_wrong_shape_is_protocol_violation(self, wire_mode, shape):
         bundle = make_bundle(make_model(17))
-        dev_end, fake_cloud = LoopbackTransport.pair()
+        dev_end, fake_cloud = tcp_pair()
         replies = []
 
         def impostor():
@@ -704,7 +707,7 @@ class TestDeviceSideValidation:
 
     def test_non_finite_base_hiddens_get_no_side_output(self):
         bundle = make_bundle(make_model(17))
-        dev_end, fake_cloud = LoopbackTransport.pair()
+        dev_end, fake_cloud = tcp_pair()
         replies = []
 
         def impostor():
@@ -789,7 +792,7 @@ class TestDeviceClosesItsTransport:
     @pytest.mark.parametrize("case", ["text_prompt", "prompt_out_of_range"])
     def test_cloud_end_sees_the_close_at_once(self, case):
         bundle = make_bundle(make_model(21))  # a 12-token vocabulary, not bytes
-        dev_end, cloud_end = LoopbackTransport.pair()
+        dev_end, cloud_end = tcp_pair()
         prompt = {"prompt_text": "hi"} if case == "text_prompt" else {"prompt_ids": [1]}
         dcfg = DecodeConfig(max_new_tokens=70000 if case == "prompt_out_of_range" else 2)
         with pytest.raises(SpaError):
@@ -804,7 +807,7 @@ class TestTimeout:
     def test_device_reports_partial_output_on_timeout(self):
         model = make_model(12)
         bundle = make_bundle(model)
-        dev_end, _cloud_end = LoopbackTransport.pair()  # nobody serves
+        dev_end, _cloud_end = tcp_pair()  # nobody serves
         result = run_device(
             bundle,
             DecodeConfig(max_new_tokens=3, policy="spa"),
@@ -815,6 +818,61 @@ class TestTimeout:
         assert not result.completed
         assert "timeout" in result.error
         assert result.tokens == []
+
+
+class TestBufferedReader:
+    """`SocketTransport.recv` parses frames out of what it has read, however
+    the bytes were cut on the way."""
+
+    def test_frame_written_one_byte_at_a_time_is_returned_whole(self):
+        near, far = tcp_pair()
+        msg = Hello(PROTOCOL_VERSION, "final", "ab" * 32)
+        frame = encode_frame(msg)
+
+        def trickle():
+            for i in range(len(frame)):
+                near._sock.sendall(frame[i:i + 1])
+                time.sleep(0.001)
+
+        t = threading.Thread(target=trickle)
+        t.start()
+        assert far.recv(timeout=5) == msg
+        t.join(timeout=5)
+        assert (far.frames_received, far.bytes_received) == (1, len(frame))
+
+    def test_two_frames_in_one_write_come_back_from_two_recv_calls(self):
+        near, far = tcp_pair()
+        first, second = Token(0, 5, 1), SideOutput(1, np.arange(6.0).reshape(2, 3))
+        frames = encode_frame(first), encode_frame(second)
+        near._sock.sendall(b"".join(frames))
+        near.close()
+        assert far.recv(timeout=5) == first
+        assert (far.frames_received, far.bytes_received) == (1, len(frames[0]))
+        assert far.recv(timeout=5) == second
+        assert (far.frames_received, far.bytes_received) == (2, len(frames[0]) + len(frames[1]))
+        with pytest.raises(TransportClosed):
+            far.recv(timeout=5)
+
+    @pytest.mark.parametrize("cut", [2, 7])
+    def test_timeout_mid_frame_keeps_the_bytes_read(self, cut):
+        near, far = tcp_pair()
+        msg = SideOutput(4, np.arange(6.0).reshape(2, 3))
+        frame = encode_frame(msg)
+        near._sock.sendall(frame[:cut])
+        with pytest.raises(TransportTimeout):
+            far.recv(timeout=0.2)
+        near._sock.sendall(frame[cut:])
+        assert far.recv(timeout=5) == msg
+        assert (far.frames_received, far.bytes_received) == (1, len(frame))
+
+    @pytest.mark.parametrize("cut", [2, 7])
+    def test_close_mid_frame_is_a_truncated_frame(self, cut):
+        near, far = tcp_pair()
+        near._sock.sendall(encode_frame(Token(0, 5, 1))[:cut])
+        near.close()
+        with pytest.raises(TruncatedFrameError):
+            far.recv(timeout=5)
+        assert far.frames_received == 0
 
 
 class TestOverTcp:

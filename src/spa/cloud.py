@@ -8,6 +8,11 @@ token is one TOKEN frame carrying its gate bit, and the session ends with
 EOS. Any failure ends the session with at most one ERROR frame, whose code
 the error carries (`spa.wire`); step indices increase strictly across all
 frames the cloud initiates.
+
+`CloudServer` is the TCP server: one thread and one session per connection,
+a listen backlog of LISTEN_BACKLOG so a burst of connects is queued, not
+dropped, and a `shutdown()` that returns within POLL_INTERVAL of being called
+(at once when no loop runs).
 """
 
 from __future__ import annotations
@@ -49,6 +54,12 @@ MAX_BEAM_WIDTH = 16
 MAX_NEW_TOKENS = 1024
 # longest prompt a PROMPT may carry: bounds the context the cloud holds
 MAX_PROMPT_TOKENS = 4096
+# listen backlog: socketserver's default of 5 drops the SYNs of a burst of
+# connects, and each dropped one waits out the 1 s SYN retransmit
+LISTEN_BACKLOG = 64
+# seconds between serve_forever's checks for shutdown(): bounds how long
+# shutdown() waits for the loop to end
+POLL_INTERVAL = 0.05
 
 
 @dataclass
@@ -204,46 +215,48 @@ class CloudEndpoint:
         transport.send(Eos())
 
 
-class _SessionTCPServer(socketserver.ThreadingTCPServer):
+class CloudServer(socketserver.ThreadingTCPServer):
+    """TCP server: one thread per connection, one session per connection."""
+
     allow_reuse_address = True
     daemon_threads = True
-
-
-class CloudServer:
-    """TCP wrapper: one thread per connection, one session per connection."""
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, endpoint: CloudEndpoint, host: str = "127.0.0.1", port: int = 0):
         self.endpoint = endpoint
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                transport = SocketTransport(self.request)
-                outer.endpoint.handle_session(transport)
-
-        self._server = _SessionTCPServer((host, port), Handler)
         self._thread: threading.Thread | None = None
+        self._served = False
+        super().__init__((host, port), None)  # finish_request replaces the handler class
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address
+        return self.server_address
 
     @property
     def sessions(self) -> list[SessionRecord]:
         return self.endpoint.sessions
 
+    def finish_request(self, request, client_address) -> None:
+        # through the instance, so a wrapper on CloudEndpoint.handle_session runs
+        self.endpoint.handle_session(SocketTransport(request))
+
     def start(self) -> "CloudServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self._server.serve_forever()
+        self._served = True
+        super().serve_forever(POLL_INTERVAL)
 
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread:
+        """Stop the loop if one was started, close the socket, join `start()`'s
+        thread. Returns at once when no loop ever ran, where `BaseServer.shutdown`
+        would wait forever for one to end."""
+        if self._thread is not None or self._served:
+            super().shutdown()
+        self.server_close()
+        if self._thread is not None:
             self._thread.join(timeout=5)
 
 

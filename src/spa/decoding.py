@@ -182,7 +182,6 @@ class CloudStepModel:
         self.config = config
         self.base = base
         self.gate = gate
-        self.policy = policy
         self.gate_mode = POLICY_GATE_MODES[policy]
         self.wire_mode = wire_mode
         self.side_provider = side_provider

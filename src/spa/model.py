@@ -145,9 +145,6 @@ class ParamBundle:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]
 
-    def names(self) -> list[str]:
-        return [n for n, _ in self.named()]
-
     def count(self) -> int:
         return sum(t.size for t in self._tensors.values())
 

@@ -27,8 +27,6 @@ __all__ = [
     "Tape",
     "no_grad",
     "recording",
-    "backward",
-    "zero_grad",
     "add",
     "mul",
     "smul",
@@ -142,16 +140,8 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
-
     def record(self, inputs, output, backward_fn) -> None:
         self._entries.append(_TapeEntry(tuple(inputs), output, backward_fn))
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self._consumed = False
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
@@ -159,7 +149,7 @@ class Tape:
         if loss._tape is not self:
             raise ContractError("loss was not recorded on this tape")
         if self._consumed:
-            raise ContractError("backward already ran on this tape; call reset() first")
+            raise ContractError("backward already ran on this tape; open a new Tape")
         self._consumed = True
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -202,18 +192,6 @@ def no_grad():
 def recording() -> bool:
     """True when operations are being recorded on a tape."""
     return _TAPE_STACK.tape is not None
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation for the tape that produced `loss`."""
-    if loss._tape is None:
-        raise ContractError("loss is not on a tape (was it computed under no_grad?)")
-    loss._tape.backward(loss)
-
-
-def zero_grad(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:

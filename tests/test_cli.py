@@ -4,10 +4,12 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +246,30 @@ class TestDevicePathErrors:
                      "--max-new", "-3"])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: max_new_tokens must be >= 0")
+
+
+class TestServeCommand:
+    def test_ctrl_c_stops_the_server_and_exits_ok(self, full_ckpt):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        with subprocess.Popen(
+            [sys.executable, "-c",
+             "from spa.cli import main; import sys; "
+             "sys.exit(main(['serve', '--checkpoint', sys.argv[1], '--listen', '127.0.0.1:0']))",
+             str(full_ckpt)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as server:  # leaving the block closes the pipes
+            try:
+                banner = server.stdout.readline()
+                assert "listening on" in banner, banner
+                time.sleep(0.2)  # into serve_forever's loop, past the banner
+                server.send_signal(signal.SIGINT)
+                code = server.wait(timeout=2)  # raises TimeoutExpired past 2 s
+                err = server.stderr.read()
+            finally:
+                server.kill()
+                server.wait(timeout=10)
+        assert code == EXIT_OK, err
 
 
 class TestGradCheckCommand:

@@ -45,8 +45,7 @@ class TestTensorBasics:
     def test_ops_outside_tape_do_not_track(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         out = nc.mul(w, w).sum()
-        with pytest.raises(ContractError):
-            nc.backward(out)
+        assert not out.requires_grad
 
 
 class TestBackward:
@@ -64,17 +63,13 @@ class TestBackward:
         tape.backward(loss)
         assert np.allclose(w.grad, [2.0, 4.0, 6.0])
 
-    def test_double_backward_without_reset_rejected(self):
+    def test_double_backward_rejected(self):
         w = Tensor([1.0], requires_grad=True)
         with Tape() as tape:
             loss = w.sum()
         tape.backward(loss)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="backward already ran"):
             tape.backward(loss)
-        tape.reset()
-        with tape:
-            loss2 = w.sum()
-        tape.backward(loss2)
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)

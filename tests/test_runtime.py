@@ -1114,3 +1114,37 @@ class TestOverTcp:
             assert cloud.bytes_received == dev.bytes_sent
         finally:
             server.shutdown()
+
+
+class TestServerLimits:
+    def test_a_burst_of_connects_is_queued_not_dropped(self):
+        # past a listen backlog of 5 the kernel drops SYNs, and each dropped
+        # connect waits out the 1 s SYN retransmit
+        endpoint = CloudEndpoint.from_model(make_model(23), frame_timeout=0.5)
+        server = CloudServer(endpoint).start()
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                with socket.create_connection(server.address, timeout=5) as raw:
+                    raw.sendall(b"\x00\x00")
+            elapsed = time.perf_counter() - start
+        finally:
+            server.shutdown()
+        assert elapsed < 0.5, f"20 connects took {elapsed:.3f} s"
+
+    def test_shutdown_of_an_idle_server_does_not_wait_out_a_long_poll(self):
+        server = CloudServer(CloudEndpoint.from_model(make_model(24))).start()
+        time.sleep(0.1)  # the loop is inside its poll
+        start = time.perf_counter()
+        server.shutdown()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.25, f"shutdown took {elapsed:.3f} s"
+        assert not server._thread.is_alive()
+
+    def test_shutdown_of_a_server_never_started_returns(self):
+        server = CloudServer(CloudEndpoint.from_model(make_model(25)))
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive(), "shutdown() of a server that never ran blocked"
+        assert server.socket.fileno() == -1

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpaError
-from .model import BaseParams, GateParams, ModelConfig, SideParams, SpaModel
+from .model import BaseParams, GateParams, ModelConfig, SideParams, SpaModel, fresh_side_and_gate
 
 MAGIC = b"SPA1"
 FORMAT_VERSION = 1
@@ -129,9 +129,9 @@ def read_raw(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             dims = struct.unpack_from(f"<{ndim}I", body, off) if ndim else ()
             off += 4 * ndim
             count = int(np.prod(dims)) if dims else 1
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(dims)
+            # a read-only view of the file's bytes; each build copies what it hands out
+            arrays[name] = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(dims)
             off += 8 * count
-            arrays[name] = arr.astype(np.float64)  # an owned, writable copy
     except CheckpointError:
         raise
     except (struct.error, ValueError, UnicodeDecodeError) as e:
@@ -158,9 +158,12 @@ def _expected_shapes(config: ModelConfig, kind: str) -> dict[str, tuple[int, ...
 
 @dataclass
 class LoadedCheckpoint:
-    """A checked checkpoint. The `build_*` methods wrap its arrays in
-    tensors as they are, drawing nothing, so the parts share memory with
-    `arrays` and with each other."""
+    """A checked checkpoint. `arrays` are read-only views of the file's
+    bytes; each `build_*` call hands out its own writable copy of the
+    arrays it wraps, so no two builds share memory. A build asking for a
+    parameter group the kind lacks (`KIND_GROUPS`) raises
+    `CheckpointSchemaError`. Only `build_base_model` draws: a fresh side
+    and gate."""
 
     kind: str
     config: ModelConfig
@@ -170,15 +173,16 @@ class LoadedCheckpoint:
     arrays: dict[str, np.ndarray]
 
     def _bundle(self, group: str, requires_grad: bool):
+        if group not in KIND_GROUPS[self.kind]:
+            raise CheckpointSchemaError(f"{self.kind} checkpoint carries no {group} parameters")
         prefix = f"{group}."
-        arrays = {n[len(prefix) :]: a for n, a in self.arrays.items() if n.startswith(prefix)}
+        arrays = {n[len(prefix) :]: a.astype(np.float64)
+                  for n, a in self.arrays.items() if n.startswith(prefix)}
         return BUNDLES[group].from_arrays(arrays, requires_grad)
 
     def build_model(self) -> SpaModel:
         """Materialize a SpaModel from a full checkpoint: the base arrives
         frozen, side and gate trainable."""
-        if self.kind != "full":
-            raise CheckpointSchemaError(f"cannot build a full model from a {self.kind} checkpoint")
         return SpaModel(
             config=self.config,
             base=self._bundle("base", requires_grad=False),
@@ -187,25 +191,17 @@ class LoadedCheckpoint:
         )
 
     def build_base_model(self, seed: int = 0) -> SpaModel:
-        """Frozen base from this checkpoint, fresh (seeded) side and gate.
-
-        This is the one load path that draws a whole model: the seeded side
-        and gate values come after the base's draws in one generator stream
-        (`SpaModel.create`), so the base is drawn and then replaced."""
-        if self.kind not in ("full", "base", "cloud"):
-            raise CheckpointSchemaError(f"{self.kind} checkpoint carries no base parameters")
-        model = SpaModel.create(self.config, seed=seed)
-        model.base = self._bundle("base", requires_grad=False)
-        return model
+        """Frozen base from this checkpoint, fresh side and gate from
+        `fresh_side_and_gate(config, seed)`, the draw a learning-rate grid
+        run starts from."""
+        base = self._bundle("base", requires_grad=False)
+        side, gate = fresh_side_and_gate(self.config, seed)
+        return SpaModel(config=self.config, base=base, side=side, gate=gate)
 
     def build_cloud_parts(self) -> tuple[BaseParams, GateParams]:
-        if self.kind not in ("full", "cloud"):
-            raise CheckpointSchemaError(f"{self.kind} checkpoint has no cloud parts")
         return self._bundle("base", requires_grad=False), self._bundle("gate", requires_grad=False)
 
     def build_side_parts(self) -> SideParams:
-        if self.kind not in ("full", "side"):
-            raise CheckpointSchemaError(f"{self.kind} checkpoint has no side parts")
         return self._bundle("side", requires_grad=False)
 
 

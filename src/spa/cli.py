@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -196,11 +196,7 @@ def _cmd_make_corpus(cfg, args) -> int:
 
 
 def _epoch_dicts(result) -> list[dict]:
-    return [
-        {"epoch": e.epoch, "train_loss": e.train_loss,
-         "val_perplexity": e.val_perplexity, "gate_usage": e.gate_usage}
-        for e in result.epochs
-    ]
+    return [asdict(e) for e in result.epochs]
 
 
 def _cmd_pretrain(cfg, args) -> int:
@@ -221,11 +217,11 @@ def _cmd_pretrain(cfg, args) -> int:
 
 
 def _cmd_train_side(cfg, args) -> int:
-    loaded = load_checkpoint(_require_file(args.base, "--base"))
-    corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
     settings = _settings(cfg, args, "train")
     tcfg = TrainConfig(**settings)
-    model = loaded.build_base_model(seed=tcfg.seed)
+    # nothing keeps the loaded file: the model holds its own copy of the base
+    model = load_checkpoint(_require_file(args.base, "--base")).build_base_model(seed=tcfg.seed)
+    corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
     if "learning_rate" in settings:  # set by the file or --lr: one run at that rate
         result = train_side_and_gate(model, tcfg, corpus, log=print)
         chosen_lr = tcfg.learning_rate
@@ -302,8 +298,7 @@ def _cmd_generate(cfg, args) -> int:
 
 
 def _cmd_decode_local(cfg, args) -> int:
-    loaded = load_checkpoint(_require_file(args.checkpoint, "--checkpoint"))
-    model = loaded.build_model()
+    model = load_checkpoint(_require_file(args.checkpoint, "--checkpoint")).build_model()
     dcfg = _decode_config(args)
     ids = [BOS, *ByteTokenizer().encode(args.prompt)]
     result = decode_monolithic(model, ids, dcfg, eos_id=EOS)
@@ -336,8 +331,7 @@ def _cmd_bench_latency(cfg, args) -> int:
 
 
 def _cmd_eval(cfg, args) -> int:
-    loaded = load_checkpoint(_require_file(args.checkpoint, "--checkpoint"))
-    model = loaded.build_model()
+    model = load_checkpoint(_require_file(args.checkpoint, "--checkpoint")).build_model()
     corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
     _, _, test_docs = corpus.splits(args.seed)
     docs = test_docs or corpus.documents

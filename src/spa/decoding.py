@@ -1,9 +1,13 @@
-"""Decoding: gating policies, greedy/beam search, transmission accounting.
+"""Decoding: greedy/beam search, transmission accounting.
 
-`POLICY_GATE_MODES` is the one statement of what each cloud policy does
-with the gate bit; the step engine and the teacher-forced scorer in
-`metrics` read it. M, the round trips per token, needs no policy: it is
-the mean of the emitted gate bits (`count_transmissions`).
+What each cloud policy does with the gate bit is written once, in
+`spa.model`: `POLICY_GATE_MODES` maps the policy to a gate mode,
+`served_gate` turns that mode and the gate head's logits into the step's
+bits, and `served_fusion` computes a gated row's logits. The step engine
+here calls them and holds no gate or fusion arithmetic of its own; the
+teacher-forced scorer in `metrics` runs the same gate rule. M, the round
+trips per token, needs no policy: it is the mean of the emitted gate bits
+(`count_transmissions`).
 
 One step engine backs every path. The cloud session and the monolithic
 decoder run the same `CloudStepModel` code on the same array shapes; the
@@ -34,19 +38,16 @@ import numpy as np
 from . import numcore as nc
 from .errors import ContractError, DimensionError, DomainError, UndefinedMetricError
 from .model import (
+    POLICY_GATE_MODES,
     ModelConfig,
     SpaModel,
     base_forward,
-    gate_decide,
+    served_fusion,
+    served_gate,
     side_step_layers,
     side_step_rolled,
 )
 from .wire import DEFAULT_WIRE_MODE, POLICIES, STRATEGIES, WIRE_MODES
-
-# Each cloud policy's gate as a `model.token_loss` gate mode: "hard" takes
-# the classifier's decision, "on" always consults the side network, "off"
-# never does.
-POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "base_only": "off"}
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,7 @@ class CloudStepModel:
         batch = len(contexts)
         final = trace.final.data
         logits = trace.logits.data  # a fresh array that nothing else reads
-        if self.gate_mode == "hard":
-            bits = gate_decide(final @ self.gate["w"].data + self.gate["b"].data).tolist()
-        else:
-            bits = [int(self.gate_mode == "on")] * batch
+        bits = served_gate(self.gate_mode, self.gate, trace.final).tolist()
         self.gate_log.extend(bits)
         gated = np.flatnonzero(bits)
         if gated.size:
@@ -235,7 +233,7 @@ class CloudStepModel:
                 )
             if not np.isfinite(side).all():
                 raise DomainError("side provider returned non-finite side vectors")
-            logits[gated] = (rows + side) @ self.base["out_proj"].data
+            logits[gated] = served_fusion(self.base, rows, side)
         return logits, bits
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 # usage_percentage (and its UndefinedMetricError) is re-exported: it lives
 # beside count_transmissions, which defines every policy's M from it
-from .decoding import POLICY_GATE_MODES, usage_percentage
+from .decoding import usage_percentage
 from .errors import ContractError, UndefinedMetricError
-from .model import BaseTrace, SpaModel, position_nll
+from .model import POLICY_GATE_MODES, BaseTrace, SpaModel, position_nll
 from .tokenizer import ByteTokenizer
 from .wire import POLICIES
 

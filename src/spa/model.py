@@ -11,6 +11,14 @@ whether the side output is fused in:
     fused = base_final + gate * side_out
     logits = fused @ out_proj          (out_proj stays frozen)
 
+The served gate is written once, here, and every path calls it:
+`POLICY_GATE_MODES` maps each cloud policy to its gate mode, `served_gate`
+turns a gate mode and the gate head's logits (`gate_logits`) into the 0/1
+decisions, and `served_fusion` computes the logits of a row whose bit is 1.
+The step engine (`spa.decoding.CloudStepModel`) serves with the three;
+`teacher_forced` gates its "hard", "on" and "off" rows with `served_gate`
+and `TokenLossTrace.cate` fuses every row with `served_fusion`.
+
 `ladder` is the only implementation of that network, and it is a pure
 function of its input rows: no state is carried between positions or
 steps. Training and the `all_layers` wire mode feed rung i the layer-i
@@ -177,9 +185,6 @@ class ParamBundle:
                 raise DimensionError(f"parameter {name}: shape {arr.shape} != expected {t.shape}")
             t.data = np.ascontiguousarray(arr, dtype=np.float64)
 
-    def export_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named()}
-
 
 class BaseParams(ParamBundle):
     @classmethod
@@ -222,6 +227,13 @@ class GateParams(ParamBundle):
         # zero init: both classes start at probability 0.5 everywhere, and
         # `create` needs no generator
         return [("w", (cfg.d_model, 2), 0.0), ("b", (2,), 0.0)]
+
+
+def fresh_side_and_gate(config: ModelConfig, seed: int) -> tuple[SideParams, GateParams]:
+    """Fresh side (from a generator seeded `seed ^ 0x5EED`) and gate (its
+    constant init) to train on a frozen base: the one draw behind
+    `reinit_side_and_gate` and `LoadedCheckpoint.build_base_model`."""
+    return SideParams.create(config, np.random.default_rng(seed ^ 0x5EED)), GateParams.create(config)
 
 
 @dataclass
@@ -411,9 +423,10 @@ def side_step_rolled(config: ModelConfig, side: SideParams, vecs: np.ndarray) ->
     return out.data.reshape(vecs.shape)
 
 
-def gate_logits(gate: GateParams, base_final: Tensor) -> tuple[Tensor, Tensor]:
-    logits = nc.linear(base_final, gate["w"], gate["b"])
-    return logits, nc.softmax(logits, axis=-1)
+def gate_logits(gate: GateParams, base_final: Tensor) -> Tensor:
+    """The gate head: one (use base, use side) logit pair per row of the
+    final hidden."""
+    return nc.linear(base_final, gate["w"], gate["b"])
 
 
 def gate_decide(logits: np.ndarray) -> int | np.ndarray:
@@ -423,21 +436,28 @@ def gate_decide(logits: np.ndarray) -> int | np.ndarray:
     return int(decisions) if decisions.ndim == 0 else decisions
 
 
-def fuse(base_final: Tensor, side_out: Tensor, gate_trace, out_proj: Tensor) -> tuple[Tensor, Tensor]:
-    """fused = base_final + gate_trace * side_out, then the frozen projection.
+def served_gate(gate_mode: str, gate: GateParams, base_final: Tensor,
+                logits: Tensor | None = None) -> np.ndarray:
+    """The served gate rule for gate mode "hard", "on" or "off": each row's
+    0/1 decision to fuse its side output in, as an int array. "hard" takes
+    the gate head's decision (`gate_decide`), "on" fuses every row and "off"
+    none. Only "hard" reads the head: from `logits` when the caller already
+    ran it on `base_final`, else run here."""
+    if gate_mode == "hard":
+        return gate_decide((gate_logits(gate, base_final) if logits is None else logits).data)
+    return np.full(base_final.shape[0], int(gate_mode == "on"))
 
-    gate_trace is per-position: a Tensor of soft probabilities or an array of
-    hard 0/1 decisions.
-    """
-    if isinstance(gate_trace, Tensor):
-        weights = gate_trace
-    else:
-        arr = np.asarray(gate_trace, dtype=np.float64)
-        if arr.shape != (base_final.shape[0],):
-            raise DimensionError(
-                f"fuse: gate trace shape {arr.shape} != ({base_final.shape[0]},)"
-            )
-        weights = Tensor(arr)
+
+def served_fusion(base: BaseParams, base_final: np.ndarray, side_out: np.ndarray) -> np.ndarray:
+    """The served fusion, (base_final + side_out) @ out_proj: the logits of
+    rows whose gate bit is 1 (a row whose bit is 0 keeps the base logits)."""
+    return (base_final + side_out) @ base["out_proj"].data
+
+
+def fuse(base_final: Tensor, side_out: Tensor, weights: Tensor, out_proj: Tensor) -> tuple[Tensor, Tensor]:
+    """fused = base_final + weights * side_out, then the frozen projection;
+    `weights` holds one gate weight per row (soft probabilities or 0/1
+    decisions)."""
     if side_out.shape != base_final.shape:
         raise DimensionError(
             f"fuse: side output shape {side_out.shape} != base shape {base_final.shape}"
@@ -458,7 +478,7 @@ class TokenLossTrace:
     gate_trace: np.ndarray  # the per-position weights actually used
     fused_logits: Tensor
     targets: np.ndarray
-    out_proj: Tensor
+    base_params: BaseParams  # the parameters the forward fused through
 
     def target_logprobs(self, logits: np.ndarray) -> np.ndarray:
         """log softmax(logits)[t, targets[t]] at every position t."""
@@ -479,11 +499,16 @@ class TokenLossTrace:
                     "cate: the base trace carries neither logits nor target log-probs"
                 )
             base_lp = self.target_logprobs(self.base.logits.data)
-        on_logits = (self.base.final.data + self.side_out.data) @ self.out_proj.data
+        on_logits = served_fusion(self.base_params, self.base.final.data, self.side_out.data)
         return self.target_logprobs(on_logits) - base_lp
 
 
-GATE_MODES = ("soft", "hard", "off", "on")
+# Each cloud policy's gate as a gate mode (`served_gate`): "hard" takes the
+# classifier's decision, "on" always consults the side network, "off" never
+# does. Keys in `spa.wire.POLICIES` order.
+POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "base_only": "off"}
+# "soft", which only training runs, fuses each row weighted by P(use side)
+GATE_MODES = ("soft", *POLICY_GATE_MODES.values())
 
 
 def teacher_forced(
@@ -525,17 +550,17 @@ def teacher_forced(
             f"do not cover targets {targets.shape}"
         )
     bt = base
-    glog, gprobs = gate_logits(model.gate, bt.final)
+    glog = gate_logits(model.gate, bt.final)
+    gprobs = nc.softmax(glog, axis=-1)
     if gate_mode == "soft":
         weights = nc.column(gprobs, 1)
         used = weights.data.copy()
-    elif gate_mode == "hard":
-        used = weights = gate_decide(glog.data).astype(np.float64)
     else:
-        used = weights = np.full(targets.shape[0], float(gate_mode == "on"))
+        used = served_gate(gate_mode, model.gate, bt.final, glog).astype(np.float64)
+        weights = Tensor(used)
     out_proj = model.base["out_proj"]
     side_out = None if gate_mode == "off" else ladder(model.config, model.side, bt.hiddens)
-    if gate_mode == "off" or (gate_mode == "hard" and not used.any()):
+    if gate_mode != "soft" and not used.any():
         # nothing is fused: the base logits are the fused logits, bit for bit
         # (`base_forward` ends with this matmul)
         fused_logits = bt.logits if bt.logits is not None else nc.matmul(bt.final, out_proj)
@@ -543,7 +568,7 @@ def teacher_forced(
         _, fused_logits = fuse(bt.final, side_out, weights, out_proj)
     return TokenLossTrace(
         base=bt, side_out=side_out, gate_logits=glog, gate_probs=gprobs, gate_trace=used,
-        fused_logits=fused_logits, targets=targets, out_proj=out_proj,
+        fused_logits=fused_logits, targets=targets, base_params=model.base,
     )
 
 

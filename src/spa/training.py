@@ -63,6 +63,7 @@ from .model import (
     SpaModel,
     TokenLossTrace,
     base_forward,
+    fresh_side_and_gate,
     token_loss,
 )
 from .numcore import Tape, Tensor
@@ -300,9 +301,9 @@ class BaseFeatures:
 
 
 def reinit_side_and_gate(model: SpaModel, seed: int) -> None:
-    """Fresh side/gate parameters (used between learning-rate grid runs)."""
-    model.side = SideParams.create(model.config, np.random.default_rng(seed ^ 0x5EED))
-    model.gate = GateParams.create(model.config)
+    """Install fresh side/gate parameters (`fresh_side_and_gate`) on the
+    model; every learning-rate grid run starts from them."""
+    model.side, model.gate = fresh_side_and_gate(model.config, seed)
 
 
 def gate_labels(trace: TokenLossTrace, margin: float) -> np.ndarray:
@@ -353,8 +354,8 @@ class GridRun:
     result: TrainResult
     base_digest_before: str
     base_digest_after: str
-    side_arrays: dict[str, np.ndarray]
-    gate_arrays: dict[str, np.ndarray]
+    side: SideParams  # the run's trained side and gate bundles
+    gate: GateParams
 
 
 def run_lr_grid(
@@ -362,8 +363,8 @@ def run_lr_grid(
 ) -> tuple[GridRun, list[GridRun]]:
     """Train side + gate once per learning rate; keep the best validation loss.
 
-    Each run starts from identically re-initialized side/gate parameters.
-    The winning run's parameters are left installed on the model.
+    Each run trains fresh side/gate bundles (`reinit_side_and_gate`) and
+    keeps them; the winning run's bundles are left installed on the model.
     """
     runs: list[GridRun] = []
     for lr in grid:
@@ -376,13 +377,12 @@ def run_lr_grid(
                 result=result,
                 base_digest_before=before,
                 base_digest_after=model.base_digest(),
-                side_arrays=model.side.export_arrays(),
-                gate_arrays=model.gate.export_arrays(),
+                side=model.side,
+                gate=model.gate,
             )
         )
         if log:
             log(f"grid lr {lr:g}: final val ppl {result.final.val_perplexity:.3f}")
     best = min(runs, key=lambda r: r.result.final.val_perplexity)
-    model.side.load_arrays(best.side_arrays)
-    model.gate.load_arrays(best.gate_arrays)
+    model.side, model.gate = best.side, best.gate
     return best, runs

@@ -74,7 +74,8 @@ class TestRoundTrip:
         for name, arr in arrays.items():
             # stored at least 1-D, as a Tensor holds it
             want = np.atleast_1d(arr)
-            assert back[name].dtype == np.float64 and back[name].flags.writeable
+            # read-only views of the file's bytes: only a build copies them
+            assert back[name].dtype == np.float64 and not back[name].flags.writeable
             assert back[name].shape == want.shape and np.array_equal(back[name], want), name
 
     def test_train_config_recorded_verbatim(self, model, tmp_path):
@@ -238,7 +239,7 @@ def _forbid_draws(monkeypatch):
 
 
 class TestLoadingDrawsNothing:
-    """Every load path but `build_base_model` wraps the file's arrays: no
+    """Every load path but `build_base_model` copies the file's arrays: no
     model, bundle or generator is created."""
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -264,13 +265,37 @@ class TestLoadingDrawsNothing:
         if "side" in groups:
             side = loaded.build_side_parts()
             assert side.frozen and side.digest() == model.side.digest()
-            # the parts wrap the loaded arrays themselves
-            assert side["up.w"].data is loaded.arrays["side.up.w"]
+            # the parts own a writable copy of the loaded arrays
+            assert side["up.w"].data.flags.writeable
+            assert not np.shares_memory(side["up.w"].data, loaded.arrays["side.up.w"])
             assert SideBundle.from_checkpoint(path).side.digest() == model.side.digest()
         if "base" in groups:
-            # its seeded side and gate follow the base's draws in one stream
+            # it draws a fresh side and gate (`fresh_side_and_gate`)
             with pytest.raises(AssertionError, match="drew parameters"):
                 loaded.build_base_model(seed=1)
+
+
+class TestBuildsShareNoMemory:
+    def test_two_builds_from_one_load_are_independent(self, model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(model, path, kind="full")
+        loaded = load_checkpoint(path)
+        a, b = loaded.build_model(), loaded.build_model()
+        want = [(name, t.data.tobytes()) for name, t in b.all_named()]
+        for _, t in a.all_named():
+            t.data -= 1.0
+        assert [(name, t.data.tobytes()) for name, t in b.all_named()] == want
+        assert a.side.digest() != b.side.digest()
+        assert loaded.build_side_parts().digest() == b.side.digest() == model.side.digest()
+
+    def test_a_built_base_model_owns_its_base(self, model, tmp_path):
+        path = tmp_path / "base.ckpt"
+        save_model(model, path, kind="base")
+        loaded = load_checkpoint(path)
+        a, b = loaded.build_base_model(seed=1), loaded.build_base_model(seed=1)
+        a.base["out_proj"].data += 1.0
+        assert b.base_digest() == model.base_digest() != a.base_digest()
+        assert a.side.digest() == b.side.digest()
 
 
 # Recorded from `SpaModel.create` at the acceptance shape before each bundle

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from spa import numcore as nc
 from spa.decoding import (
-    POLICY_GATE_MODES,
     DecodeConfig,
     count_transmissions,
     decode_monolithic,
@@ -26,7 +25,7 @@ from spa.metrics import (
     teacher_forced_nll,
     usage_percentage,
 )
-from spa.model import ModelConfig, SpaModel, position_nll
+from spa.model import POLICY_GATE_MODES, ModelConfig, SpaModel, position_nll
 from spa.tokenizer import BOS, VOCAB_SIZE, ByteTokenizer
 from spa.wire import DEFAULT_WIRE_MODE, POLICIES
 
@@ -195,7 +194,7 @@ class TestScorerMatchesDecodePath:
     position at a time, reproduces the scorer's per-position NLL."""
 
     def test_every_served_policy_is_a_gate_mode(self):
-        assert set(POLICY_GATE_MODES) == set(POLICIES)
+        assert tuple(POLICY_GATE_MODES) == POLICIES
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_teacher_forced_step_model_matches_scorer(self, policy):

@@ -69,7 +69,7 @@ class TestSizeAudit:
         ids = np.arange(10)
         trace = base_forward(model.config, model.base, ids)
         side = ladder(model.config, model.side, trace.hiddens)
-        _, logits = fuse(trace.final, side, np.ones(10), model.base["out_proj"])
+        _, logits = fuse(trace.final, side, Tensor(np.ones(10)), model.base["out_proj"])
         assert logits.shape == (10, model.config.vocab_size)
         assert np.isfinite(logits.data).all()
 
@@ -510,13 +510,13 @@ class TestIncrementalDecode:
 class TestGate:
     def test_zero_params_give_half_half(self, tiny_model):
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
-        _, probs = gate_logits(tiny_model.gate, trace.final)
+        probs = nc.softmax(gate_logits(tiny_model.gate, trace.final))
         assert np.allclose(probs.data, 0.5)
 
     def test_large_bias_forces_side_everywhere(self, tiny_model):
         tiny_model.gate["b"].data[:] = [0.0, 10.0]
         trace = base_forward(TINY, tiny_model.base, [1, 2, 3])
-        logits, _ = gate_logits(tiny_model.gate, trace.final)
+        logits = gate_logits(tiny_model.gate, trace.final)
         assert all(gate_decide(row) == 1 for row in logits.data)
 
     def test_tie_breaks_to_base_path(self):
@@ -526,7 +526,7 @@ class TestGate:
         rng = np.random.default_rng(2)
         tiny_model.gate["w"].data[:] = rng.standard_normal((TINY.d_model, 2)) * 0.3
         trace = base_forward(TINY, tiny_model.base, [5, 6, 7, 8])
-        logits, _ = gate_logits(tiny_model.gate, trace.final)
+        logits = gate_logits(tiny_model.gate, trace.final)
         base_decisions = [gate_decide(r) for r in logits.data]
         for _ in range(25):
             c = float(rng.uniform(0.01, 50.0))
@@ -543,25 +543,25 @@ class TestFuse:
 
     def test_gate_off_reproduces_base_bitwise(self, tiny_model):
         trace, side = self.setup_traces(tiny_model)
-        fused, logits = fuse(trace.final, side, np.zeros(3), tiny_model.base["out_proj"])
+        fused, logits = fuse(trace.final, side, Tensor(np.zeros(3)), tiny_model.base["out_proj"])
         assert np.array_equal(fused.data, trace.final.data)
         assert np.array_equal(logits.data, trace.logits.data)
 
     def test_gate_on_adds_side_output(self, tiny_model):
         trace, side = self.setup_traces(tiny_model)
-        fused, _ = fuse(trace.final, side, np.ones(3), tiny_model.base["out_proj"])
+        fused, _ = fuse(trace.final, side, Tensor(np.ones(3)), tiny_model.base["out_proj"])
         assert np.allclose(fused.data, trace.final.data + side.data)
 
     def test_half_gate_with_side_equal_base_scales(self, tiny_model):
         trace, _ = self.setup_traces(tiny_model)
         doppel = Tensor(trace.final.data.copy())
-        fused, _ = fuse(trace.final, doppel, np.full(3, 0.5), tiny_model.base["out_proj"])
+        fused, _ = fuse(trace.final, doppel, Tensor(np.full(3, 0.5)), tiny_model.base["out_proj"])
         assert np.allclose(fused.data, 1.5 * trace.final.data)
 
     def test_shape_mismatch_raises(self, tiny_model):
         trace, side = self.setup_traces(tiny_model)
         with pytest.raises(DimensionError):
-            fuse(trace.final, side, np.zeros(5), tiny_model.base["out_proj"])
+            fuse(trace.final, side, Tensor(np.zeros(5)), tiny_model.base["out_proj"])
 
     def test_all_zero_hard_trace_reuses_the_base_logits(self, tiny_model, monkeypatch):
         # the fresh gate is all zeros, so every hard decision ties to 0
@@ -592,7 +592,7 @@ def fused_loss_oracle(model, ids):
     inputs, targets = ids[:-1], ids[1:]
     trace = base_forward(TINY, model.base, inputs)
     side = ladder(TINY, model.side, trace.hiddens).data
-    glog, _ = gate_logits(model.gate, trace.final)
+    glog = gate_logits(model.gate, trace.final)
     e = np.exp(glog.data - glog.data.max(axis=1, keepdims=True))
     p1 = (e / e.sum(axis=1, keepdims=True))[:, 1]
     fused = trace.final.data + p1[:, None] * side

@@ -8,6 +8,7 @@ import pytest
 
 import spa.model
 from spa import numcore as nc
+from spa.checkpoint import load_checkpoint, save_model
 from spa.corpus import Corpus, make_synthetic_personalized_corpus
 from spa.errors import ContractError, DimensionError
 from spa.metrics import perplexity, teacher_forced_nll
@@ -222,7 +223,7 @@ class TestGateLabels:
                 lp_base = nc.log_softmax_rows(bt.logits.data)[i, targets[i]]
                 side = ladder(CFG, model.side, bt.hiddens)
                 _, fused_logits = fuse(
-                    bt.final, side, np.ones(len(inputs)), model.base["out_proj"]
+                    bt.final, side, nc.Tensor(np.ones(len(inputs))), model.base["out_proj"]
                 )
                 lp_on = nc.log_softmax_rows(fused_logits.data)[i, targets[i]]
                 assert labels[i] == int(lp_on - lp_base > 0.0)
@@ -506,14 +507,15 @@ class TestBatchedForward:
             for gate_mode in GATE_MODES:
                 trace = teacher_forced(m, ids, gate_mode)
                 bt = base_forward(cfg, m.base, ids[:-1])
-                glog, gprobs = spa.model.gate_logits(m.gate, bt.final)
+                glog = spa.model.gate_logits(m.gate, bt.final)
+                gprobs = nc.softmax(glog)
                 weights = {"soft": nc.column(gprobs, 1).data,
                            "hard": spa.model.gate_decide(glog.data).astype(np.float64),
                            "on": np.ones(len(ids) - 1), "off": np.zeros(len(ids) - 1)}[gate_mode]
                 if gate_mode == "off":
                     want = bt.logits
                 else:
-                    _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), weights,
+                    _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), nc.Tensor(weights),
                                    m.base["out_proj"])
                 assert trace.fused_logits.data.tobytes() == want.data.tobytes()
                 assert trace.gate_logits.data.tobytes() == glog.data.tobytes()
@@ -611,7 +613,28 @@ class TestLrGrid:
             r.result.final.val_perplexity for r in runs
         )
         assert all(r.base_digest_before == r.base_digest_after for r in runs)
-        # winner's parameters are installed
-        installed = model.side.export_arrays()
-        for name, arr in best.side_arrays.items():
-            assert np.array_equal(installed[name], arr)
+        # each run keeps its own trained bundles, and the winner's are installed
+        assert runs[0].side is not runs[1].side and runs[0].gate is not runs[1].gate
+        assert model.side is best.side and model.gate is best.gate
+
+    def test_single_rate_run_on_a_built_base_model_is_the_grid_run(self, pretrained, tmp_path):
+        """`spa train-side --lr X` (one run on `build_base_model(seed)`) and
+        the grid's run at X start from the same side and gate draw."""
+        model, _, _ = pretrained
+        _, pers = small_corpora()
+        path = tmp_path / "base.ckpt"
+        save_model(model, path, kind="base")
+        loaded = load_checkpoint(path)
+        quick = TrainConfig(**{**TCFG.to_dict(), "epochs": 1})
+
+        def hex_logs(result):
+            return [(e.epoch, e.train_loss.hex(), e.val_perplexity.hex(), e.gate_usage.hex())
+                    for e in result.epochs]
+
+        single = loaded.build_base_model(seed=quick.seed)
+        one = train_side_and_gate(single, quick, pers)
+        _, runs = run_lr_grid(loaded.build_base_model(seed=quick.seed), quick, pers,
+                              grid=(5e-4, quick.learning_rate))
+        assert hex_logs(one) == hex_logs(runs[1].result)
+        assert single.side.digest() == runs[1].side.digest()
+        assert single.gate.digest() == runs[1].gate.digest()

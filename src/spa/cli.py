@@ -337,7 +337,7 @@ def _cmd_eval(cfg, args) -> int:
     docs = test_docs or corpus.documents
     policy = POLICY_FLAGS[args.policy]
     # perplexity and usage of the same scored positions
-    total, positions, side_used = teacher_forced_nll(model, docs, policy)
+    total, positions, side_used = teacher_forced_nll(model, docs)[policy]
     if not positions:
         raise ContractError("eval: the corpus holds no scorable positions")
     print(

@@ -2,7 +2,8 @@
 
 `teacher_forced_nll` is the one loop that scores documents teacher-forced;
 `perplexity`, `spa eval`, the experiment suite and the validation pass of
-training all go through it.
+training all go through it. It scores every policy from one "on" forward
+per document (`policy_nlls`).
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from typing import Iterable
 
 import numpy as np
 
+from . import numcore as nc
 # usage_percentage (and its UndefinedMetricError) is re-exported: it lives
 # beside count_transmissions, which defines every policy's M from it
 from .decoding import usage_percentage
 from .errors import ContractError, UndefinedMetricError
-from .model import POLICY_GATE_MODES, BaseTrace, SpaModel, position_nll
+from .model import POLICY_GATE_MODES, BaseTrace, SpaModel, served_gate, teacher_forced
 from .tokenizer import ByteTokenizer
 from .wire import POLICIES
 
@@ -70,40 +72,56 @@ def scored_ids(documents: list[str], max_seq_len: int) -> list[np.ndarray | None
     return out
 
 
+def policy_nlls(model: SpaModel, ids: np.ndarray,
+                base: BaseTrace | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every policy's per-position NLLs and served gate bits over one (T+1,)
+    sequence, from one "on" forward: the fused log-prob where the policy's
+    gate bit is 1 and the base's elsewhere, so `base_only` reads the base's
+    log-probs and `always_side` the fused ones. `base` as in `teacher_forced`."""
+    with nc.no_grad():
+        trace = teacher_forced(model, ids, "on", base)
+    base_lp = trace.base_target_logprobs()
+    fused_lp = nc.target_log_softmax(trace.fused_logits.data, trace.targets)
+    out = {}
+    for policy, gate_mode in POLICY_GATE_MODES.items():
+        bits = served_gate(gate_mode, model.gate, trace.base.final, trace.gate_logits)
+        out[policy] = -np.where(bits, fused_lp, base_lp), bits
+    return out
+
+
 def teacher_forced_nll(
-    model: SpaModel,
-    documents: list[str],
-    policy: str = "spa",
-    bases: Iterable[BaseTrace | None] | None = None,
-) -> tuple[float, int, int]:
-    """(summed NLL, scored positions, side-consulted positions) over documents.
+    model: SpaModel, documents: list[str], bases: Iterable[BaseTrace | None] | None = None
+) -> dict[str, tuple[float, int, int]]:
+    """Each policy's (summed NLL, scored positions, side-consulted
+    positions) over documents, in `POLICIES` order.
 
     Each document is cut to max_seq_len tokens; one shorter than 2 tokens is
-    skipped. Every policy scores through `position_nll` under its gate mode
-    from `POLICY_GATE_MODES`. `bases`, when given, holds one entry per
-    document: the base's trace of the document's scored inputs (None for a
-    skipped one), which the scorer reads instead of running the base.
+    skipped. `bases`, when given, holds one entry per document: the base's
+    trace of the document's scored inputs (None for a skipped one), which
+    the scorer reads instead of running the base.
     """
-    if policy not in POLICIES:
-        raise ContractError(f"teacher_forced_nll: unknown policy {policy!r}")
-    if bases is None:
-        bases = [None] * len(documents)
-    total, count, used = 0.0, 0, 0
+    bases = [None] * len(documents) if bases is None else bases
+    sums = {policy: (0.0, 0, 0) for policy in POLICIES}
     for ids, base in zip(scored_ids(documents, model.config.max_seq_len), bases, strict=True):
         if ids is None:
             continue
-        nlls, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy], base)
-        total += nlls.sum()
-        count += ids.size - 1
-        used += int(np.sum(gate_trace))
-    return total, count, used
+        for policy, (nlls, bits) in policy_nlls(model, ids, base).items():
+            total, count, used = sums[policy]
+            sums[policy] = total + nlls.sum(), count + ids.size - 1, used + int(bits.sum())
+    return sums
+
+
+def perplexities(model: SpaModel, documents: list[str]) -> dict[str, float]:
+    """Each policy's exp(mean token NLL) over documents, from one scoring
+    pass (`teacher_forced_nll`)."""
+    scores = teacher_forced_nll(model, documents)
+    if not scores["spa"][1]:
+        raise ContractError("perplexity: documents held no scorable positions")
+    return {policy: math.exp(total / count) for policy, (total, count, _) in scores.items()}
 
 
 def perplexity(model: SpaModel, documents: list[str], policy: str = "spa") -> float:
     """exp(mean token NLL) over documents under a decoding policy."""
-    if not documents:
-        raise ContractError("perplexity: no documents")
-    total, count, _ = teacher_forced_nll(model, documents, policy)
-    if count == 0:
-        raise ContractError("perplexity: documents held no scorable positions")
-    return math.exp(total / count)
+    if policy not in POLICIES:
+        raise ContractError(f"perplexity: unknown policy {policy!r}")
+    return perplexities(model, documents)[policy]

@@ -16,8 +16,8 @@ The served gate is written once, here, and every path calls it:
 turns a gate mode and the gate head's logits (`gate_logits`) into the 0/1
 decisions, and `served_fusion` computes the logits of a row whose bit is 1.
 The step engine (`spa.decoding.CloudStepModel`) serves with the three;
-`teacher_forced` gates its "hard", "on" and "off" rows with `served_gate`
-and `TokenLossTrace.cate` fuses every row with `served_fusion`.
+`teacher_forced` gates its "hard" and "on" rows with `served_gate` and
+`TokenLossTrace.cate` fuses every row with `served_fusion`.
 
 `ladder` is the only implementation of that network, and it is a pure
 function of its input rows: no state is carried between positions or
@@ -29,9 +29,8 @@ loss, the scorer, the side path's causal effect (CATE) and the gate's
 training labels all read the `TokenLossTrace` it builds. Given a precomputed
 `BaseTrace` of its inputs it reads the base's features from it instead of
 running the base; side training passes the rows of its table of frozen-base
-features (`spa.training`) that way. Such a trace may carry no logits: the
-forward then computes them only where it returns them as the fused logits,
-and `cate` reads the base's target log-probs stored on the trace.
+features (`spa.training`) that way, with base target log-probs in place of
+the logits, which the forward never reads.
 """
 
 from __future__ import annotations
@@ -292,7 +291,7 @@ class BaseTrace:
 
     `target_logprobs`, which `base_forward` leaves None, holds a
     precomputed trace's base log-prob of each row's target, in place of
-    `logits` (`teacher_forced`).
+    `logits` (`TokenLossTrace.base_target_logprobs`).
     """
 
     hiddens: list[Tensor] = field(default_factory=list)
@@ -472,7 +471,7 @@ class TokenLossTrace:
     batch; every per-position field holds the batch's rows in order."""
 
     base: BaseTrace
-    side_out: Tensor | None  # None under gate mode "off", which skips the ladder
+    side_out: Tensor
     gate_logits: Tensor
     gate_probs: Tensor
     gate_trace: np.ndarray  # the per-position weights actually used
@@ -480,35 +479,31 @@ class TokenLossTrace:
     targets: np.ndarray
     base_params: BaseParams  # the parameters the forward fused through
 
-    def target_logprobs(self, logits: np.ndarray) -> np.ndarray:
-        """log softmax(logits)[t, targets[t]] at every position t."""
-        return nc.target_log_softmax(logits, self.targets)
+    def base_target_logprobs(self) -> np.ndarray:
+        """The base alone's log-prob of each target: the base trace's stored
+        `target_logprobs` when it has them, else computed from its logits."""
+        if self.base.target_logprobs is not None:
+            return self.base.target_logprobs
+        if self.base.logits is None:
+            raise ContractError("the base trace carries neither logits nor target log-probs")
+        return nc.target_log_softmax(self.base.logits.data, self.targets)
 
     def cate(self) -> np.ndarray:
         """Per-position log-likelihood gain of fusing the whole side output
         over the base alone, lp(final + side_out)[t] - lp(base logits)[t],
-        whatever gate the trace ran; positive means the side path helps.
-        The base term is the base trace's stored `target_logprobs` when it
-        has them, else computed from its logits."""
-        if self.side_out is None:
-            raise ContractError("cate: the trace ran no side network (gate mode 'off')")
-        base_lp = self.base.target_logprobs
-        if base_lp is None:
-            if self.base.logits is None:
-                raise ContractError(
-                    "cate: the base trace carries neither logits nor target log-probs"
-                )
-            base_lp = self.target_logprobs(self.base.logits.data)
+        whatever gate the trace ran; positive means the side path helps."""
         on_logits = served_fusion(self.base_params, self.base.final.data, self.side_out.data)
-        return self.target_logprobs(on_logits) - base_lp
+        return nc.target_log_softmax(on_logits, self.targets) - self.base_target_logprobs()
 
 
 # Each cloud policy's gate as a gate mode (`served_gate`): "hard" takes the
 # classifier's decision, "on" always consults the side network, "off" never
 # does. Keys in `spa.wire.POLICIES` order.
 POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "base_only": "off"}
-# "soft", which only training runs, fuses each row weighted by P(use side)
-GATE_MODES = ("soft", *POLICY_GATE_MODES.values())
+# `teacher_forced`'s modes: "off" is only served (the scorer reads `base_only`
+# off an "on" forward), and "soft", which only training runs, fuses each row
+# weighted by P(use side)
+GATE_MODES = ("soft", "hard", "on")
 
 
 def teacher_forced(
@@ -521,14 +516,14 @@ def teacher_forced(
     targets. A batch runs as one forward: every row of the trace (hiddens,
     gate, side output, logits, targets) holds the B*T positions sequence by
     sequence, so a loss over the trace is the mean over all of them, and
-    row b*T + t depends on sequence b alone. Gate mode "off" skips the
-    ladder and keeps the base logits.
+    row b*T + t depends on sequence b alone. Every mode runs the ladder
+    and fuses every row through `fuse`, a row of weight 0 included.
 
     `base`, when given, is the frozen base's trace of the inputs (hiddens
     and final over all B*T positions, as `base_forward` returns them), and
-    the base is not run. It may leave out the logits, which are then
-    computed here only where the fused logits are the base's, and may
-    carry one stored base target log-prob per target for `cate`.
+    the base is not run. The forward reads no base logits, so the trace may
+    leave them out and carry one stored base target log-prob per target in
+    their place (`TokenLossTrace.base_target_logprobs`).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim not in (1, 2) or ids.shape[-1] < 2 or ids.size < 2:
@@ -549,25 +544,18 @@ def teacher_forced(
             f"teacher_forced: stored base log-probs {base.target_logprobs.shape} "
             f"do not cover targets {targets.shape}"
         )
-    bt = base
-    glog = gate_logits(model.gate, bt.final)
+    glog = gate_logits(model.gate, base.final)
     gprobs = nc.softmax(glog, axis=-1)
     if gate_mode == "soft":
         weights = nc.column(gprobs, 1)
         used = weights.data.copy()
     else:
-        used = served_gate(gate_mode, model.gate, bt.final, glog).astype(np.float64)
+        used = served_gate(gate_mode, model.gate, base.final, glog).astype(np.float64)
         weights = Tensor(used)
-    out_proj = model.base["out_proj"]
-    side_out = None if gate_mode == "off" else ladder(model.config, model.side, bt.hiddens)
-    if gate_mode != "soft" and not used.any():
-        # nothing is fused: the base logits are the fused logits, bit for bit
-        # (`base_forward` ends with this matmul)
-        fused_logits = bt.logits if bt.logits is not None else nc.matmul(bt.final, out_proj)
-    else:
-        _, fused_logits = fuse(bt.final, side_out, weights, out_proj)
+    side_out = ladder(model.config, model.side, base.hiddens)
+    _, fused_logits = fuse(base.final, side_out, weights, model.base["out_proj"])
     return TokenLossTrace(
-        base=bt, side_out=side_out, gate_logits=glog, gate_probs=gprobs, gate_trace=used,
+        base=base, side_out=side_out, gate_logits=glog, gate_probs=gprobs, gate_trace=used,
         fused_logits=fused_logits, targets=targets, base_params=model.base,
     )
 
@@ -586,14 +574,3 @@ def cate_estimate(model: SpaModel, token_ids) -> np.ndarray:
     """`TokenLossTrace.cate` of the side-always-on forward over a sequence."""
     with nc.no_grad():
         return teacher_forced(model, token_ids, "on").cate()
-
-
-def position_nll(
-    model: SpaModel, token_ids, gate_mode: str, base: BaseTrace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced per-position negative log-likelihoods under a gate mode,
-    with the per-position gate weights that were used; `base` as in
-    `teacher_forced`."""
-    with nc.no_grad():
-        trace = teacher_forced(model, token_ids, gate_mode, base)
-    return -trace.target_logprobs(trace.fused_logits.data), trace.gate_trace

@@ -21,7 +21,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .corpus import make_synthetic_personalized_corpus
 from .decoding import DecodeConfig, count_transmissions, decode_monolithic
 from .latency import LatencyProfile, build_comparison_table, format_rows
-from .metrics import perplexity, rouge_l, usage_percentage
+from .metrics import perplexities, rouge_l, usage_percentage
 from .model import SpaModel
 from .tokenizer import BOS, EOS, ByteTokenizer
 
@@ -116,6 +116,7 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
         for doc in test_docs[: cfg.n_prompts]:
             head, tail = doc[:PROMPT_CHARS], doc[PROMPT_CHARS:]
             prompts.append(([BOS, *tok.encode(head)], tail))
+        tier_perplexities = perplexities(model, test_docs)
 
         spa_trace: list[int] = []
         for policy in POLICY_ORDER:
@@ -137,7 +138,7 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
                 ratio=count_transmissions(traces),
                 usage_percent=usage_percentage(traces) if traces else None,
                 rouge_f=float(np.mean(rouge_vals)) if rouge_vals else None,
-                perplexity=perplexity(model, test_docs, policy),
+                perplexity=tier_perplexities[policy],
             )
             report.rows.append(row)
             say(f"{run_id}: ratio {row.ratio:.3f} rouge {row.rouge_f:.3f} "

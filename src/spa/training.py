@@ -23,25 +23,22 @@ the loss and are constants within a step.
 
 The base is frozen during side training, so its features over the corpus
 never change: `BaseFeatures` holds them, computed once by `base_forward` in
-chunks of batch_size blocks taken in block order. For every training block
-it keeps the per-layer hiddens, the final hidden and the base's log-prob of
-each position's target (the base half of the gate labels' CATE); for every
-scored validation document, the hiddens and final hidden over the document.
-Each side-training batch and validation pass reads its rows from the table
-as `teacher_forced`'s precomputed base, and no reader gets base logits:
-batches need none, and validation computes `final @ out_proj` only where
-the fused logits are the base's (nothing fused in). The table is kept on
-the model (`SpaModel.base_features`), keyed by the model config, the base
-digest, the exact training block array and the validation ids, so the
-epochs of a call, the calls of a learning-rate grid and repeated calls on
-the same base and corpus share it, and a changed base or corpus rebuilds
-it. It costs (n_layers + 1) * d_model * 8 bytes per training or validation
-position, 1.5 KiB at the bench shape (2 layers, d_model 64), plus 8 bytes
-per training position for the target log-prob. With 48-token blocks, seed
-1's personalized corpus holds 2,304 training and 211 validation positions
-on the small tier (3.7 MiB), 8,496 and 1,110 on medium (14 MiB) and 33,072
-and 3,876 on full (54 MiB). The logits are not stored, which would add
-vocab_size * 8 bytes per position.
+chunks of batch_size blocks taken in block order, then per scored
+validation document. For every training block and validation document it
+keeps the per-layer hiddens, the final hidden and the base's log-prob of
+each position's target (the base half of the gate labels' CATE and of the
+scorer). Each side-training batch and validation pass reads its rows from
+the table as `teacher_forced`'s precomputed base; none reads base logits.
+The table is kept on the model (`SpaModel.base_features`), keyed by the
+model config, the base digest, the exact training block array and the
+validation ids, so the epochs of a call, the calls of a learning-rate grid
+and repeated calls on the same base and corpus share it, and a changed base
+or corpus rebuilds it. It costs (n_layers + 1) * d_model * 8 + 8 bytes per
+training or validation position, 1.5 KiB at the bench shape (2 layers,
+d_model 64). With 48-token blocks, seed 1's personalized corpus holds 2,304
+training and 211 validation positions on the small tier (3.7 MiB), 8,496
+and 1,110 on medium (14 MiB) and 33,072 and 3,876 on full (54 MiB). The
+logits are not stored, which would add vocab_size * 8 bytes per position.
 """
 
 from __future__ import annotations
@@ -156,7 +153,7 @@ def _fused_val_perplexity(model: SpaModel, docs, policy="spa", bases=None) -> tu
     """(perplexity, gate usage rate) of `policy` on held-out docs; both nan
     when no document has a scorable position. `bases` as in
     `teacher_forced_nll`."""
-    total, count, used = teacher_forced_nll(model, docs, policy, bases)
+    total, count, used = teacher_forced_nll(model, docs, bases)[policy]
     if not count:
         return float("nan"), float("nan")
     return math.exp(total / count), used / count
@@ -247,8 +244,8 @@ class BaseFeatures:
     `hiddens[i]` and `final` are (n_blocks, T, d_model) arrays over the
     training blocks in block order, and `target_logprobs` the (n_blocks, T)
     base log-probs of their targets; `val` holds each validation document's
-    base trace without logits, or None for a document with nothing to
-    score.
+    base trace with its target log-probs in place of logits, or None for a
+    document with nothing to score.
     """
 
     key: tuple
@@ -285,9 +282,14 @@ class BaseFeatures:
                     store[start : start + chunk] = t.data.reshape(-1, *shape[1:])
                 target_lp[start : start + chunk] = nc.target_log_softmax(
                     trace.logits.data, ids[:, 1:].reshape(-1)).reshape(-1, shape[1])
-            val = [None if ids is None
-                   else replace(base_forward(cfg, model.base, ids[:-1]), logits=None, kv=[])
-                   for ids in val_ids]
+            val = []
+            for ids in val_ids:
+                if ids is None:
+                    val.append(None)
+                    continue
+                trace = base_forward(cfg, model.base, ids[:-1])
+                lp = nc.target_log_softmax(trace.logits.data, ids[1:])
+                val.append(replace(trace, logits=None, kv=[], target_logprobs=lp))
         return cls(key, hiddens, final, target_lp, val)
 
     def batch(self, batch: np.ndarray) -> BaseTrace:

@@ -141,10 +141,25 @@ class TestDecodeAndEval:
         out = capsys.readouterr().out
         loaded = load_text_dir(corpus)
         docs = loaded.splits(0)[2] or loaded.documents
-        total, positions, used = teacher_forced_nll(load_checkpoint(full_ckpt).build_model(), docs)
+        total, positions, used = teacher_forced_nll(
+            load_checkpoint(full_ckpt).build_model(), docs)["spa"]
         assert 0 < used < positions, "the gate should fire on part of the positions"
         assert f"perplexity={math.exp(total / positions):.4f}" in out
         assert f"usage={100.0 * used / positions:.1f}%" in out
+
+    def test_eval_without_a_scorable_position_is_runtime_error(self, tmp_path, capsys):
+        # a model whose window holds one token scores no position of any document
+        cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32,
+                          vocab_size=VOCAB_SIZE, max_seq_len=1, side_reduction=8)
+        ckpt = tmp_path / "full.ckpt"
+        save_model(SpaModel.create(cfg, seed=1), ckpt, kind="full")
+        corpus = tmp_path / "docs"
+        corpus.mkdir()
+        for i in range(3):
+            (corpus / f"{i}.txt").write_text(f"the quiet river {i}")
+        code = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)])
+        assert code == EXIT_RUNTIME
+        assert "no scorable positions" in capsys.readouterr().err
 
     def test_generate_without_connect_is_usage_error(self, full_ckpt, tmp_path):
         side = tmp_path / "side.ckpt"

@@ -1,6 +1,8 @@
 """ROUGE-L against brute-force enumeration, usage percentage, perplexity,
-and the teacher-forced scorer against the step model decoding serves."""
+and the teacher-forced scorer against the step model decoding serves and
+against a forward per policy."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spa.model
 from spa import numcore as nc
 from spa.decoding import (
     DecodeConfig,
@@ -16,16 +19,19 @@ from spa.decoding import (
     decode_monolithic,
     local_step_model,
 )
+from spa.errors import ContractError
 from spa.metrics import (
     RougeScore,
     UndefinedMetricError,
     lcs_length,
     perplexity,
+    policy_nlls,
     rouge_l,
+    scored_ids,
     teacher_forced_nll,
     usage_percentage,
 )
-from spa.model import POLICY_GATE_MODES, ModelConfig, SpaModel, position_nll
+from spa.model import POLICY_GATE_MODES, ModelConfig, SpaModel, base_forward, teacher_forced
 from spa.tokenizer import BOS, VOCAB_SIZE, ByteTokenizer
 from spa.wire import DEFAULT_WIRE_MODE, POLICIES
 
@@ -123,17 +129,34 @@ class TestPerplexity:
         docs = ["the amber river", "a worn bridge"]
         assert perplexity(model, docs, "spa") == perplexity(model, docs, "spa")
 
-    def test_gate_off_policy_equals_base_only(self):
+    def test_base_only_is_the_base_forwards_own_perplexity(self):
         model = SpaModel.create(self.CFG, seed=4)
-        docs = ["alpha beta gamma"]
-        assert perplexity(model, docs, "base_only") == pytest.approx(
-            math.exp(math.log(perplexity(model, docs, "base_only")))
-        )
+        docs = ["alpha beta gamma", "delta epsilon"]
+        nlls = []
+        for ids in scored_ids(docs, self.CFG.max_seq_len):
+            logits = base_forward(self.CFG, model.base, ids[:-1]).logits.data
+            nlls.append(-nc.log_softmax_rows(logits)[np.arange(ids.size - 1), ids[1:]].sum())
+        want = math.exp((0.0 + nlls[0] + nlls[1]) / sum(len(d) + 1 for d in docs))
+        assert perplexity(model, docs, "base_only").hex() == want.hex()
 
     def test_empty_documents_rejected(self):
         model = SpaModel.create(self.CFG, seed=0)
-        with pytest.raises(Exception):
+        with pytest.raises(ContractError):
             perplexity(model, [], "spa")
+
+    def test_documents_without_a_scorable_position_rejected(self):
+        # cut to one token, no document keeps a position to score
+        cfg = dataclasses.replace(self.CFG, max_seq_len=1)
+        model = SpaModel.create(cfg, seed=0)
+        docs = ["alpha", "beta"]
+        assert scored_ids(docs, cfg.max_seq_len) == [None, None]
+        for policy in POLICIES:
+            with pytest.raises(ContractError, match="no scorable positions"):
+                perplexity(model, docs, policy)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ContractError, match="unknown policy"):
+            perplexity(SpaModel.create(self.CFG, seed=0), ["alpha beta"], "sometimes")
 
 
 SCORER_CFG = ModelConfig(
@@ -207,11 +230,66 @@ class TestScorerMatchesDecodePath:
             nlls.append(-nc.log_softmax_rows(logits)[0][ids[i]])
             bits.extend(used)
         nlls = np.asarray(nlls)
-        total, count, used = teacher_forced_nll(model, DOCS[:1], policy)
+        total, count, used = teacher_forced_nll(model, DOCS[:1])[policy]
         assert (count, used) == (ids.size - 1, sum(bits))
         assert abs(total - nlls.sum()) <= 1e-12 * total
-        want, gate_trace = position_nll(model, ids, POLICY_GATE_MODES[policy])
-        assert list(gate_trace) == bits
+        want, gate_bits = policy_nlls(model, ids)[policy]
+        assert list(gate_bits) == bits
         assert np.all(np.abs(nlls - want) <= 1e-12 * np.abs(want))
         if policy == "spa":
             assert 0 < sum(bits) < len(bits), "the gate should fire on part of the tokens"
+
+
+class TestOneScoringForward:
+    """One "on" forward per document scores every policy, bit for bit as a
+    forward under each policy's own gate would."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"base_forward": 0, "ladder": 0}
+        for name in calls:
+            real = getattr(spa.model, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spa.model, name, counting)
+        return calls
+
+    def test_each_document_runs_the_base_and_the_ladder_once(self, monkeypatch):
+        model = gated_model()
+        docs = [*DOCS, "a third one"]
+        calls = self.count_calls(monkeypatch)
+        scores = teacher_forced_nll(model, docs)
+        assert calls == {"base_forward": len(docs), "ladder": len(docs)}
+        assert tuple(scores) == POLICIES
+
+    def test_given_bases_the_base_never_runs(self, monkeypatch):
+        model = gated_model()
+        ids = scored_ids(DOCS, SCORER_CFG.max_seq_len)
+        bases = [base_forward(SCORER_CFG, model.base, x[:-1]) for x in ids]
+        want = teacher_forced_nll(model, DOCS)
+        calls = self.count_calls(monkeypatch)
+        assert teacher_forced_nll(model, DOCS, bases) == want
+        assert calls == {"base_forward": 0, "ladder": len(DOCS)}
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_each_policy_equals_a_forward_under_its_own_gate(self, policy, monkeypatch):
+        model = gated_model()
+        monkeypatch.setattr(nc, "cross_entropy", None)  # the scorer computes no loss
+        total, count, used = 0.0, 0, 0
+        for ids in scored_ids(DOCS, SCORER_CFG.max_seq_len):
+            got, bits = policy_nlls(model, ids)[policy]
+            with nc.no_grad():
+                if policy == "base_only":
+                    logits = base_forward(SCORER_CFG, model.base, ids[:-1]).logits.data
+                    gate = np.zeros(ids.size - 1)
+                else:
+                    trace = teacher_forced(model, ids, POLICY_GATE_MODES[policy])
+                    logits, gate = trace.fused_logits.data, trace.gate_trace
+            want = -nc.target_log_softmax(logits, ids[1:])
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(bits, gate)
+            total, count, used = total + want.sum(), count + ids.size - 1, used + int(gate.sum())
+        assert teacher_forced_nll(model, DOCS)[policy] == (total, count, used)

@@ -26,9 +26,9 @@ from spa.model import (
     gate_decide,
     gate_logits,
     ladder,
-    position_nll,
     side_step_layers,
     side_step_rolled,
+    teacher_forced,
     token_loss,
 )
 from spa.numcore import Tape, Tensor
@@ -563,27 +563,15 @@ class TestFuse:
         with pytest.raises(DimensionError):
             fuse(trace.final, side, Tensor(np.zeros(5)), tiny_model.base["out_proj"])
 
-    def test_all_zero_hard_trace_reuses_the_base_logits(self, tiny_model, monkeypatch):
-        # the fresh gate is all zeros, so every hard decision ties to 0
+    def test_all_zero_hard_trace_fuses_to_the_base_logits(self, tiny_model):
+        # the fresh gate is all zeros, so every hard decision ties to 0, and
+        # fusing zero-weighted side rows leaves the base logits bit for bit
         ids = np.arange(1, 12) % TINY.vocab_size
-        out_proj = tiny_model.base["out_proj"]
-        projections = 0
-        matmul = nc.matmul
-
-        def counting(a, b):
-            nonlocal projections
-            projections += b is out_proj
-            return matmul(a, b)
-
-        monkeypatch.setattr(nc, "matmul", counting)
-        nll, used = position_nll(tiny_model, ids, "hard")
-        monkeypatch.undo()
-        assert not used.any()
-        assert projections == 1, "only base_forward should project through out_proj"
+        with nc.no_grad():
+            trace = teacher_forced(tiny_model, ids, "hard")
+        assert not trace.gate_trace.any()
         logits = base_forward(TINY, tiny_model.base, ids[:-1]).logits.data
-        want = -nc.log_softmax_rows(logits)[np.arange(len(ids) - 1), ids[1:]]
-        assert nll.tobytes() == want.tobytes()
-        assert nll.tobytes() == position_nll(tiny_model, ids, "off")[0].tobytes()
+        assert trace.fused_logits.data.tobytes() == logits.tobytes()
 
 
 def fused_loss_oracle(model, ids):
@@ -610,13 +598,14 @@ class TestTokenLoss:
         with pytest.raises(ContractError):
             token_loss(tiny_model, [3])
 
-    def test_gate_off_with_zero_side_equals_base_cross_entropy(self, tiny_model):
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_zero_side_output_leaves_the_base_cross_entropy(self, tiny_model, gate_mode):
         for _, t in tiny_model.side.named():
             t.data[:] = 0.0
         ids = np.array([1, 2, 3, 4, 5])
-        loss_off, trace = token_loss(tiny_model, ids, gate_mode="off")
+        loss, trace = token_loss(tiny_model, ids, gate_mode=gate_mode)
         base_ce = nc.cross_entropy(trace.base.logits, ids[1:])
-        assert abs(loss_off.item() - base_ce.item()) < 1e-12
+        assert abs(loss.item() - base_ce.item()) < 1e-12
 
     def test_loss_is_non_negative(self, tiny_model):
         for seed in range(5):
@@ -631,30 +620,6 @@ class TestTokenLoss:
         loss, _ = token_loss(tiny_model, ids, gate_mode="soft")
         assert abs(loss.item() - fused_loss_oracle(tiny_model, ids)) < 1e-10
 
-    def test_eq_reduction_gate_off_bitwise(self, tiny_model):
-        # with the hard gate forced off, fused logits are the base logits
-        ids = np.array([2, 9, 4, 7])
-        with nc.no_grad():
-            _, trace_off = token_loss(tiny_model, ids, gate_mode="off")
-        assert np.array_equal(trace_off.fused_logits.data, trace_off.base.logits.data)
-
-
-class TestPositionNll:
-    @pytest.mark.parametrize("gate_mode", GATE_MODES)
-    def test_scores_the_loss_positions_without_a_cross_entropy(
-        self, tiny_model, gate_mode, monkeypatch
-    ):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("position_nll computed a cross-entropy")
-
-        ids = np.array([3, 8, 2, 6, 1, 9])
-        monkeypatch.setattr(nc, "cross_entropy", forbidden)
-        nlls, used = position_nll(tiny_model, ids, gate_mode)
-        monkeypatch.undo()
-        loss, trace = token_loss(tiny_model, ids, gate_mode=gate_mode)
-        assert abs(nlls.mean() - loss.item()) <= 1e-12 * loss.item()
-        assert np.array_equal(used, trace.gate_trace)
-
 
 class TestCate:
     def test_zero_side_gives_zero_effect(self, tiny_model):
@@ -666,11 +631,6 @@ class TestCate:
     def test_deterministic(self, tiny_model):
         ids = [3, 8, 2, 6, 1]
         assert np.array_equal(cate_estimate(tiny_model, ids), cate_estimate(tiny_model, ids))
-
-    def test_trace_without_side_output_rejected(self, tiny_model):
-        _, trace = token_loss(tiny_model, [3, 8, 2], gate_mode="off")
-        with pytest.raises(ContractError):
-            trace.cate()
 
 
 class TestGradientFlow:

@@ -11,7 +11,7 @@ from spa import numcore as nc
 from spa.checkpoint import load_checkpoint, save_model
 from spa.corpus import Corpus, make_synthetic_personalized_corpus
 from spa.errors import ContractError, DimensionError
-from spa.metrics import perplexity, teacher_forced_nll
+from spa.metrics import perplexity, scored_ids, teacher_forced_nll
 from spa.model import (
     GATE_MODES,
     ModelConfig,
@@ -275,7 +275,7 @@ def reference_side_training(model, tcfg, corpus):
             tape.backward(loss)
             opt.step()
             losses.append(loss.item())
-        total, count, used = teacher_forced_nll(model, val_docs, "spa")
+        total, count, used = teacher_forced_nll(model, val_docs)["spa"]
         logs.append((float(np.mean(losses)).hex(), math.exp(total / count).hex(),
                      (used / count).hex()))
     return logs
@@ -443,8 +443,7 @@ class TestBatchedForward:
         assert_rel(batched.fused_logits.data,
                    np.concatenate([t.fused_logits.data for t in per]), 1e-12)
         assert_rel(batched.gate_trace, np.concatenate([t.gate_trace for t in per]), 1e-12)
-        if gate_mode != "off":
-            assert_rel(batched.cate(), np.concatenate([t.cate() for t in per]), 1e-12)
+        assert_rel(batched.cate(), np.concatenate([t.cate() for t in per]), 1e-12)
         if gate_mode == "hard" and n_blocks > 1:
             assert 0 < batched.gate_trace.sum() < batched.gate_trace.size
         if n_blocks == 1:  # a one-block batch runs the 1-D path's numpy calls
@@ -511,12 +510,9 @@ class TestBatchedForward:
                 gprobs = nc.softmax(glog)
                 weights = {"soft": nc.column(gprobs, 1).data,
                            "hard": spa.model.gate_decide(glog.data).astype(np.float64),
-                           "on": np.ones(len(ids) - 1), "off": np.zeros(len(ids) - 1)}[gate_mode]
-                if gate_mode == "off":
-                    want = bt.logits
-                else:
-                    _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), nc.Tensor(weights),
-                                   m.base["out_proj"])
+                           "on": np.ones(len(ids) - 1)}[gate_mode]
+                _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), nc.Tensor(weights),
+                               m.base["out_proj"])
                 assert trace.fused_logits.data.tobytes() == want.data.tobytes()
                 assert trace.gate_logits.data.tobytes() == glog.data.tobytes()
                 assert trace.gate_trace.tobytes() == weights.tobytes()
@@ -543,10 +539,18 @@ class TestStoredBaseLogprobs:
         with nc.no_grad():
             got = teacher_forced(model, blocks[batch], gate_mode, base)
             want = teacher_forced(model, blocks[batch], gate_mode)
-        # under "off" the logits missing from the table are computed as the fused ones
         assert got.fused_logits.data.tobytes() == want.fused_logits.data.tobytes()
-        if gate_mode != "off":
-            assert np.array_equal(got.cate(), want.cate())
+        assert np.array_equal(got.cate(), want.cate())
+
+    def test_validation_traces_carry_the_base_target_logprobs(self, gated_model):
+        docs = ["the amber river", "a lantern by the quiet mill"]
+        model = dataclasses.replace(gated_model)
+        features = BaseFeatures.for_model(model, model.base_digest(), random_blocks(2), docs, 2)
+        for ids, base in zip(scored_ids(docs, CFG.max_seq_len), features.val, strict=True):
+            assert base.logits is None and base.kv == []
+            logits = base_forward(CFG, model.base, ids[:-1]).logits.data
+            want = nc.target_log_softmax(logits, ids[1:])
+            assert base.target_logprobs.tobytes() == want.tobytes()
 
     def test_stored_logprobs_must_cover_every_target(self, gated_model):
         blocks = random_blocks(3)

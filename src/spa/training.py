@@ -150,9 +150,8 @@ class TrainResult:
 
 
 def _fused_val_perplexity(model: SpaModel, docs, policy="spa", bases=None) -> tuple[float, float]:
-    """(perplexity, gate usage rate) of `policy` on held-out docs; both nan
-    when no document has a scorable position. `bases` as in
-    `teacher_forced_nll`."""
+    """(perplexity, gate usage rate) of `policy` on held-out docs, both nan
+    with no scorable position; `bases` as in `teacher_forced_nll`."""
     total, count, used = teacher_forced_nll(model, docs, bases)[policy]
     if not count:
         return float("nan"), float("nan")
@@ -237,6 +236,13 @@ def pretrain_base(
     return model, result
 
 
+def _val_trace(model: SpaModel, ids: np.ndarray) -> BaseTrace:
+    """A scored (T+1,) document's base trace, target log-probs for logits."""
+    trace = base_forward(model.config, model.base, ids[:-1])
+    lp = nc.target_log_softmax(trace.logits.data, ids[1:])
+    return replace(trace, logits=None, kv=[], target_logprobs=lp)
+
+
 @dataclass(eq=False)
 class BaseFeatures:
     """The frozen base's features over one corpus (module docstring).
@@ -282,14 +288,9 @@ class BaseFeatures:
                     store[start : start + chunk] = t.data.reshape(-1, *shape[1:])
                 target_lp[start : start + chunk] = nc.target_log_softmax(
                     trace.logits.data, ids[:, 1:].reshape(-1)).reshape(-1, shape[1])
-            val = []
-            for ids in val_ids:
-                if ids is None:
-                    val.append(None)
-                    continue
-                trace = base_forward(cfg, model.base, ids[:-1])
-                lp = nc.target_log_softmax(trace.logits.data, ids[1:])
-                val.append(replace(trace, logits=None, kv=[], target_logprobs=lp))
+            # allocation order sets the heap pages each side batch faults back
+            # in: ~500 at the bench shape, ~900 freeing `trace` mid-loop
+            val = [None if ids is None else _val_trace(model, ids) for ids in val_ids]
         return cls(key, hiddens, final, target_lp, val)
 
     def batch(self, batch: np.ndarray) -> BaseTrace:

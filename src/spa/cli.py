@@ -33,8 +33,10 @@ from .tokenizer import BOS, EOS, VOCAB_SIZE, ByteTokenizer
 from .training import (
     LR_GRID,
     TrainConfig,
+    gate_labels,
     pretrain_base,
     run_lr_grid,
+    side_objective,
     train_side_and_gate,
 )
 from .transport import DEFAULT_TIMEOUT
@@ -412,8 +414,11 @@ def _cmd_grad_check(cfg, args) -> int:
         model.base.freeze()
         ids = r.integers(0, mcfg.vocab_size, size=6)
         params = model.side.tensors() + model.gate.tensors()
+        # the training objective, its gate labels held at the probe's point
+        tcfg = TrainConfig()
+        labels = gate_labels(token_loss(model, ids, "on")[1], tcfg.gate_margin)
         run(f"side+gate loss[{trial}]",
-            lambda *_: token_loss(model, ids, gate_mode="soft")[0], params)
+            lambda *_: side_objective(model, ids, tcfg, labels=labels), params)
 
     if failures:
         print(f"{failures} check(s) failed at tol {args.tol}")

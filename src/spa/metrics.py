@@ -81,11 +81,10 @@ def policy_nlls(model: SpaModel, ids: np.ndarray,
     with nc.no_grad():
         trace = teacher_forced(model, ids, "on", base)
     base_lp = trace.base_target_logprobs()
-    fused_lp = nc.target_log_softmax(trace.fused_logits.data, trace.targets)
     out = {}
     for policy, gate_mode in POLICY_GATE_MODES.items():
         bits = served_gate(gate_mode, model.gate, trace.base.final, trace.gate_logits)
-        out[policy] = -np.where(bits, fused_lp, base_lp), bits
+        out[policy] = -np.where(bits, trace.fused_target_logprobs, base_lp), bits
     return out
 
 

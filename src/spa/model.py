@@ -8,16 +8,15 @@ mixing weights, with a single shared up-projection back to d_model.
 A linear gate over the final (post-norm) base hidden decides per token
 whether the side output is fused in:
 
-    fused = base_final + gate * side_out
-    logits = fused @ out_proj          (out_proj stays frozen)
+    fused = base_final + bit * side_out        bit in {0, 1} per token
+    logits = fused @ out_proj                  (out_proj stays frozen)
 
 The served gate is written once, here, and every path calls it:
 `POLICY_GATE_MODES` maps each cloud policy to its gate mode, `served_gate`
 turns a gate mode and the gate head's logits (`gate_logits`) into the 0/1
 decisions, and `served_fusion` computes the logits of a row whose bit is 1.
-The step engine (`spa.decoding.CloudStepModel`) serves with the three;
-`teacher_forced` gates its "hard" and "on" rows with `served_gate` and
-`TokenLossTrace.cate` fuses every row with `served_fusion`.
+The step engine (`spa.decoding.CloudStepModel`) serves with the three, and
+`teacher_forced` gates its rows with `served_gate`.
 
 `ladder` is the only implementation of that network, and it is a pure
 function of its input rows: no state is carried between positions or
@@ -26,7 +25,9 @@ base hidden; the `final` wire mode feeds every rung the final hidden.
 
 `teacher_forced` is the only teacher-forced forward of the fused model: the
 loss, the scorer, the side path's causal effect (CATE) and the gate's
-training labels all read the `TokenLossTrace` it builds. Given a precomputed
+training labels all read the `TokenLossTrace` it builds, which carries the
+fused mean NLL and each target's fused log-prob from one cross-entropy.
+Given a precomputed
 `BaseTrace` of its inputs it reads the base's features from it instead of
 running the base; side training passes the rows of its table of frozen-base
 features (`spa.training`) that way, with base target log-probs in place of
@@ -455,8 +456,8 @@ def served_fusion(base: BaseParams, base_final: np.ndarray, side_out: np.ndarray
 
 def fuse(base_final: Tensor, side_out: Tensor, weights: Tensor, out_proj: Tensor) -> tuple[Tensor, Tensor]:
     """fused = base_final + weights * side_out, then the frozen projection;
-    `weights` holds one gate weight per row (soft probabilities or 0/1
-    decisions)."""
+    `weights` holds one 0/1 gate bit per row, so a row of weight 1 is
+    `served_fusion`'s and a row of weight 0 keeps the base logits."""
     if side_out.shape != base_final.shape:
         raise DimensionError(
             f"fuse: side output shape {side_out.shape} != base shape {base_final.shape}"
@@ -473,11 +474,13 @@ class TokenLossTrace:
     base: BaseTrace
     side_out: Tensor
     gate_logits: Tensor
-    gate_probs: Tensor
-    gate_trace: np.ndarray  # the per-position weights actually used
+    gate_trace: np.ndarray  # the per-position 0/1 gate bits fused with, as floats
     fused_logits: Tensor
     targets: np.ndarray
-    base_params: BaseParams  # the parameters the forward fused through
+    # the fused logits' mean NLL and each target's log-prob under them, from
+    # one `nc.cross_entropy_rows`
+    fused_nll: Tensor
+    fused_target_logprobs: np.ndarray
 
     def base_target_logprobs(self) -> np.ndarray:
         """The base alone's log-prob of each target: the base trace's stored
@@ -490,20 +493,22 @@ class TokenLossTrace:
 
     def cate(self) -> np.ndarray:
         """Per-position log-likelihood gain of fusing the whole side output
-        over the base alone, lp(final + side_out)[t] - lp(base logits)[t],
-        whatever gate the trace ran; positive means the side path helps."""
-        on_logits = served_fusion(self.base_params, self.base.final.data, self.side_out.data)
-        return nc.target_log_softmax(on_logits, self.targets) - self.base_target_logprobs()
+        over the base alone, lp(final + side_out)[t] - lp(base logits)[t];
+        positive means the side path helps. Defined on a trace that fused
+        every row (gate mode "on"), whose fused logits are those on-logits."""
+        if not self.gate_trace.all():
+            raise ContractError("cate: needs a trace that fused every row (gate mode 'on')")
+        return self.fused_target_logprobs - self.base_target_logprobs()
 
 
 # Each cloud policy's gate as a gate mode (`served_gate`): "hard" takes the
 # classifier's decision, "on" always consults the side network, "off" never
 # does. Keys in `spa.wire.POLICIES` order.
 POLICY_GATE_MODES = {"spa": "hard", "always_side": "on", "base_only": "off"}
-# `teacher_forced`'s modes: "off" is only served (the scorer reads `base_only`
-# off an "on" forward), and "soft", which only training runs, fuses each row
-# weighted by P(use side)
-GATE_MODES = ("soft", "hard", "on")
+# `teacher_forced`'s modes, each the served rule of its name: side training
+# and the scorer run "on", and "hard" is the `spa` policy's function; "off"
+# is only served (the scorer reads `base_only` off an "on" forward)
+GATE_MODES = ("hard", "on")
 
 
 def teacher_forced(
@@ -517,7 +522,8 @@ def teacher_forced(
     gate, side output, logits, targets) holds the B*T positions sequence by
     sequence, so a loss over the trace is the mean over all of them, and
     row b*T + t depends on sequence b alone. Every mode runs the ladder
-    and fuses every row through `fuse`, a row of weight 0 included.
+    and fuses every row through `fuse` with its `served_gate` bit, a row of
+    bit 0 included.
 
     `base`, when given, is the frozen base's trace of the inputs (hiddens
     and final over all B*T positions, as `base_forward` returns them), and
@@ -545,29 +551,25 @@ def teacher_forced(
             f"do not cover targets {targets.shape}"
         )
     glog = gate_logits(model.gate, base.final)
-    gprobs = nc.softmax(glog, axis=-1)
-    if gate_mode == "soft":
-        weights = nc.column(gprobs, 1)
-        used = weights.data.copy()
-    else:
-        used = served_gate(gate_mode, model.gate, base.final, glog).astype(np.float64)
-        weights = Tensor(used)
+    used = served_gate(gate_mode, model.gate, base.final, glog).astype(np.float64)
     side_out = ladder(model.config, model.side, base.hiddens)
-    _, fused_logits = fuse(base.final, side_out, weights, model.base["out_proj"])
+    _, fused_logits = fuse(base.final, side_out, Tensor(used), model.base["out_proj"])
+    nll, target_lp = nc.cross_entropy_rows(fused_logits, targets)
     return TokenLossTrace(
-        base=base, side_out=side_out, gate_logits=glog, gate_probs=gprobs, gate_trace=used,
-        fused_logits=fused_logits, targets=targets, base_params=model.base,
+        base=base, side_out=side_out, gate_logits=glog, gate_trace=used,
+        fused_logits=fused_logits, targets=targets, fused_nll=nll,
+        fused_target_logprobs=target_lp,
     )
 
 
 def token_loss(
-    model: SpaModel, token_ids, gate_mode: str = "soft", base: BaseTrace | None = None
+    model: SpaModel, token_ids, gate_mode: str, base: BaseTrace | None = None
 ) -> tuple[Tensor, TokenLossTrace]:
     """Teacher-forced mean NLL of the fused model over a token sequence or
-    a batch of them (the mean over every position of the batch); `base` as
-    in `teacher_forced`."""
+    a batch of them (the mean over every position of the batch), and the
+    trace it came from; `base` as in `teacher_forced`."""
     trace = teacher_forced(model, token_ids, gate_mode, base)
-    return nc.cross_entropy(trace.fused_logits, trace.targets), trace
+    return trace.fused_nll, trace
 
 
 def cate_estimate(model: SpaModel, token_ids) -> np.ndarray:

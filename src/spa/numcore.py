@@ -41,6 +41,7 @@ __all__ = [
     "gelu",
     "causal_attention",
     "cross_entropy",
+    "cross_entropy_rows",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -513,6 +514,12 @@ def target_log_softmax(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over positions of -log softmax(logits)[target]."""
+    return cross_entropy_rows(logits, targets)[0]
+
+
+def cross_entropy_rows(logits: Tensor, targets) -> tuple[Tensor, np.ndarray]:
+    """`cross_entropy` and the per-row target log-probs it averaged, bit for
+    bit `target_log_softmax(logits.data, targets)`, from one log softmax."""
     ids = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or ids.ndim != 1 or ids.shape[0] != logits.shape[0]:
         raise DimensionError(
@@ -523,11 +530,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         bad = int(ids[(ids < 0) | (ids >= vocab)][0])
         raise IndexError(f"cross_entropy: target id {bad} out of range for vocab {vocab}")
     lp = log_softmax_rows(logits.data)
-    loss = -lp[np.arange(t_len), ids].mean()
+    rows = lp[np.arange(t_len), ids]
+    loss = -rows.mean()
 
     def bw(go):
         g = np.exp(lp)
         g[np.arange(t_len), ids] -= 1.0
         return (g * (float(np.asarray(go).reshape(())) / t_len),)
 
-    return _apply(np.asarray(loss), (logits,), bw)
+    return _apply(np.asarray(loss), (logits,), bw), rows

@@ -12,14 +12,17 @@ differ only in what they pass the loop:
 
 The side/gate objective over a batch is
 
-    token_loss(soft gate)                         fused teacher-forced NLL
+    token_loss("on")                              fused teacher-forced NLL
   + cross_entropy(gate logits, labels)            labels: side-gain > margin
   + usage_weight * mean(P(use side))              keeps the gate from
                                                   defaulting to "always on"
 
-each a mean over the batch's positions, where the labels (side-path CATE >
-margin, `TokenLossTrace.cate`) are read off the same soft-gate forward as
-the loss and are constants within a step.
+each a mean over the batch's positions. The fused NLL fuses every row: the
+`always_side` function, and what `spa` serves on a gated row. Only the side
+learns from it; the gate learns from the other two terms. The labels
+(side-path CATE > margin, `TokenLossTrace.cate`) are constants within a
+step, read from the target log-probs of the fused NLL's own cross-entropy,
+so a batch runs one output projection and one vocab-wide log softmax.
 
 The base is frozen during side training, so its features over the corpus
 never change: `BaseFeatures` holds them, computed once by `base_forward` in
@@ -311,19 +314,23 @@ def reinit_side_and_gate(model: SpaModel, seed: int) -> None:
 
 def gate_labels(trace: TokenLossTrace, margin: float) -> np.ndarray:
     """1 where consulting the side path improves the target log-likelihood
-    by more than `margin`; any trace that ran the side network will do."""
+    by more than `margin`, read off an "on" trace (`TokenLossTrace.cate`)."""
     return (trace.cate() > margin).astype(np.int64)
 
 
 def side_objective(
-    model: SpaModel, ids, tcfg: TrainConfig, base: BaseTrace | None = None
+    model: SpaModel, ids, tcfg: TrainConfig, base: BaseTrace | None = None,
+    labels: np.ndarray | None = None,
 ) -> Tensor:
     """The side/gate objective (module docstring) over a (T+1,) block or a
-    (B, T+1) batch of blocks, from one soft-gate forward; `base` as in
-    `teacher_forced`."""
-    fused_nll, trace = token_loss(model, ids, gate_mode="soft", base=base)
-    gate_ce = nc.cross_entropy(trace.gate_logits, gate_labels(trace, tcfg.gate_margin))
-    usage = nc.column(trace.gate_probs, 1).mean()
+    (B, T+1) batch of blocks, from one "on" forward; `base` as in
+    `teacher_forced`. `labels`, when given, are the gate's targets in place
+    of the forward's own, so a finite-difference probe holds them fixed."""
+    fused_nll, trace = token_loss(model, ids, "on", base)
+    if labels is None:
+        labels = gate_labels(trace, tcfg.gate_margin)
+    gate_ce = nc.cross_entropy(trace.gate_logits, labels)
+    usage = nc.column(nc.softmax(trace.gate_logits), 1).mean()
     return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight))
 
 

@@ -30,7 +30,7 @@ from spa.latency import LatencyProfile, build_comparison_table, format_rows
 from spa.metrics import lcs_length, perplexity, rouge_l, usage_percentage
 from spa.model import ModelConfig, SpaModel, token_loss
 from spa.tokenizer import BOS, EOS, ByteTokenizer
-from spa.training import TrainConfig, gate_labels
+from spa.training import TrainConfig, gate_labels, side_objective
 from spa.wire import (
     BadFrameError,
     OversizeFrameError,
@@ -126,54 +126,31 @@ def test_criterion_3_split_monolithic_equivalence(trained_stack):
         assert elapsed < 120, f"took {elapsed:.1f}s"
 
 
+def check_training_objective_gradients(seed, ids_shape):
+    """Finite differences of `side_objective` over side and gate parameters,
+    its gate labels held at the probe's point as within a training step."""
+    cfg = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
+                      vocab_size=40, max_seq_len=32, side_reduction=8)
+    tcfg = TrainConfig()
+    model = SpaModel.create(cfg, seed=seed)
+    model.base.freeze()
+    ids = np.random.default_rng(seed).integers(0, cfg.vocab_size, size=ids_shape)
+    labels = gate_labels(token_loss(model, ids, "on")[1], tcfg.gate_margin)
+    report = grad_check(lambda *_: side_objective(model, ids, tcfg, labels=labels),
+                        model.side.tensors() + model.gate.tensors())
+    assert report.passed(1e-4), f"seed {seed}: {report.summary()}"
+
+
 def test_criterion_4_gradient_correctness():
     with criterion(4, "finite-difference gradients of the full training loss"):
-        cfg = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
-                          vocab_size=40, max_seq_len=32, side_reduction=8)
-        tcfg = TrainConfig()
         for seed in range(10):
-            model = SpaModel.create(cfg, seed=seed)
-            model.base.freeze()
-            rng = np.random.default_rng(seed)
-            ids = rng.integers(0, cfg.vocab_size, size=6)
-            _, soft = token_loss(model, ids, gate_mode="soft")
-            labels = gate_labels(soft, tcfg.gate_margin)  # constants per step
-            params = model.side.tensors() + model.gate.tensors()
-
-            def full_loss(*_):
-                fused_nll, trace = token_loss(model, ids, gate_mode="soft")
-                gate_ce = nc.cross_entropy(trace.gate_logits, labels)
-                usage = nc.column(trace.gate_probs, 1).mean()
-                return nc.add(nc.add(fused_nll, gate_ce),
-                              nc.smul(usage, tcfg.usage_weight))
-
-            report = grad_check(full_loss, params)
-            assert report.passed(1e-4), f"seed {seed}: {report.summary()}"
+            check_training_objective_gradients(seed, 6)
 
 
 def test_criterion_4_gradient_correctness_over_a_batch():
     with criterion(4, "finite-difference gradients of the training loss over a 2-block batch"):
-        cfg = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
-                          vocab_size=40, max_seq_len=32, side_reduction=8)
-        tcfg = TrainConfig()
         for seed in range(3):
-            model = SpaModel.create(cfg, seed=seed)
-            model.base.freeze()
-            rng = np.random.default_rng(seed)
-            ids = rng.integers(0, cfg.vocab_size, size=(2, 6))
-            _, soft = token_loss(model, ids, gate_mode="soft")
-            labels = gate_labels(soft, tcfg.gate_margin)  # constants per step
-            params = model.side.tensors() + model.gate.tensors()
-
-            def full_loss(*_):
-                fused_nll, trace = token_loss(model, ids, gate_mode="soft")
-                gate_ce = nc.cross_entropy(trace.gate_logits, labels)
-                usage = nc.column(trace.gate_probs, 1).mean()
-                return nc.add(nc.add(fused_nll, gate_ce),
-                              nc.smul(usage, tcfg.usage_weight))
-
-            report = grad_check(full_loss, params)
-            assert report.passed(1e-4), f"seed {seed}: {report.summary()}"
+            check_training_objective_gradients(seed, (2, 6))
 
 
 def test_criterion_5_frozen_base_invariance(trained_stack):

@@ -214,7 +214,7 @@ class TestGateLabels:
         model, _, _ = pretrained
         _, pers = small_corpora()
         ids = np.asarray(ByteTokenizer().encode_document(pers.documents[0]))[:20]
-        labels = gate_labels(token_loss(model, ids, gate_mode="soft")[1], margin=0.0)
+        labels = gate_labels(token_loss(model, ids, "on")[1], margin=0.0)
         inputs, targets = ids[:-1], ids[1:]
         with nc.no_grad():
             for i in range(len(targets)):
@@ -228,7 +228,7 @@ class TestGateLabels:
                 lp_on = nc.log_softmax_rows(fused_logits.data)[i, targets[i]]
                 assert labels[i] == int(lp_on - lp_base > 0.0)
 
-    def test_soft_trace_labels_equal_cate_estimate_bitwise(self, pretrained):
+    def test_training_trace_labels_equal_cate_estimate_bitwise(self, pretrained):
         model, _, _ = pretrained
         _, pers = small_corpora()
         reinit_side_and_gate(model, 13)
@@ -236,7 +236,7 @@ class TestGateLabels:
         for doc in pers.documents[:4]:
             ids = np.asarray(tok.encode_document(doc))[: CFG.max_seq_len]
             with nc.Tape():  # the trace as a training step builds it
-                _, trace = token_loss(model, ids, gate_mode="soft")
+                _, trace = token_loss(model, ids, "on")
             gains = cate_estimate(model, ids)
             assert np.array_equal(trace.cate(), gains)
             for margin in (0.0, *np.quantile(gains, (0.1, 0.25, 0.5, 0.75, 0.9))):
@@ -443,7 +443,8 @@ class TestBatchedForward:
         assert_rel(batched.fused_logits.data,
                    np.concatenate([t.fused_logits.data for t in per]), 1e-12)
         assert_rel(batched.gate_trace, np.concatenate([t.gate_trace for t in per]), 1e-12)
-        assert_rel(batched.cate(), np.concatenate([t.cate() for t in per]), 1e-12)
+        assert_rel(batched.fused_target_logprobs,
+                   np.concatenate([t.fused_target_logprobs for t in per]), 1e-12)
         if gate_mode == "hard" and n_blocks > 1:
             assert 0 < batched.gate_trace.sum() < batched.gate_trace.size
         if n_blocks == 1:  # a one-block batch runs the 1-D path's numpy calls
@@ -495,7 +496,7 @@ class TestBatchedForward:
                 assert got.fused_logits.data.tobytes() == want.fused_logits.data.tobytes()
                 assert got.gate_trace.tobytes() == want.gate_trace.tobytes()
             with pytest.raises(DimensionError):
-                teacher_forced(gated_model, random_blocks(n_blocks + 1), "soft", base)
+                teacher_forced(gated_model, random_blocks(n_blocks + 1), "on", base)
 
     def test_one_dimensional_forward_is_the_composition_of_its_parts(self, gated_model):
         """The 1-D path runs base, gate, ladder and fusion on the sequence's
@@ -507,9 +508,7 @@ class TestBatchedForward:
                 trace = teacher_forced(m, ids, gate_mode)
                 bt = base_forward(cfg, m.base, ids[:-1])
                 glog = spa.model.gate_logits(m.gate, bt.final)
-                gprobs = nc.softmax(glog)
-                weights = {"soft": nc.column(gprobs, 1).data,
-                           "hard": spa.model.gate_decide(glog.data).astype(np.float64),
+                weights = {"hard": spa.model.gate_decide(glog.data).astype(np.float64),
                            "on": np.ones(len(ids) - 1)}[gate_mode]
                 _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), nc.Tensor(weights),
                                m.base["out_proj"])
@@ -540,7 +539,9 @@ class TestStoredBaseLogprobs:
             got = teacher_forced(model, blocks[batch], gate_mode, base)
             want = teacher_forced(model, blocks[batch], gate_mode)
         assert got.fused_logits.data.tobytes() == want.fused_logits.data.tobytes()
-        assert np.array_equal(got.cate(), want.cate())
+        assert np.array_equal(got.base_target_logprobs(), want.base_target_logprobs())
+        if gate_mode == "on":
+            assert np.array_equal(got.cate(), want.cate())
 
     def test_validation_traces_carry_the_base_target_logprobs(self, gated_model):
         docs = ["the amber river", "a lantern by the quiet mill"]
@@ -558,15 +559,77 @@ class TestStoredBaseLogprobs:
         base = features.batch(np.array([0, 1]))
         short = dataclasses.replace(base, target_logprobs=base.target_logprobs[:-1])
         with pytest.raises(DimensionError, match="log-probs"):
-            teacher_forced(model, blocks[:2], "soft", short)
+            teacher_forced(model, blocks[:2], "on", short)
 
     def test_cate_without_logits_or_stored_logprobs_is_a_contract_error(self, gated_model):
         blocks = random_blocks(2)
         model, features = self.table(gated_model, blocks)
         bare = dataclasses.replace(features.batch(np.array([0, 1])), target_logprobs=None)
         with nc.no_grad():
-            trace = teacher_forced(model, blocks, "soft", bare)
+            trace = teacher_forced(model, blocks, "on", bare)
         with pytest.raises(ContractError, match="neither logits nor"):
+            trace.cate()
+
+
+class TestOneForwardPerBatch:
+    """A side-training batch fits the "on" forward, whose fused logits are
+    CATE's on-logits: the gate labels come from the fused NLL's own target
+    log-probs, bit for bit the served fusion's, with no second pass."""
+
+    @staticmethod
+    def batch(model, n_blocks=4):
+        # the batch as training runs it: base rows from the table of features
+        blocks = random_blocks(n_blocks)
+        model = dataclasses.replace(model)  # keep the table off the shared fixture
+        features = BaseFeatures.for_model(model, model.base_digest(), blocks, [], chunk=2)
+        batch = np.arange(n_blocks)[::-1]
+        return model, blocks[batch], features.batch(batch)
+
+    def test_on_trace_is_the_served_fusion_bit_for_bit(self, gated_model):
+        model, ids, base = self.batch(gated_model)
+        with nc.no_grad():
+            trace = teacher_forced(model, ids, "on", base)
+        served = spa.model.served_fusion(model.base, base.final.data, trace.side_out.data)
+        for got, want in zip(trace.fused_logits.data, served):
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+        want_lp = nc.target_log_softmax(trace.fused_logits.data, trace.targets)
+        assert trace.fused_target_logprobs.tobytes() == want_lp.tobytes()
+        gains = nc.target_log_softmax(served, trace.targets) - base.target_logprobs
+        assert 0 < (gains > 0).sum() < gains.size
+        for margin in (0.0, *np.quantile(gains, (0.25, 0.5, 0.75))):
+            want = (gains > margin).astype(np.int64)
+            assert gate_labels(trace, margin).tobytes() == want.tobytes(), margin
+
+    def test_a_batch_runs_one_output_projection_and_one_vocab_wide_log_softmax(
+            self, gated_model, monkeypatch):
+        model, ids, base = self.batch(gated_model)
+        calls = {"served_fusion": [], "matmul": [], "log_softmax": []}
+
+        def spy(module, name, key, pick):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[key].append(pick(args))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(spa.model, "served_fusion", "served_fusion", lambda args: None)
+        spy(nc, "matmul", "matmul", lambda args: args[1])
+        for name in ("log_softmax_rows", "target_log_softmax"):
+            spy(nc, name, "log_softmax", lambda args: args[0].shape[-1])
+        with Tape() as tape:
+            loss = side_objective(model, ids, TCFG, base)
+        tape.backward(loss)
+        assert calls["served_fusion"] == []
+        assert len(calls["matmul"]) == 1 and calls["matmul"][0] is model.base["out_proj"]
+        # the other log softmax is the gate cross-entropy's, two classes wide
+        assert sorted(calls["log_softmax"]) == [2, CFG.vocab_size]
+
+    def test_cate_needs_every_row_fused(self, gated_model):
+        with nc.no_grad():
+            trace = teacher_forced(gated_model, random_blocks(3), "hard")
+        assert 0 < trace.gate_trace.sum() < trace.gate_trace.size
+        with pytest.raises(ContractError, match="every row"):
             trace.cate()
 
 

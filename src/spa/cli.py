@@ -37,7 +37,6 @@ from .training import (
     pretrain_base,
     run_lr_grid,
     side_objective,
-    train_side_and_gate,
 )
 from .transport import DEFAULT_TIMEOUT
 from .wire import DEFAULT_WIRE_MODE, POLICIES, WIRE_MODES
@@ -224,16 +223,11 @@ def _cmd_train_side(cfg, args) -> int:
     # nothing keeps the loaded file: the model holds its own copy of the base
     model = load_checkpoint(_require_file(args.base, "--base")).build_base_model(seed=tcfg.seed)
     corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
-    if "learning_rate" in settings:  # set by the file or --lr: one run at that rate
-        result = train_side_and_gate(model, tcfg, corpus, log=print)
-        chosen_lr = tcfg.learning_rate
-        final_ppl = result.final.val_perplexity
-        run_logs = {f"{chosen_lr:g}": _epoch_dicts(result)}
-    else:
-        best, runs = run_lr_grid(model, tcfg, corpus, grid=LR_GRID, log=print)
-        chosen_lr = best.learning_rate
-        final_ppl = best.result.final.val_perplexity
-        run_logs = {f"{r.learning_rate:g}": _epoch_dicts(r.result) for r in runs}
+    # a rate set by the file or --lr is a grid of one
+    grid = (tcfg.learning_rate,) if "learning_rate" in settings else LR_GRID
+    best, runs = run_lr_grid(model, tcfg, corpus, grid=grid, log=print)
+    chosen_lr = best.learning_rate
+    run_logs = {f"{r.learning_rate:g}": _epoch_dicts(r.result) for r in runs}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chosen_cfg = replace(tcfg, learning_rate=chosen_lr)
@@ -244,7 +238,8 @@ def _cmd_train_side(cfg, args) -> int:
         json.dumps({"chosen_lr": chosen_lr, "runs": run_logs}, indent=2, sort_keys=True),
         encoding="utf-8",
     )
-    print(f"side training done (lr {chosen_lr:g}, val ppl {final_ppl:.2f}); "
+    print(f"side training done (lr {chosen_lr:g}, "
+          f"val ppl {best.result.final.val_perplexity:.2f}); "
           f"full/cloud/side checkpoints under {out_dir}")
     return EXIT_OK
 
@@ -313,10 +308,14 @@ def _cmd_decode_local(cfg, args) -> int:
     return EXIT_OK
 
 
+def _profile(cfg, args) -> LatencyProfile:
+    """--profile, else the config file's [latency] profile, else the default."""
+    path = args.profile or cfg.section("latency").get("profile")
+    return parse_profile(_require_file(path, "--profile")) if path else LatencyProfile()
+
+
 def _cmd_bench_latency(cfg, args) -> int:
-    profile_path = args.profile or cfg.section("latency").get("profile")
-    profile = parse_profile(_require_file(profile_path, "--profile")) if profile_path \
-        else LatencyProfile()
+    profile = _profile(cfg, args)
     per_arch = {}
     for spec in args.arch_cost:
         arch, _, cost = spec.partition("=")
@@ -358,15 +357,12 @@ def _cmd_report(cfg, args) -> int:
         checkpoints[tier.strip()] = path.strip()
     if not checkpoints:
         raise UsageError("--checkpoint: at least one TIER=PATH is required")
-    profile_path = args.profile or cfg.section("latency").get("profile")
-    profile = parse_profile(_require_file(profile_path, "--profile")) if profile_path \
-        else LatencyProfile(t_pretrained=3.29 / 50)
     suite_cfg = SuiteConfig(
         checkpoints=checkpoints,
         corpus_seed=args.seed,
         n_prompts=args.prompts,
         max_new_tokens=args.max_new,
-        profile=profile,
+        profile=_profile(cfg, args),
         out_dir=args.out,
     )
     report = run_experiment_suite(suite_cfg, log=print)

@@ -96,7 +96,6 @@ class CloudEndpoint:
         self.eos_id = EOS_TOKEN if config.vocab_size == BYTE_VOCAB else None
         self.sessions: list[SessionRecord] = []
         self._lock = threading.Lock()
-        self._session_counter = 0
 
     @classmethod
     def from_model(cls, model: SpaModel, **kw) -> "CloudEndpoint":
@@ -116,8 +115,7 @@ class CloudEndpoint:
 
     def _new_record(self) -> SessionRecord:
         with self._lock:
-            self._session_counter += 1
-            record = SessionRecord(session_id=self._session_counter)
+            record = SessionRecord(session_id=len(self.sessions) + 1)
             self.sessions.append(record)
         return record
 

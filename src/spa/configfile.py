@@ -1,43 +1,38 @@
 """Shared CLI config: key=value with [sections], SPA_CONFIG as fallback path.
 
-Unknown sections or keys are rejected outright so typos cannot silently
-fall back to defaults.
+The [model] and [train] keys and their types are read from the fields of
+`ModelConfig` (less `vocab_size`, which the tokenizer fixes) and
+`TrainConfig`, in declaration order. Unknown sections or keys are rejected
+outright so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
+from .model import ModelConfig
+from .training import TrainConfig
 
 ENV_VAR = "SPA_CONFIG"
 
-# the only list of settable keys; the CLI builds the `pretrain` and
-# `train-side` flags from [model] and [train], each with its key as dest
+
+def _fields(config_cls, fixed=()) -> dict[str, type]:
+    """A config dataclass's settable fields, in order, each with its type."""
+    types = get_type_hints(config_cls)
+    return {f.name: types[f.name] for f in fields(config_cls) if f.name not in fixed}
+
+
+# the settable keys; the CLI builds the `pretrain` and `train-side` flags
+# from [model] and [train], each with its key as dest
 SCHEMA: dict[str, dict[str, type]] = {
-    "model": {
-        "n_layers": int,
-        "d_model": int,
-        "n_heads": int,
-        "d_ff": int,
-        "max_seq_len": int,
-        "side_reduction": int,
-    },
-    "train": {
-        "learning_rate": float,
-        "batch_size": int,
-        "epochs": int,
-        "seed": int,
-        "gate_margin": float,
-        "usage_weight": float,
-        "block_size": int,
-    },
-    "latency": {
-        "profile": str,
-    },
+    "model": _fields(ModelConfig, fixed=("vocab_size",)),
+    "train": _fields(TrainConfig),
+    "latency": {"profile": str},
 }
 
 

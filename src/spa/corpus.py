@@ -32,24 +32,20 @@ P_TAIL = 0.5
 
 BASE_DOC_COUNT = 256
 TIER_DOC_COUNTS = {"small": 32, "medium": 128, "full": 512}
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, val, test
 
 
 @dataclass
 class Corpus:
     name: str
     documents: list[str]
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-
-    def __post_init__(self):
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ContractError(f"split fractions must sum to 1, got {self.split_fractions}")
 
     def splits(self, seed: int) -> tuple[list[str], list[str], list[str]]:
         """Disjoint, exhaustive train/val/test document lists, fixed by seed."""
         n = len(self.documents)
         order = np.random.default_rng(seed).permutation(n)
-        n_train = int(round(self.split_fractions[0] * n))
-        n_val = int(round(self.split_fractions[1] * n))
+        n_train = int(round(SPLIT_FRACTIONS[0] * n))
+        n_val = int(round(SPLIT_FRACTIONS[1] * n))
         n_train = min(n_train, n)
         n_val = min(n_val, n - n_train)
         train = [self.documents[i] for i in order[:n_train]]
@@ -126,7 +122,7 @@ def word_position_difference(docs_a: list[str], docs_b: list[str]) -> float:
     return differing / total if total else 0.0
 
 
-def load_text_dir(path: str | Path, name: str | None = None) -> Corpus:
+def load_text_dir(path: str | Path) -> Corpus:
     """One UTF-8 .txt file per document, sorted by filename for determinism."""
     p = Path(path)
     if not p.is_dir():
@@ -134,7 +130,7 @@ def load_text_dir(path: str | Path, name: str | None = None) -> Corpus:
     files = sorted(f for f in p.iterdir() if f.suffix == ".txt")
     if not files:
         raise ContractError(f"no .txt documents in {p}")
-    return Corpus(name or p.name, [f.read_text(encoding="utf-8") for f in files])
+    return Corpus(p.name, [f.read_text(encoding="utf-8") for f in files])
 
 
 def write_text_dir(docs: list[str], path: str | Path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checkpoint import LoadedCheckpoint, load_checkpoint
+from .checkpoint import load_checkpoint
 from .decoding import DecodeConfig, TransmissionCounter, local_side_provider
 from .errors import ContractError, SpaError
 from .model import ModelConfig, SideParams
@@ -41,8 +41,8 @@ class SideBundle:
     digest: str
 
     @classmethod
-    def from_checkpoint(cls, source: str | Path | LoadedCheckpoint) -> "SideBundle":
-        loaded = source if isinstance(source, LoadedCheckpoint) else load_checkpoint(source)
+    def from_checkpoint(cls, path: str | Path) -> "SideBundle":
+        loaded = load_checkpoint(path)
         return cls(loaded.config, loaded.build_side_parts(), loaded.compat_digest)
 
 

@@ -454,15 +454,15 @@ def served_fusion(base: BaseParams, base_final: np.ndarray, side_out: np.ndarray
     return (base_final + side_out) @ base["out_proj"].data
 
 
-def fuse(base_final: Tensor, side_out: Tensor, weights: Tensor, out_proj: Tensor) -> tuple[Tensor, Tensor]:
-    """fused = base_final + weights * side_out, then the frozen projection;
-    `weights` holds one 0/1 gate bit per row, so a row of weight 1 is
-    `served_fusion`'s and a row of weight 0 keeps the base logits."""
+def fuse(base_final: Tensor, side_out: Tensor, bits: np.ndarray, out_proj: Tensor) -> tuple[Tensor, Tensor]:
+    """fused = base_final + bits * side_out, then the frozen projection;
+    `bits` holds one 0/1 gate bit per row, so a row of bit 1 is
+    `served_fusion`'s and a row of bit 0 keeps the base logits."""
     if side_out.shape != base_final.shape:
         raise DimensionError(
             f"fuse: side output shape {side_out.shape} != base shape {base_final.shape}"
         )
-    fused = nc.add(base_final, nc.scale_rows(side_out, weights))
+    fused = nc.add(base_final, nc.scale_rows(side_out, bits))
     return fused, nc.matmul(fused, out_proj)
 
 
@@ -474,7 +474,7 @@ class TokenLossTrace:
     base: BaseTrace
     side_out: Tensor
     gate_logits: Tensor
-    gate_trace: np.ndarray  # the per-position 0/1 gate bits fused with, as floats
+    gate_trace: np.ndarray  # the per-position 0/1 gate bits fused with
     fused_logits: Tensor
     targets: np.ndarray
     # the fused logits' mean NLL and each target's log-prob under them, from
@@ -551,9 +551,9 @@ def teacher_forced(
             f"do not cover targets {targets.shape}"
         )
     glog = gate_logits(model.gate, base.final)
-    used = served_gate(gate_mode, model.gate, base.final, glog).astype(np.float64)
+    used = served_gate(gate_mode, model.gate, base.final, glog)
     side_out = ladder(model.config, model.side, base.hiddens)
-    _, fused_logits = fuse(base.final, side_out, Tensor(used), model.base["out_proj"])
+    _, fused_logits = fuse(base.final, side_out, used, model.base["out_proj"])
     nll, target_lp = nc.cross_entropy_rows(fused_logits, targets)
     return TokenLossTrace(
         base=base, side_out=side_out, gate_logits=glog, gate_trace=used,

@@ -267,18 +267,18 @@ def _reduce(a: Tensor, kind: str) -> Tensor:
     return _apply(np.asarray(out), (a,), bw)
 
 
-def scale_rows(mat: Tensor, weights: Tensor) -> Tensor:
-    """out[t, :] = mat[t, :] * weights[t]; the per-row weights get gradients."""
-    if mat.data.ndim != 2 or weights.data.ndim != 1 or mat.shape[0] != weights.shape[0]:
+def scale_rows(mat: Tensor, weights: np.ndarray) -> Tensor:
+    """out[t, :] = mat[t, :] * weights[t]; the per-row weights are constants."""
+    if mat.data.ndim != 2 or weights.ndim != 1 or mat.shape[0] != weights.shape[0]:
         raise DimensionError(
             f"scale_rows: need (T, d) and (T,), got {mat.shape} and {weights.shape}"
         )
-    md, wd = mat.data, weights.data
+    col = weights[:, None]
 
     def bw(go):
-        return go * wd[:, None], np.sum(go * md, axis=1)
+        return (go * col,)
 
-    return _apply(md * wd[:, None], (mat, weights), bw)
+    return _apply(mat.data * col, (mat,), bw)
 
 
 def column(x: Tensor, idx: int) -> Tensor:

@@ -32,11 +32,11 @@ PROMPT_CHARS = 16  # each test document's head that prompts; the rest is the ref
 @dataclass(frozen=True)
 class SuiteConfig:
     checkpoints: dict[str, str | Path]  # tier -> full checkpoint path
-    corpus_seed: int = 0
-    n_prompts: int = 6
-    max_new_tokens: int = 40
-    profile: LatencyProfile = LatencyProfile(t_pretrained=3.29 / 50)
-    out_dir: str | Path = "reports"
+    corpus_seed: int
+    n_prompts: int
+    max_new_tokens: int
+    profile: LatencyProfile
+    out_dir: str | Path
 
 
 @dataclass

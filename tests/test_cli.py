@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spa.cli
 import spa_console
 
 from spa.checkpoint import load_checkpoint, save_model
@@ -22,8 +23,10 @@ from spa.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from spa.cloud import serve_cloud
 from spa.configfile import SCHEMA
 from spa.corpus import load_text_dir
+from spa.latency import LatencyProfile
 from spa.metrics import teacher_forced_nll
 from spa.model import ModelConfig, SpaModel
+from spa.suite import SuiteReport
 from spa.tokenizer import VOCAB_SIZE
 from spa.training import TrainConfig
 from spa.transport import SocketTransport, TransportClosed
@@ -317,6 +320,26 @@ class TestConfigFile:
         lst = [l for l in capsys.readouterr().out.splitlines() if l.startswith("lst,")][0]
         assert "0.1" in lst  # 50 * 1 * 0.002
 
+    def test_without_a_profile_the_default_profile_is_read(self, monkeypatch, tmp_path):
+        """bench-latency and report read LatencyProfile() when neither
+        --profile nor a [latency] profile names a file."""
+        monkeypatch.delenv("SPA_CONFIG", raising=False)
+        seen = []
+
+        def table(profile, *args, **kwargs):
+            seen.append(profile)
+            return []
+
+        def suite(cfg, log=None):
+            seen.append(cfg.profile)
+            return SuiteReport(digest="-")
+
+        monkeypatch.setattr(spa.cli, "build_comparison_table", table)
+        monkeypatch.setattr(spa.cli, "run_experiment_suite", suite)
+        assert main(["bench-latency"]) == EXIT_OK
+        assert main(["report", "--checkpoint", "small=x.ckpt", "--out", str(tmp_path)]) == EXIT_OK
+        assert seen == [LatencyProfile(), LatencyProfile()]
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "spa.cfg"
         cfg.write_text("[train]\nwarp = 9\n")
@@ -358,7 +381,7 @@ class TestConfigFile:
             "epochs": 1, "batch_size": 4, "block_size": 16, "learning_rate": 0.002,
         }
 
-    def test_file_learning_rate_selects_a_single_side_run(self, full_ckpt, tmp_path, capsys):
+    def test_file_learning_rate_selects_a_single_side_run(self, full_ckpt, tmp_path):
         corpus = tmp_path / "docs"
         corpus.mkdir()
         for i in range(10):
@@ -371,9 +394,9 @@ class TestConfigFile:
             assert main(["--config", str(tmp_path / f"{name}.cfg"), "train-side",
                          "--base", str(full_ckpt), "--corpus", str(corpus),
                          "--out-dir", str(tmp_path / name), *extra]) == EXIT_OK
-            assert "grid" not in capsys.readouterr().out
-        log = json.loads((tmp_path / "file" / "train_log.json").read_text())
-        assert log["chosen_lr"] == 0.003 and list(log["runs"]) == ["0.003"]
+            # a set rate is a grid of one
+            log = json.loads((tmp_path / name / "train_log.json").read_text())
+            assert log["chosen_lr"] == 0.003 and list(log["runs"]) == ["0.003"]
         side = load_checkpoint(tmp_path / "file" / "side.ckpt")
         assert side.train_config["learning_rate"] == 0.003
         for written in ("train_log.json", "full.ckpt", "cloud.ckpt", "side.ckpt"):

@@ -51,10 +51,6 @@ class TestSplits:
         assert corpus.splits(7) == corpus.splits(7)
         assert corpus.splits(7) != corpus.splits(8)
 
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ContractError):
-            Corpus("c", ["x"], split_fractions=(0.5, 0.2, 0.2))
-
 
 class TestSyntheticCorpus:
     def test_same_seed_reproduces_exactly(self):

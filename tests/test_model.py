@@ -70,7 +70,7 @@ class TestSizeAudit:
         ids = np.arange(10)
         trace = base_forward(model.config, model.base, ids)
         side = ladder(model.config, model.side, trace.hiddens)
-        _, logits = fuse(trace.final, side, Tensor(np.ones(10)), model.base["out_proj"])
+        _, logits = fuse(trace.final, side, np.ones(10, dtype=np.int64), model.base["out_proj"])
         assert logits.shape == (10, model.config.vocab_size)
         assert np.isfinite(logits.data).all()
 
@@ -544,19 +544,19 @@ class TestFuse:
 
     def test_gate_off_reproduces_base_bitwise(self, tiny_model):
         trace, side = self.setup_traces(tiny_model)
-        fused, logits = fuse(trace.final, side, Tensor(np.zeros(3)), tiny_model.base["out_proj"])
+        fused, logits = fuse(trace.final, side, np.zeros(3, dtype=np.int64), tiny_model.base["out_proj"])
         assert np.array_equal(fused.data, trace.final.data)
         assert np.array_equal(logits.data, trace.logits.data)
 
     def test_gate_on_adds_side_output(self, tiny_model):
         trace, side = self.setup_traces(tiny_model)
-        fused, _ = fuse(trace.final, side, Tensor(np.ones(3)), tiny_model.base["out_proj"])
+        fused, _ = fuse(trace.final, side, np.ones(3, dtype=np.int64), tiny_model.base["out_proj"])
         assert np.allclose(fused.data, trace.final.data + side.data)
 
     def test_shape_mismatch_raises(self, tiny_model):
         trace, side = self.setup_traces(tiny_model)
         with pytest.raises(DimensionError):
-            fuse(trace.final, side, Tensor(np.zeros(5)), tiny_model.base["out_proj"])
+            fuse(trace.final, side, np.zeros(5, dtype=np.int64), tiny_model.base["out_proj"])
 
     def test_all_zero_hard_trace_fuses_to_the_base_logits(self, tiny_model):
         # the fresh gate is all zeros, so every hard decision ties to 0, and

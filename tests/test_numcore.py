@@ -449,7 +449,7 @@ DIFFERENTIABLE_OPS = [
     ("matmul", lambda r: (lambda a, b: nc.mul(nc.matmul(a, b), nc.matmul(a, b)).sum(), [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2)))])),
     ("linear", lambda r: (lambda x, w, b: nc.mul(nc.linear(x, w, b), nc.linear(x, w, b)).sum(), [Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 2))), Tensor(r.standard_normal(2))])),
     ("linear_one_row", lambda r: (lambda x, w, b: nc.mul(nc.linear(x, w, b), nc.linear(x, w, b)).sum(), [Tensor(r.standard_normal((1, 5))), Tensor(r.standard_normal((5, 3))), Tensor(r.standard_normal(3))])),
-    ("scale_rows", lambda r: (lambda m, w: nc.scale_rows(m, w).sum(), [Tensor(r.standard_normal((4, 3))), Tensor(r.standard_normal(4))])),
+    ("scale_rows", lambda r: (lambda m: nc.scale_rows(m, np.array([1.0, 0.0, -0.5, 2.0])).sum(), [Tensor(r.standard_normal((4, 3)))])),
     ("column", lambda r: (lambda x: nc.mul(nc.column(x, 1), nc.column(x, 1)).sum(), [Tensor(r.standard_normal((5, 3)))])),
     ("softmax", lambda r: (lambda x: nc.mul(nc.softmax(x), nc.softmax(x)).sum(), [Tensor(r.standard_normal((3, 5)))])),
     ("layer_norm", lambda r: (lambda x, g, b: nc.mul(nc.layer_norm(x, g, b), nc.layer_norm(x, g, b)).sum(), [Tensor(r.standard_normal((2, 6))), Tensor(r.standard_normal(6)), Tensor(r.standard_normal(6))])),

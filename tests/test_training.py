@@ -223,7 +223,7 @@ class TestGateLabels:
                 lp_base = nc.log_softmax_rows(bt.logits.data)[i, targets[i]]
                 side = ladder(CFG, model.side, bt.hiddens)
                 _, fused_logits = fuse(
-                    bt.final, side, nc.Tensor(np.ones(len(inputs))), model.base["out_proj"]
+                    bt.final, side, np.ones(len(inputs), dtype=np.int64), model.base["out_proj"]
                 )
                 lp_on = nc.log_softmax_rows(fused_logits.data)[i, targets[i]]
                 assert labels[i] == int(lp_on - lp_base > 0.0)
@@ -508,13 +508,12 @@ class TestBatchedForward:
                 trace = teacher_forced(m, ids, gate_mode)
                 bt = base_forward(cfg, m.base, ids[:-1])
                 glog = spa.model.gate_logits(m.gate, bt.final)
-                weights = {"hard": spa.model.gate_decide(glog.data).astype(np.float64),
-                           "on": np.ones(len(ids) - 1)}[gate_mode]
-                _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), nc.Tensor(weights),
-                               m.base["out_proj"])
+                bits = {"hard": spa.model.gate_decide(glog.data),
+                        "on": np.ones(len(ids) - 1, dtype=np.int64)}[gate_mode]
+                _, want = fuse(bt.final, ladder(cfg, m.side, bt.hiddens), bits, m.base["out_proj"])
                 assert trace.fused_logits.data.tobytes() == want.data.tobytes()
                 assert trace.gate_logits.data.tobytes() == glog.data.tobytes()
-                assert trace.gate_trace.tobytes() == weights.tobytes()
+                assert trace.gate_trace.tobytes() == bits.tobytes()
 
 
 class TestStoredBaseLogprobs:

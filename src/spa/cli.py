@@ -204,6 +204,7 @@ def _cmd_pretrain(cfg, args) -> int:
     corpus = load_text_dir(_require_dir(args.corpus, "--corpus"))
     mcfg = ModelConfig(vocab_size=VOCAB_SIZE, **_settings(cfg, args, "model"))
     tcfg = TrainConfig(**_settings(cfg, args, "train"))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     model, result = pretrain_base(mcfg, tcfg, corpus, log=print)
     save_model(model, args.out, kind="base", train_config=tcfg.to_dict())
     log_path = Path(str(args.out) + ".log.json")

@@ -9,6 +9,19 @@ EOS. Any failure ends the session with at most one ERROR frame, whose code
 the error carries (`spa.wire`); step indices increase strictly across all
 frames the cloud initiates.
 
+The wire side provider sends a step's BASE_HIDDENS at once and returns the
+pending reply, which reads SIDE_OUTPUT and checks its step and shape. On a
+greedy step that is not the last, the step engine runs the next token's
+base forward between the two (`spa.decoding`), so the cloud computes while
+the device answers instead of waiting in `recv`; the frames and their bytes
+are the same as without it. A reply that is an ERROR, or a device that
+closes meanwhile, ends the session as it would have in `recv`: the prefetch
+sends nothing. `SessionRecord.prefetches` and `prefetch_hits` count those
+forwards and the steps that used theirs. A traced round trip, measured from
+the BASE_HIDDENS send to the end of the SIDE_OUTPUT read, so now spans the
+prefetched forward, and the time spent in `recv` is only the wait left after
+it.
+
 `CloudServer` is the TCP server: one thread and one session per connection,
 a listen backlog of LISTEN_BACKLOG so a burst of connects is queued, not
 dropped, and a `shutdown()` that returns within POLL_INTERVAL of being called
@@ -71,6 +84,8 @@ class SessionRecord:
     emitted_trace: list[int] = field(default_factory=list)
     gate_log: list[int] = field(default_factory=list)
     base_hiddens_sent: int = 0
+    prefetches: int = 0
+    prefetch_hits: int = 0
     counter: TransmissionCounter | None = None
     error: str | None = None
 
@@ -184,21 +199,25 @@ class CloudEndpoint:
                             beam_width=prompt.beam_width, policy=prompt.policy)
         steps = itertools.count()
 
-        def wire_side_provider(step: int, payload) -> "np.ndarray":
+        def wire_side_provider(step: int, payload):
             # payload is (G, R, d); the frame carries (R, G, d), chunk = G
             transport.send(BaseHiddens(step, payload.transpose(1, 0, 2)))
             record.base_hiddens_sent += 1
-            reply = self._recv(transport, SideOutput, f"expected SIDE_OUTPUT for step {step}")
-            if reply.step != step:
-                raise ProtocolViolation(
-                    f"SIDE_OUTPUT step {reply.step} does not match request {step}"
-                )
-            want = (len(payload), self.config.d_model)
-            if reply.vectors.shape != want:
-                raise ProtocolViolation(
-                    f"SIDE_OUTPUT block has shape {reply.vectors.shape}, need {want}"
-                )
-            return reply.vectors
+
+            def reply() -> "np.ndarray":
+                msg = self._recv(transport, SideOutput, f"expected SIDE_OUTPUT for step {step}")
+                if msg.step != step:
+                    raise ProtocolViolation(
+                        f"SIDE_OUTPUT step {msg.step} does not match request {step}"
+                    )
+                want = (len(payload), self.config.d_model)
+                if msg.vectors.shape != want:
+                    raise ProtocolViolation(
+                        f"SIDE_OUTPUT block has shape {msg.vectors.shape}, need {want}"
+                    )
+                return msg.vectors
+
+            return reply
 
         step_model = CloudStepModel(self.config, self.base, self.gate, prompt.policy,
                                     self.wire_mode, wire_side_provider, steps)
@@ -208,7 +227,11 @@ class CloudEndpoint:
             record.emitted_trace.append(used)
             record.emitted_tokens.append(tok)
 
-        run_decode(step_model, ids, dcfg, self.config.vocab_size, self.eos_id, on_emit)
+        try:
+            run_decode(step_model, ids, dcfg, self.config.vocab_size, self.eos_id, on_emit)
+        finally:  # a failed session's record counts its prefetches too
+            record.prefetches = step_model.prefetches
+            record.prefetch_hits = step_model.prefetch_hits
         record.gate_log = list(step_model.gate_log)
         transport.send(Eos())
 

@@ -25,6 +25,20 @@ step falls back to a full recompute of the windows. Every step reads only
 each context's last position, so every base forward passes `last=1`: the
 prompt prefill and a slid-window recompute run the final layer's queries,
 FFN and output projection over one row per context, not the whole window.
+
+A side provider either answers a step's block at once (the in-process
+provider) or returns a callable that waits for a reply still on its way
+(the cloud's wire provider, which has sent BASE_HIDDENS). While such a reply
+is outstanding, a greedy step that is not the last runs the next step's base
+forward ahead of time, for the context extended by the base logits' argmax:
+the draft of speculative decoding, with the device's round trip as the time
+spent on it. The next step uses that trace when its window is the drafted
+one (a hit); otherwise (the side moved the argmax) it forwards from the
+K/V kept for this step, which the prefetch leaves in place. A prefetch is
+the very base forward the next step would run, on the same past, so every
+output bit is the same as without it. Beam search never prefetches, and an
+in-process decode, whose provider answers at once, never does either: M,
+the frames and the bytes of a session do not change.
 """
 
 from __future__ import annotations
@@ -164,7 +178,12 @@ class CloudStepModel:
     therefore costs at most one side round trip, whatever the beam width,
     and `hidden_calls` counts those calls. A returned block that is not (G, d_model) raises
     `DimensionError` and one that is not finite raises `DomainError`, so a
-    broken side network never decodes silently.
+    broken side network never decodes silently. The provider may instead
+    return a callable that waits for the block; `logits_for(..., prefetch=True)`
+    of one context then runs the next step's base forward for the context
+    extended by the base argmax before it calls it, and keeps that trace for
+    the next step. `prefetches` counts those forwards and `prefetch_hits`
+    the steps that used one.
 
     The base runs incrementally. The per-layer K/V of the windows evaluated
     on the previous step are kept, keyed by the window's token tuple (the
@@ -174,6 +193,8 @@ class CloudStepModel:
     order; otherwise (the first step, or windows that slid past max_seq_len
     and so shifted every absolute position) the windows are recomputed in
     full. Windows of max_seq_len tokens cannot be extended and are not kept.
+    A prefetched trace is held beside the kept K/V, not in their place, until
+    the next step commits one of the two.
     """
 
     def __init__(self, config, base, gate, policy, wire_mode, side_provider,
@@ -189,11 +210,18 @@ class CloudStepModel:
         self.steps = steps
         self.gate_log: list[int] = []  # every decision, hypothesis steps included
         self.hidden_calls = 0
+        self.prefetches = 0
+        self.prefetch_hits = 0
         self._kv_rows: dict[tuple, int] = {}  # windows of the previous step -> row of _kv
         self._kv: list = []  # per layer (keys, values), (B, T, d) over those windows
+        self._prefetched = None  # (windows, base trace) run ahead for the next step
 
-    def _base_trace(self, contexts):
-        windows = [tuple(ctx[-self.config.max_seq_len :]) for ctx in contexts]
+    def _windows(self, contexts) -> list[tuple]:
+        return [tuple(ctx[-self.config.max_seq_len :]) for ctx in contexts]
+
+    def _forward(self, windows):
+        """The base trace of `windows`: their last tokens over the kept K/V
+        when every window extends a kept one, else the windows in full."""
         rows = [self._kv_rows.get(w[:-1]) for w in windows]
         if None in rows:
             ids, past = windows, None
@@ -202,13 +230,24 @@ class CloudStepModel:
             if rows != list(range(len(past[0][0]))):  # not the kept rows in order
                 past = [(k[rows], v[rows]) for k, v in past]
         with nc.no_grad():
-            trace = base_forward(self.config, self.base, ids, past, last=1)
+            return base_forward(self.config, self.base, ids, past, last=1)
+
+    def _base_trace(self, contexts):
+        windows = self._windows(contexts)
+        prefetched, self._prefetched = self._prefetched, None
+        if prefetched is not None and prefetched[0] == windows:
+            trace = prefetched[1]
+            self.prefetch_hits += 1
+        else:
+            trace = self._forward(windows)
         keep = len(windows[0]) < self.config.max_seq_len
         self._kv_rows = {w: i for i, w in enumerate(windows)} if keep else {}
         self._kv = trace.kv if keep else []
         return trace
 
-    def logits_for(self, contexts) -> tuple[np.ndarray, list[int]]:
+    def logits_for(self, contexts, prefetch: bool = False) -> tuple[np.ndarray, list[int]]:
+        if prefetch and len(contexts) != 1:
+            raise ContractError("only a step of one context prefetches")
         trace = self._base_trace(contexts)  # final and logits: each context's last position
         batch = len(contexts)
         final = trace.final.data
@@ -227,6 +266,13 @@ class CloudStepModel:
             rows = final[gated]
             side = self.side_provider(next(self.steps), payload)
             self.hidden_calls += 1
+            if callable(side):  # the reply is on its way: spend the wait on the next step
+                if prefetch:
+                    # logits holds the base logits until the fusion below
+                    windows = self._windows([[*contexts[0], int(np.argmax(logits[0]))]])
+                    self._prefetched = (windows, self._forward(windows))
+                    self.prefetches += 1
+                side = side()
             if np.shape(side) != rows.shape:
                 raise DimensionError(
                     f"side provider returned a block of shape {np.shape(side)}, need {rows.shape}"
@@ -259,8 +305,9 @@ def greedy_decode(step_model, prompt_ids, max_new_tokens, eos_id=None, on_emit=N
     tokens: list[int] = []
     trace: list[int] = []
     stopped = False
-    for _ in range(max_new_tokens):
-        logits, bits = step_model.logits_for([seq])
+    for i in range(max_new_tokens):
+        # every step but the last may run the next one's base forward ahead
+        logits, bits = step_model.logits_for([seq], prefetch=i + 1 < max_new_tokens)
         tok = int(np.argmax(logits[0]))  # ties resolve to the lowest token id
         used = bits[0]
         tokens.append(tok)

@@ -238,6 +238,31 @@ class TestKVCache:
         assert max(rows for _, rows in sizes) == width
         # slid windows are never kept, so nothing is left after the last step
         assert sizes[-1] == (0, 0)
+        assert step_model._prefetched is None
+
+    def test_a_greedy_step_awaiting_its_reply_keeps_one_extra_window(self):
+        model = make_model(3)
+        provide = local_side_provider(CFG, model.side)
+        # a provider whose reply is pending, as the cloud's wire provider's is
+        step_model = CloudStepModel(CFG, model.base, model.gate, "always_side", "all_layers",
+                                    lambda step, payload: lambda: provide(step, payload),
+                                    itertools.count())
+        sizes = []
+        real_logits_for = step_model.logits_for
+
+        def logits_for(contexts, prefetch=False):
+            out = real_logits_for(contexts, prefetch)
+            prefetched = step_model._prefetched
+            sizes.append((len(step_model._kv_rows), 0 if prefetched is None else len(prefetched[0])))
+            return out
+
+        step_model.logits_for = logits_for
+        # 2 + 20 tokens slide past max_seq_len = 16
+        greedy_decode(step_model, [3, 5], 20)
+        # this step's window, and the prefetched next one beside it
+        assert max(kept for kept, _ in sizes) == 1
+        assert [ahead for _, ahead in sizes] == [1] * 19 + [0]
+        assert sizes[-1] == (0, 0)
 
     @pytest.mark.parametrize("policy", ["spa", "always_side", "base_only"])
     def test_one_base_forward_per_beam_step(self, policy, monkeypatch):

@@ -381,6 +381,20 @@ class TestConfigFile:
             "epochs": 1, "batch_size": 4, "block_size": 16, "learning_rate": 0.002,
         }
 
+    def test_pretrain_makes_the_parent_directory_of_out(self, tmp_path):
+        corpus = tmp_path / "docs"
+        corpus.mkdir()
+        for i in range(10):
+            (corpus / f"{i}.txt").write_text(f"a low wall {i} runs along the lane")
+        out = tmp_path / "missing" / "dir" / "base.ckpt"
+        code = main(["pretrain", "--corpus", str(corpus), "--out", str(out),
+                     "--layers", "1", "--d-model", "16", "--heads", "2", "--d-ff", "32",
+                     "--max-seq-len", "32", "--epochs", "1", "--batch-size", "4",
+                     "--block-size", "16"])
+        assert code == EXIT_OK
+        assert load_checkpoint(out).config.d_model == 16
+        assert json.loads(Path(str(out) + ".log.json").read_text())["epochs"]
+
     def test_file_learning_rate_selects_a_single_side_run(self, full_ckpt, tmp_path):
         corpus = tmp_path / "docs"
         corpus.mkdir()

@@ -376,7 +376,7 @@ class FullRecompute:
         self.steps = itertools.count()
         self.gate_log: list[int] = []
 
-    def logits_for(self, contexts):
+    def logits_for(self, contexts, prefetch=False):
         m = self.model
         provide = local_side_provider(m.config, m.side)
         payloads = []
@@ -420,8 +420,8 @@ class Lockstep:
         self.batched, self.reference = batched, reference
         self.batch_sizes: list[int] = []
 
-    def logits_for(self, contexts):
-        got, bits = self.batched.logits_for(contexts)
+    def logits_for(self, contexts, prefetch=False):
+        got, bits = self.batched.logits_for(contexts, prefetch)
         want, want_bits = self.reference.logits_for(contexts)
         self.batch_sizes.append(len(contexts))
         assert got.shape == want.shape == (len(contexts), self.reference.model.config.vocab_size)

@@ -128,8 +128,8 @@ class StepSpy:
     def hidden_calls(self) -> int:
         return self.inner.hidden_calls
 
-    def logits_for(self, contexts):
-        logits, bits = self.inner.logits_for(contexts)
+    def logits_for(self, contexts, prefetch=False):
+        logits, bits = self.inner.logits_for(contexts, prefetch)
         self.bits.append(list(bits))
         return logits, bits
 
@@ -455,7 +455,7 @@ class TestProtocolViolations:
         return after
 
     def test_unexpected_error_in_a_session_is_answered_with_internal(self, monkeypatch):
-        def broken(self, contexts):
+        def broken(self, contexts, prefetch=False):
             raise DomainError("logits out of range")
 
         monkeypatch.setattr(CloudStepModel, "logits_for", broken)

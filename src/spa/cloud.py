@@ -11,10 +11,11 @@ frames the cloud initiates.
 
 The wire side provider sends a step's BASE_HIDDENS at once and returns the
 pending reply, which reads SIDE_OUTPUT and checks its step and shape. On a
-greedy step that is not the last, the step engine runs the next token's
-base forward between the two (`spa.decoding`), so the cloud computes while
-the device answers instead of waiting in `recv`; the frames and their bytes
-are the same as without it. A reply that is an ERROR, or a device that
+step that is not the last, greedy or beam, the step engine runs the next
+step's base forward between the two, for the contexts the decoder's draft
+hook ranks from the base logits (`spa.decoding`), so the cloud computes
+while the device answers instead of waiting in `recv`; the frames and their
+bytes are the same as without it. A reply that is an ERROR, or a device that
 closes meanwhile, ends the session as it would have in `recv`: the prefetch
 sends nothing. `SessionRecord.prefetches` and `prefetch_hits` count those
 forwards and the steps that used theirs. A traced round trip, measured from
@@ -229,10 +230,10 @@ class CloudEndpoint:
 
         try:
             run_decode(step_model, ids, dcfg, self.config.vocab_size, self.eos_id, on_emit)
-        finally:  # a failed session's record counts its prefetches too
+        finally:  # a failed session's record keeps its decisions and prefetches too
+            record.gate_log = list(step_model.gate_log)
             record.prefetches = step_model.prefetches
             record.prefetch_hits = step_model.prefetch_hits
-        record.gate_log = list(step_model.gate_log)
         transport.send(Eos())
 
 

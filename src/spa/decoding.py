@@ -29,16 +29,19 @@ FFN and output projection over one row per context, not the whole window.
 A side provider either answers a step's block at once (the in-process
 provider) or returns a callable that waits for a reply still on its way
 (the cloud's wire provider, which has sent BASE_HIDDENS). While such a reply
-is outstanding, a greedy step that is not the last runs the next step's base
-forward ahead of time, for the context extended by the base logits' argmax:
-the draft of speculative decoding, with the device's round trip as the time
-spent on it. The next step uses that trace when its window is the drafted
-one (a hit); otherwise (the side moved the argmax) it forwards from the
-K/V kept for this step, which the prefetch leaves in place. A prefetch is
-the very base forward the next step would run, on the same past, so every
-output bit is the same as without it. Beam search never prefetches, and an
-in-process decode, whose provider answers at once, never does either: M,
-the frames and the bytes of a session do not change.
+is outstanding, the step engine asks the decoder's draft hook for the next
+step's contexts, ranked from the base logits as if no gated row moved them,
+and runs their base forward ahead of time: the draft of speculative
+decoding, with the device's round trip as the time spent on it. Greedy
+drafts the context extended by the base argmax; beam search drafts the live
+hypotheses of the very expansion it then commits with. The next step uses
+that trace when its windows are the drafted ones, in the same order (a
+hit); otherwise (the side moved the ranking) it forwards from the K/V kept
+for this step, which the prefetch leaves in place. A prefetch is the very
+base forward the next step would run, on the same past, so every output bit
+is the same as without it. A decode's last step has no draft, and an
+in-process decode, whose provider answers at once, never drafts: M, the
+frames and the bytes of a session do not change.
 """
 
 from __future__ import annotations
@@ -179,11 +182,12 @@ class CloudStepModel:
     and `hidden_calls` counts those calls. A returned block that is not (G, d_model) raises
     `DimensionError` and one that is not finite raises `DomainError`, so a
     broken side network never decodes silently. The provider may instead
-    return a callable that waits for the block; `logits_for(..., prefetch=True)`
-    of one context then runs the next step's base forward for the context
-    extended by the base argmax before it calls it, and keeps that trace for
-    the next step. `prefetches` counts those forwards and `prefetch_hits`
-    the steps that used one.
+    return a callable that waits for the block; `logits_for(..., draft)` then
+    calls `draft(logits, bits)` before it waits, with the step's base
+    logits (gated rows not yet fused) and gate bits. The draft returns the
+    next step's contexts, or None when there is none, and their base forward
+    runs at once and is kept for the next step. `prefetches` counts those
+    forwards and `prefetch_hits` the steps that used one.
 
     The base runs incrementally. The per-layer K/V of the windows evaluated
     on the previous step are kept, keyed by the window's token tuple (the
@@ -245,9 +249,7 @@ class CloudStepModel:
         self._kv = trace.kv if keep else []
         return trace
 
-    def logits_for(self, contexts, prefetch: bool = False) -> tuple[np.ndarray, list[int]]:
-        if prefetch and len(contexts) != 1:
-            raise ContractError("only a step of one context prefetches")
+    def logits_for(self, contexts, draft=None) -> tuple[np.ndarray, list[int]]:
         trace = self._base_trace(contexts)  # final and logits: each context's last position
         batch = len(contexts)
         final = trace.final.data
@@ -267,9 +269,10 @@ class CloudStepModel:
             side = self.side_provider(next(self.steps), payload)
             self.hidden_calls += 1
             if callable(side):  # the reply is on its way: spend the wait on the next step
-                if prefetch:
-                    # logits holds the base logits until the fusion below
-                    windows = self._windows([[*contexts[0], int(np.argmax(logits[0]))]])
+                # logits holds the base logits until the fusion below
+                ahead = None if draft is None else draft(logits, bits)
+                if ahead is not None:
+                    windows = self._windows(ahead)
                     self._prefetched = (windows, self._forward(windows))
                     self.prefetches += 1
                 side = side()
@@ -305,9 +308,12 @@ def greedy_decode(step_model, prompt_ids, max_new_tokens, eos_id=None, on_emit=N
     tokens: list[int] = []
     trace: list[int] = []
     stopped = False
+
+    def draft(logits, bits):  # the next context if the side leaves the argmax
+        return [[*seq, int(np.argmax(logits[0]))]]
+
     for i in range(max_new_tokens):
-        # every step but the last may run the next one's base forward ahead
-        logits, bits = step_model.logits_for([seq], prefetch=i + 1 < max_new_tokens)
+        logits, bits = step_model.logits_for([seq], draft if i + 1 < max_new_tokens else None)
         tok = int(np.argmax(logits[0]))  # ties resolve to the lowest token id
         used = bits[0]
         tokens.append(tok)
@@ -334,6 +340,31 @@ class _Hypothesis:
         return self.logprob / max(1, len(self.tokens))
 
 
+def _expand(pool, logits, bits, beam_width: int, eos_id) -> list[_Hypothesis]:
+    """The next pool: the best `beam_width` of the finished hypotheses and
+    every child of the live ones, whose (B, V) logits and gate bits are
+    given. Only the children at or above the `beam_width`-th best child
+    score are built: every other child has `beam_width` strictly better
+    ones, so it cannot survive, and the result is that of ranking them all."""
+    live = [h for h in pool if not h.finished]
+    # the same float operations as _Hypothesis.score, so ties stay ties
+    totals = np.array([h.logprob for h in live])[:, None] + nc.log_softmax_rows(logits)
+    neg = -(totals / (len(live[0].tokens) + 1))
+    k = min(beam_width, neg.size) - 1
+    cut = np.partition(neg, k, axis=None)[k]
+    children = (
+        _Hypothesis(
+            tokens=live[r].tokens + (tok,),
+            logprob=float(totals[r, tok]),
+            trace=live[r].trace + (bits[r],),
+            finished=eos_id is not None and tok == eos_id,
+        )
+        for r, tok in zip(*(ix.tolist() for ix in np.nonzero(neg <= cut)))
+    )
+    candidates = [*(h for h in pool if h.finished), *children]
+    return sorted(candidates, key=lambda h: (-h.score, h.tokens))[:beam_width]
+
+
 def beam_decode(
     step_model,
     prompt_ids,
@@ -347,38 +378,30 @@ def beam_decode(
 
     Ties break toward the lexicographically smallest token sequence. Each
     step expands every live hypothesis in one `logits_for` call and builds
-    only each parent's top `beam_width` children: at most that many children
-    of one parent can survive, so the result is that of ranking every child
-    over the full vocabulary, and beam_width >= vocab_size over a short
-    horizon is an exhaustive search.
+    only the children that can survive (`_expand`), so the result is that of
+    ranking every child over the full vocabulary, and beam_width >=
+    vocab_size over a short horizon is an exhaustive search. While a side
+    reply is pending, the draft runs the same expansion on the base logits
+    and returns its live hypotheses' contexts.
     """
     if beam_width < 1:
         raise ContractError("beam_width must be >= 1")
     prompt = tuple(prompt_ids)
-    token_ids = np.arange(vocab_size)
-    pool = [_Hypothesis(tokens=(), logprob=0.0, trace=(), finished=False)]
-    for _ in range(max_new_tokens):
-        live = [h for h in pool if not h.finished]
+
+    def contexts(hyps):
+        return [prompt + h.tokens for h in hyps if not h.finished]
+
+    def draft(logits, bits):  # the next step's contexts if the side leaves the ranking
+        return contexts(_expand(pool, logits, bits, beam_width, eos_id)) or None
+
+    pool = [_Hypothesis(tokens=(), logprob=0.0, trace=(), finished=False)]  # kept ranked
+    for i in range(max_new_tokens):
+        live = contexts(pool)
         if not live:
             break
-        candidates: list[_Hypothesis] = [h for h in pool if h.finished]
-        logits, bits = step_model.logits_for([prompt + h.tokens for h in live])
-        for hyp, logprobs, used in zip(live, nc.log_softmax_rows(logits), bits):
-            # the same float operations as _Hypothesis.score, so ties stay ties
-            totals = hyp.logprob + logprobs
-            scores = totals / (len(hyp.tokens) + 1)
-            for tok in np.lexsort((token_ids, -scores))[:beam_width].tolist():
-                candidates.append(
-                    _Hypothesis(
-                        tokens=hyp.tokens + (tok,),
-                        logprob=float(totals[tok]),
-                        trace=hyp.trace + (used,),
-                        finished=eos_id is not None and tok == eos_id,
-                    )
-                )
-        candidates.sort(key=lambda h: (-h.score, h.tokens))
-        pool = candidates[:beam_width]
-    best = min(pool, key=lambda h: (-h.score, h.tokens))
+        logits, bits = step_model.logits_for(live, draft if i + 1 < max_new_tokens else None)
+        pool = _expand(pool, logits, bits, beam_width, eos_id)
+    best = pool[0]
     for used, tok in zip(best.trace, best.tokens):
         if on_emit:
             on_emit(used, tok)

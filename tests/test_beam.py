@@ -1,5 +1,5 @@
 """Beam search: reduction to greedy, exhaustive-search agreement, scoring,
-top-k pruning against a full-vocabulary reference, one batched step."""
+the top-k expansion against a full-vocabulary reference, one batched step."""
 
 import itertools
 from dataclasses import dataclass
@@ -36,8 +36,11 @@ def make_model(seed):
     return model
 
 
-def fresh_step_model(model, wire_mode="all_layers", policy="spa"):
-    provider = local_side_provider(CFG, model.side)
+def fresh_step_model(model, wire_mode="all_layers", policy="spa", pending=False):
+    """A step model with the local side provider; `pending` makes every reply
+    a callable, as the cloud's wire provider's is, so the decoder drafts."""
+    provide = local_side_provider(CFG, model.side)
+    provider = (lambda step, payload: lambda: provide(step, payload)) if pending else provide
     return CloudStepModel(
         CFG, model.base, model.gate, policy, wire_mode, provider, itertools.count()
     )
@@ -157,16 +160,18 @@ class TestExhaustiveOracle:
 
 
 class TestPruningOracle:
-    """Building only each parent's top-width children changes nothing."""
+    """Building only the children that can survive changes nothing, whether
+    or not the step drafts the next one from its base logits."""
 
+    @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("width", [1, 2, 3, CFG.vocab_size])
-    def test_matches_full_vocabulary_reference(self, width):
+    def test_matches_full_vocabulary_reference(self, width, pending):
         finished_carried = 0
         for seed in range(6):
             model = make_model(200 + seed)
             prompt = [int(t) for t in np.random.default_rng(seed).integers(1, CFG.vocab_size, 3)]
             for wire_mode in ("final", "all_layers"):
-                got_model = fresh_step_model(model, wire_mode)
+                got_model = fresh_step_model(model, wire_mode, pending=pending)
                 want_model = fresh_step_model(model, wire_mode)
                 got = beam_decode(got_model, prompt, width, 6, CFG.vocab_size, eos_id=EOS_ID)
                 tokens, trace, counts = reference_beam(
@@ -174,17 +179,19 @@ class TestPruningOracle:
                 )
                 assert (got.tokens, got.gate_trace) == (tokens, trace), f"seed {seed} {wire_mode}"
                 assert got_model.gate_log == want_model.gate_log
+                assert (got_model.prefetches > 0) == pending
                 finished_carried += counts["finished_carried"]
         if width > 1:
             assert finished_carried, "no hypothesis finished on EOS before the horizon"
 
+    @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("width", [2, 3, 5])
-    def test_tied_children_break_toward_the_smaller_token(self, width):
+    def test_tied_children_break_toward_the_smaller_token(self, width, pending):
         tied = 0
         for seed in range(4):
             model = tie_heavy_model(300 + seed)
             prompt = [2, 7, 4]
-            got_model = fresh_step_model(model)
+            got_model = fresh_step_model(model, pending=pending)
             want_model = fresh_step_model(model)
             got = beam_decode(got_model, prompt, width, 5, CFG.vocab_size)
             tokens, trace, counts = reference_beam(want_model, prompt, width, 5, CFG.vocab_size)
@@ -193,6 +200,29 @@ class TestPruningOracle:
             tied += counts["tied_cuts"]
         if width % 2:
             assert tied, "the beam cut never fell between tied children"
+
+    @pytest.mark.parametrize("width", [3, 5, CFG.vocab_size, 2 * CFG.vocab_size])
+    def test_tied_children_beside_finished_hypotheses(self, width):
+        """Tied twins, EOS mid-search (finished hypotheses in the pool) and
+        widths up to twice the vocabulary, where the first step has fewer
+        children than the beam holds."""
+        counts = {"tied_cuts": 0, "finished_carried": 0}
+        for seed in range(4):
+            model = tie_heavy_model(400 + seed)
+            prompt = [int(t) for t in np.random.default_rng(seed).integers(1, CFG.vocab_size, 2)]
+            got_model = fresh_step_model(model)
+            want_model = fresh_step_model(model)
+            got = beam_decode(got_model, prompt, width, 3, CFG.vocab_size, eos_id=EOS_ID)
+            tokens, trace, seen = reference_beam(
+                want_model, prompt, width, 3, CFG.vocab_size, eos_id=EOS_ID
+            )
+            assert (got.tokens, got.gate_trace) == (tokens, trace), f"seed {seed}"
+            assert got_model.gate_log == want_model.gate_log
+            for key in counts:
+                counts[key] += seen[key]
+        assert counts["finished_carried"], "no hypothesis finished on EOS before the horizon"
+        if width < CFG.vocab_size:
+            assert counts["tied_cuts"], "the beam cut never fell between tied children"
 
 
 class TestScoreProperty:
@@ -225,8 +255,8 @@ class TestKVCache:
         sizes = []
         real_logits_for = step_model.logits_for
 
-        def logits_for(contexts):
-            out = real_logits_for(contexts)
+        def logits_for(contexts, draft=None):
+            out = real_logits_for(contexts, draft)
             kept_rows = len(step_model._kv[0][0]) if step_model._kv else 0
             sizes.append((len(step_model._kv_rows), kept_rows))
             return out
@@ -240,28 +270,30 @@ class TestKVCache:
         assert sizes[-1] == (0, 0)
         assert step_model._prefetched is None
 
-    def test_a_greedy_step_awaiting_its_reply_keeps_one_extra_window(self):
+    @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 4)])
+    def test_a_step_awaiting_its_reply_keeps_up_to_beam_width_extra_windows(self, strategy,
+                                                                            width):
         model = make_model(3)
-        provide = local_side_provider(CFG, model.side)
-        # a provider whose reply is pending, as the cloud's wire provider's is
-        step_model = CloudStepModel(CFG, model.base, model.gate, "always_side", "all_layers",
-                                    lambda step, payload: lambda: provide(step, payload),
-                                    itertools.count())
+        step_model = fresh_step_model(model, policy="always_side", pending=True)
         sizes = []
         real_logits_for = step_model.logits_for
 
-        def logits_for(contexts, prefetch=False):
-            out = real_logits_for(contexts, prefetch)
+        def logits_for(contexts, draft=None):
+            out = real_logits_for(contexts, draft)
             prefetched = step_model._prefetched
             sizes.append((len(step_model._kv_rows), 0 if prefetched is None else len(prefetched[0])))
             return out
 
         step_model.logits_for = logits_for
         # 2 + 20 tokens slide past max_seq_len = 16
-        greedy_decode(step_model, [3, 5], 20)
-        # this step's window, and the prefetched next one beside it
-        assert max(kept for kept, _ in sizes) == 1
-        assert [ahead for _, ahead in sizes] == [1] * 19 + [0]
+        if strategy == "greedy":
+            greedy_decode(step_model, [3, 5], 20)
+        else:
+            beam_decode(step_model, [3, 5], width, 20, CFG.vocab_size)
+        # this step's windows, and the prefetched next ones beside them
+        assert max(kept for kept, _ in sizes) == width
+        assert max(ahead for _, ahead in sizes) == width
+        assert all(ahead for _, ahead in sizes[:-1])  # every step but the last drafts
         assert sizes[-1] == (0, 0)
 
     @pytest.mark.parametrize("policy", ["spa", "always_side", "base_only"])
@@ -279,9 +311,9 @@ class TestKVCache:
         steps = []
         real_logits_for = step_model.logits_for
 
-        def logits_for(contexts):
+        def logits_for(contexts, draft=None):
             steps.append(len(contexts))
-            return real_logits_for(contexts)
+            return real_logits_for(contexts, draft)
 
         step_model.logits_for = logits_for
         beam_decode(step_model, [4, 1], 3, 18, CFG.vocab_size, eos_id=EOS_ID)

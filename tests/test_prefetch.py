@@ -1,11 +1,13 @@
-"""The greedy overlap: while a side reply is on its way, the cloud runs the
-next step's base forward for the context extended by the base argmax.
+"""The overlap: while a side reply is on its way, the cloud runs the next
+step's base forward for the contexts the decoder drafts from the base
+logits: the context extended by the base argmax for greedy, the live
+hypotheses of the expansion ranked on the base logits for beam search.
 
 Every split session here must equal `decode_monolithic` bit for bit (tokens,
 gate bits, gate_log, both ends' counters), whether the prefetched forward is
-used (a hit) or thrown away because the side moved the argmax (a miss), and
-beam search and in-process decodes must run exactly the forwards they ran
-before: one per step, none ahead.
+used (a hit) or thrown away because the side moved the ranking (a miss), and
+in-process decodes must run exactly the forwards they ran before: one per
+step, none ahead.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from spa.cloud import CloudEndpoint
 from spa.decoding import (
     CloudStepModel,
     DecodeConfig,
+    beam_decode,
     decode_monolithic,
     greedy_decode,
     local_side_provider,
@@ -28,7 +31,7 @@ from spa.decoding import (
     run_decode,
 )
 from spa.device import SideBundle, run_device
-from spa.errors import ContractError, DimensionError, DomainError
+from spa.errors import DimensionError, DomainError
 from spa.model import ModelConfig, SpaModel
 from spa.transport import TransportClosed
 from spa.wire import (
@@ -49,9 +52,14 @@ CFG = ModelConfig(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=12, max_seq_len=24, side_reduction=8
 )
 POLICIES = ("spa", "always_side", "base_only")
-# every side weight matrix scaled by this moves the fused argmax off the base
-# argmax on some steps, so the prefetched forward misses there
+# every side weight matrix scaled by this moves the fused ranking off the
+# base ranking on some steps, so the prefetched forward misses there
 LOUD_SIDE = 40.0
+# the end-of-sequence token of the sessions below, so beam hypotheses finish
+# mid-search and a draft can hold fewer live rows than the pool
+EOS_ID = 0
+# (strategy, beam width) of every split-equals-monolithic case
+SHAPES = [("greedy", 1)] + [("beam", width) for width in (1, 2, 4, 7)]
 
 
 def make_model(seed=0, side_scale=1.0) -> SpaModel:
@@ -76,9 +84,10 @@ def prompts(seed, count, lo=1, hi=5):
             for _ in range(count)]
 
 
-def tcp_session(model, prompt, dcfg):
+def tcp_session(model, prompt, dcfg, eos_id=None):
     """One session over loopback TCP: (device result, cloud record)."""
     endpoint = CloudEndpoint.from_model(model, wire_mode=dcfg.wire_mode, frame_timeout=5.0)
+    endpoint.eos_id = eos_id
     dev_end, cloud_end = tcp_pair()
     box = {}
     t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
@@ -126,10 +135,11 @@ class ScriptedTransport:
         pass
 
 
-def scripted_session(model, prompt, dcfg, answer=None):
+def scripted_session(model, prompt, dcfg, answer=None, eos_id=None):
     """One session against a scripted device that answers every BASE_HIDDENS
     with the local side provider (or with `answer`): (cloud record, transport)."""
     endpoint = CloudEndpoint.from_model(model, wire_mode=dcfg.wire_mode)
+    endpoint.eos_id = eos_id
     provide = local_side_provider(model.config, model.side)
     if answer is None:
         def answer(msg):
@@ -152,25 +162,60 @@ def assert_session_frames(counter, rounds: int, tokens: int) -> None:
     assert counter.tokens_generated == tokens
 
 
-def assert_prefetch_bounds(record, dcfg) -> None:
-    """hits <= prefetches <= gated greedy steps; beam never prefetches."""
-    gated = sum(record.emitted_trace) if dcfg.strategy == "greedy" else 0
-    assert 0 <= record.prefetch_hits <= record.prefetches <= gated
+class StepLog:
+    """Records every `CloudStepModel.logits_for` call: whether it had a
+    gated row and a draft (a step that is not the last), and the number of
+    contexts each draft returned."""
+
+    def __init__(self, monkeypatch):
+        self.steps: list[tuple[bool, bool]] = []
+        self.drafted: list[int] = []
+        real_logits_for = CloudStepModel.logits_for
+
+        def logits_for(step_model, contexts, draft=None):
+            def spy(logits, bits):
+                ahead = draft(logits, bits)
+                self.drafted.append(0 if ahead is None else len(ahead))
+                return ahead
+
+            logits, bits = real_logits_for(step_model, contexts, draft and spy)
+            self.steps.append((any(bits), draft is not None))
+            return logits, bits
+
+        monkeypatch.setattr(CloudStepModel, "logits_for", logits_for)
+
+    @property
+    def gated_not_last(self) -> int:
+        return sum(gated and drafts for gated, drafts in self.steps)
+
+    def clear(self) -> None:
+        self.steps.clear()
+        self.drafted.clear()
 
 
 class TestSplitEqualsMonolithic:
+    # without an EOS every long prompt slides past max_seq_len; with one,
+    # hypotheses finish mid-search
+    @pytest.mark.parametrize("eos_id", [None, EOS_ID])
     @pytest.mark.parametrize("side_scale", [1.0, LOUD_SIDE])
-    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("strategy,width", SHAPES)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_tcp_and_scripted_sessions_equal_decode_monolithic(self, policy, strategy, side_scale):
+    def test_tcp_and_scripted_sessions_equal_decode_monolithic(self, policy, strategy, width,
+                                                               side_scale, eos_id, monkeypatch):
+        log = StepLog(monkeypatch)
         model = make_model(2, side_scale)
+        prefetches = hits = 0
         # the long prompts slide past max_seq_len = 24 within 8 new tokens
         for prompt in prompts(7, 2) + prompts(8, 2, lo=18, hi=24):
-            dcfg = DecodeConfig(max_new_tokens=8, strategy=strategy, beam_width=3,
+            dcfg = DecodeConfig(max_new_tokens=8, strategy=strategy, beam_width=width,
                                 policy=policy, wire_mode="all_layers")
-            mono = decode_monolithic(model, prompt, dcfg)
-            split, tcp = tcp_session(model, prompt, dcfg)
-            scripted, transport = scripted_session(model, prompt, dcfg)
+            log.clear()
+            mono = decode_monolithic(model, prompt, dcfg, eos_id=eos_id)
+            # the split steps are the monolithic ones, gate bits included
+            gated_not_last = log.gated_not_last
+            assert log.drafted == []  # an in-process decode never drafts
+            split, tcp = tcp_session(model, prompt, dcfg, eos_id)
+            scripted, _ = scripted_session(model, prompt, dcfg, eos_id=eos_id)
             assert split.completed and split.error is None
             assert tcp.error is None and scripted.error is None
             for record in (tcp, scripted):
@@ -180,7 +225,7 @@ class TestSplitEqualsMonolithic:
                 assert record.counter.hidden_round_trips == mono.counter.hidden_round_trips
                 assert_session_frames(record.counter, mono.counter.hidden_round_trips,
                                     len(mono.tokens))
-                assert_prefetch_bounds(record, dcfg)
+                assert 0 <= record.prefetch_hits <= record.prefetches <= gated_not_last
             # the two ends agree frame for frame and byte for byte
             dev, cloud = split.counter, tcp.counter
             assert (dev.frames_sent, dev.bytes_sent) == (cloud.frames_received, cloud.bytes_received)
@@ -189,13 +234,36 @@ class TestSplitEqualsMonolithic:
             assert scripted.counter == tcp.counter
             assert (scripted.prefetches, scripted.prefetch_hits) == (tcp.prefetches,
                                                                      tcp.prefetch_hits)
+            prefetches += tcp.prefetches
+            hits += tcp.prefetch_hits
+        if policy == "base_only":
+            assert prefetches == 0  # no step is gated, so none waits
+        elif side_scale == LOUD_SIDE:
+            assert 0 < hits < prefetches  # the loud side makes drafts miss
 
-    def test_always_side_greedy_prefetches_every_step_but_the_last(self):
+    @pytest.mark.parametrize("width", [2, 4, 7])
+    def test_beam_drafts_only_the_live_hypotheses(self, width, monkeypatch):
+        """Hypotheses that end on EOS mid-search stay in the pool but are not
+        drafted, and the session still equals the monolithic decode."""
+        log = StepLog(monkeypatch)
+        model = make_model(2, LOUD_SIDE)
+        for prompt in prompts(9, 4):
+            dcfg = DecodeConfig(max_new_tokens=8, strategy="beam", beam_width=width,
+                                policy="always_side", wire_mode="final")
+            mono = decode_monolithic(model, prompt, dcfg, eos_id=EOS_ID)
+            record, _ = scripted_session(model, prompt, dcfg, eos_id=EOS_ID)
+            assert (record.emitted_tokens, record.gate_log) == (mono.tokens, mono.gate_log)
+        # every step but the last drafts, and some draft leaves finished rows out
+        assert 0 < min(log.drafted) < width
+
+    @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 4)])
+    def test_always_side_prefetches_every_step_but_the_last(self, strategy, width):
         model = make_model(2)
-        dcfg = DecodeConfig(max_new_tokens=9, policy="always_side", wire_mode="final")
+        dcfg = DecodeConfig(max_new_tokens=9, strategy=strategy, beam_width=width,
+                            policy="always_side", wire_mode="final")
         record, _ = scripted_session(model, [3, 1, 4], dcfg)
         assert record.prefetches == 8
-        assert record.prefetch_hits == 8  # the untrained side never moves this argmax
+        assert record.prefetch_hits == 8  # the untrained side never moves this ranking
 
 
 class ForwardCount:
@@ -212,9 +280,9 @@ class ForwardCount:
             self.positions.append(np.shape(ids)[-1])
             return real_forward(config, base, ids, *args, **kwargs)
 
-        def logits_for(step_model, contexts, prefetch=False):
+        def logits_for(step_model, contexts, draft=None):
             self.steps += 1
-            return real_logits_for(step_model, contexts, prefetch)
+            return real_logits_for(step_model, contexts, draft)
 
         monkeypatch.setattr(spa.decoding, "base_forward", forward)
         monkeypatch.setattr(CloudStepModel, "logits_for", logits_for)
@@ -236,38 +304,26 @@ class TestForwards:
         assert count.forwards == count.steps == 30
         assert step_model.prefetches == step_model.prefetch_hits == 0
 
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_split_beam_runs_one_forward_per_step(self, policy, monkeypatch):
-        count = ForwardCount(monkeypatch)
-        dcfg = DecodeConfig(max_new_tokens=30, strategy="beam", beam_width=3, policy=policy)
-        record, _ = scripted_session(make_model(5), [2, 7, 1], dcfg)
-        assert count.forwards == count.steps == 30
-        assert record.prefetches == 0
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_split_greedy_adds_one_forward_per_miss(self, policy, monkeypatch):
+    def test_split_decodes_add_one_forward_per_miss(self, policy, strategy, monkeypatch):
         count = ForwardCount(monkeypatch)
         # 3 + 20 tokens stay inside max_seq_len = 24
-        dcfg = DecodeConfig(max_new_tokens=20, policy=policy)
+        dcfg = DecodeConfig(max_new_tokens=20, strategy=strategy, beam_width=4, policy=policy)
         record, _ = scripted_session(make_model(5, LOUD_SIDE), [2, 7, 1], dcfg)
         assert count.steps == 20
         assert count.forwards == count.steps + record.prefetches - record.prefetch_hits
-        assert_prefetch_bounds(record, dcfg)
+        assert 0 <= record.prefetch_hits <= record.prefetches <= record.base_hiddens_sent
         if policy == "always_side":
-            assert record.prefetch_hits < record.prefetches
-        # a miss forwards one token over this step's kept K/V, as a hit would
-        # have: the prefetch left them in place
+            assert 0 < record.prefetch_hits < record.prefetches
+        # a miss forwards one token per context over this step's kept K/V, as
+        # a hit would have: the prefetch left them in place
         assert count.positions == [3] + [1] * (count.forwards - 1)
-
-    def test_only_a_step_of_one_context_prefetches(self):
-        step_model = local_step_model(make_model(5), "always_side")
-        with pytest.raises(ContractError, match="one context"):
-            step_model.logits_for([[1, 2], [3, 4]], prefetch=True)
 
 
 class TestPendingReplies:
     """A provider that returns a pending reply is checked as one that
-    answers at once, and `greedy_decode` gives the same output either way."""
+    answers at once, and both strategies give the same output either way."""
 
     @staticmethod
     def step_model(model, provide):
@@ -287,6 +343,20 @@ class TestPendingReplies:
         assert at_once.prefetches == 0
         assert 0 < pending.prefetch_hits < pending.prefetches == 5 * 11
 
+    @pytest.mark.parametrize("width", [1, 2, 4, 7])
+    def test_pending_replies_beam_decode_as_immediate_ones(self, width):
+        model = make_model(6, LOUD_SIDE)
+        provide = local_side_provider(CFG, model.side)
+        pending = self.step_model(model, lambda step, payload: lambda: provide(step, payload))
+        at_once = self.step_model(model, provide)
+        for prompt in prompts(10, 3) + prompts(11, 2, lo=20, hi=24):
+            got = beam_decode(pending, prompt, width, 12, CFG.vocab_size, eos_id=EOS_ID)
+            want = beam_decode(at_once, prompt, width, 12, CFG.vocab_size, eos_id=EOS_ID)
+            assert (got.tokens, got.gate_trace) == (want.tokens, want.gate_trace)
+        assert pending.gate_log == at_once.gate_log
+        assert at_once.prefetches == 0
+        assert 0 < pending.prefetch_hits < pending.prefetches <= 5 * 11
+
     @pytest.mark.parametrize("bad", ["nan", "shape"])
     def test_a_pending_reply_is_checked(self, bad):
         def provide(step, payload):
@@ -304,23 +374,28 @@ class TestFailureDuringPrefetch:
     step's forward ends the session as it would have in `recv`, and the
     cloud sends nothing after the step's BASE_HIDDENS."""
 
-    DCFG = DecodeConfig(max_new_tokens=5, policy="always_side", wire_mode="final")
+    @staticmethod
+    def dcfg(strategy):
+        return DecodeConfig(max_new_tokens=5, strategy=strategy, beam_width=4,
+                            policy="always_side", wire_mode="final")
 
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
     @pytest.mark.parametrize("how", ["error", "close"])
-    def test_scripted(self, how):
+    def test_scripted(self, how, strategy):
         def answer(msg):
             if how == "error":
                 return [ErrorFrame(ErrorCode.PROTOCOL_VIOLATION, "side failed")]
             return [TransportClosed("connection closed")]
 
-        record, transport = scripted_session(make_model(7), [1, 2], self.DCFG, answer)
+        record, transport = scripted_session(make_model(7), [1, 2], self.dcfg(strategy), answer)
         want = "device error 3: side failed" if how == "error" else "connection closed"
         assert record.error == want
         assert record.prefetches == 1 and record.prefetch_hits == 0
         assert [type(m) for m in transport.sent] == [Hello, BaseHiddens]
 
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
     @pytest.mark.parametrize("how", ["error", "close"])
-    def test_over_tcp(self, how, monkeypatch):
+    def test_over_tcp(self, how, strategy, monkeypatch):
         acted = threading.Event()
         real_forward = CloudStepModel._forward
 
@@ -337,7 +412,8 @@ class TestFailureDuringPrefetch:
         t.start()
         dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
         assert isinstance(dev_end.recv(timeout=5), Hello)
-        dev_end.send(Prompt((1, 2), "always_side", "greedy", 1, 5))
+        dcfg = self.dcfg(strategy)
+        dev_end.send(Prompt((1, 2), dcfg.policy, strategy, dcfg.beam_width, dcfg.max_new_tokens))
         assert isinstance(dev_end.recv(timeout=5), BaseHiddens)
         after = []
         if how == "error":
@@ -360,3 +436,26 @@ class TestFailureDuringPrefetch:
         else:
             assert "closed" in record.error or "recv failed" in record.error
 
+
+class TestFailedSessionRecord:
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_a_failed_session_keeps_its_gate_log(self, strategy, monkeypatch):
+        made = []
+        real_init = CloudStepModel.__init__
+
+        def init(step_model, *args, **kwargs):
+            real_init(step_model, *args, **kwargs)
+            made.append(step_model)
+
+        monkeypatch.setattr(CloudStepModel, "__init__", init)
+        dcfg = DecodeConfig(max_new_tokens=6, strategy=strategy, beam_width=3, policy="spa",
+                            wire_mode="final")
+        record, _ = scripted_session(
+            make_model(2), [5, 3, 9],
+            dcfg, lambda msg: [ErrorFrame(ErrorCode.PROTOCOL_VIOLATION, "side failed")],
+        )
+        (step_model,) = made
+        assert record.error == "device error 3: side failed"
+        assert record.base_hiddens_sent == 1
+        assert record.gate_log == step_model.gate_log
+        assert 1 in record.gate_log

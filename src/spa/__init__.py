@@ -1,7 +1,7 @@
 """Split cloud/device generation with a gated ladder side network."""
 
 from .checkpoint import load_checkpoint, save_checkpoint, save_model
-from .decoding import DecodeConfig, beam_search, count_transmissions, decode_monolithic
+from .decoding import DecodeConfig, decode_monolithic
 from .latency import LatencyProfile, build_comparison_table, t_net, t_on_devices, t_total
 from .metrics import perplexity, rouge_l, usage_percentage
 from .model import ModelConfig, SpaModel, cate_estimate, token_loss
@@ -17,10 +17,8 @@ __all__ = [
     "ModelConfig",
     "SpaModel",
     "TrainConfig",
-    "beam_search",
     "build_comparison_table",
     "cate_estimate",
-    "count_transmissions",
     "decode_monolithic",
     "load_checkpoint",
     "perplexity",

@@ -284,7 +284,6 @@ def _cmd_generate(cfg, args) -> int:
     print(
         f"[{dcfg.policy}] tokens={counter.tokens_generated} "
         f"M={counter.transmissions_per_token:.3f} "
-        f"round_trips_per_token={counter.round_trips_per_token:.3f} "
         f"round_trips={counter.hidden_round_trips} "
         f"frames_out={counter.frames_sent} frames_in={counter.frames_received}",
         file=sys.stderr,

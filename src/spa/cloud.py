@@ -203,7 +203,6 @@ class CloudEndpoint:
         def wire_side_provider(step: int, payload):
             # payload is (G, R, d); the frame carries (R, G, d), chunk = G
             transport.send(BaseHiddens(step, payload.transpose(1, 0, 2)))
-            record.base_hiddens_sent += 1
 
             def reply() -> "np.ndarray":
                 msg = self._recv(transport, SideOutput, f"expected SIDE_OUTPUT for step {step}")
@@ -229,9 +228,10 @@ class CloudEndpoint:
             record.emitted_tokens.append(tok)
 
         try:
-            run_decode(step_model, ids, dcfg, self.config.vocab_size, self.eos_id, on_emit)
-        finally:  # a failed session's record keeps its decisions and prefetches too
+            run_decode(step_model, ids, dcfg, self.eos_id, on_emit)
+        finally:  # a failed session's record keeps its decisions and counts too
             record.gate_log = list(step_model.gate_log)
+            record.base_hiddens_sent = step_model.hidden_calls
             record.prefetches = step_model.prefetches
             record.prefetch_hits = step_model.prefetch_hits
         transport.send(Eos())

@@ -105,23 +105,6 @@ def make_synthetic_personalized_corpus(
     return base, personalized
 
 
-def personalized_skeletons(seed: int, size_tier: str = "small") -> list[str]:
-    """The generic rendering of the personalized documents (same seed path)."""
-    rng = np.random.default_rng(seed + 1)
-    return _documents(rng, TIER_DOC_COUNTS[size_tier], substitute=False)
-
-
-def word_position_difference(docs_a: list[str], docs_b: list[str]) -> float:
-    """Fraction of word positions that differ between paired documents."""
-    differing = total = 0
-    for a, b in zip(docs_a, docs_b):
-        wa, wb = a.split(), b.split()
-        total += max(len(wa), len(wb))
-        differing += abs(len(wa) - len(wb))
-        differing += sum(1 for x, y in zip(wa, wb) if x != y)
-    return differing / total if total else 0.0
-
-
 def load_text_dir(path: str | Path) -> Corpus:
     """One UTF-8 .txt file per document, sorted by filename for determinism."""
     p = Path(path)

@@ -6,8 +6,9 @@ What each cloud policy does with the gate bit is written once, in
 bits, and `served_fusion` computes a gated row's logits. The step engine
 here calls them and holds no gate or fusion arithmetic of its own; the
 teacher-forced scorer in `metrics` runs the same gate rule. M, the round
-trips per token, needs no policy: it is the mean of the emitted gate bits
-(`count_transmissions`).
+trips per token, needs no policy: it is the side round trips counted over
+the tokens emitted (`TransmissionCounter.transmissions_per_token`), which
+under greedy is the mean of the emitted gate bits.
 
 One step engine backs every path. The cloud session and the monolithic
 decoder run the same `CloudStepModel` code on the same array shapes; the
@@ -53,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError, DimensionError, DomainError, UndefinedMetricError
+from .errors import ContractError, DimensionError, DomainError
 from .model import (
     POLICY_GATE_MODES,
     ModelConfig,
@@ -88,24 +89,6 @@ class DecodeConfig:
             raise ContractError(f"unknown wire mode {self.wire_mode!r}")
 
 
-def usage_percentage(gate_trace) -> float:
-    """100 x (decisions that used the side path) / (total decisions)."""
-    trace = np.asarray(gate_trace, dtype=np.float64)
-    if trace.size == 0:
-        raise UndefinedMetricError("usage percentage is undefined for an empty gate trace")
-    return 100.0 * (float(trace.sum()) / trace.size)
-
-
-def count_transmissions(gate_trace) -> float:
-    """M, cloud-device round trips per generated token: the mean of the
-    emitted gate bits (`usage_percentage` / 100), 0.0 when nothing was
-    emitted. Every policy's M follows: all ones under `always_side`, all
-    zeros under `base_only`."""
-    if not len(gate_trace):
-        return 0.0
-    return usage_percentage(gate_trace) / 100.0
-
-
 @dataclass
 class TransmissionCounter:
     frames_sent: int = 0
@@ -133,14 +116,11 @@ class TransmissionCounter:
 
     @property
     def transmissions_per_token(self) -> float:
-        return count_transmissions(self.gate_trace)
-
-    @property
-    def round_trips_per_token(self) -> float:
-        """Side round trips actually made per emitted token: one per decode
-        step with at least one gated row, so at most one per step. It equals
-        M for greedy. Beam search can still exceed M: a step is gated when
-        any live hypothesis is, including hypotheses it later drops."""
+        """M: side round trips made per emitted token, 0.0 when nothing was
+        emitted. A decode step makes one round trip when at least one of its
+        rows is gated, so greedy's M is the mean of the emitted gate bits,
+        while beam search also pays for steps gated only on hypotheses it
+        later drops."""
         if not self.tokens_generated:
             return 0.0
         return self.hidden_round_trips / self.tokens_generated
@@ -179,7 +159,8 @@ class CloudStepModel:
     R = 1 final hidden in `final` mode. That choice of rows is the only use
     of the wire mode; the side step itself carries no state. A step
     therefore costs at most one side round trip, whatever the beam width,
-    and `hidden_calls` counts those calls. A returned block that is not (G, d_model) raises
+    and `hidden_calls` counts those calls: the one count of a decode's round
+    trips, in process and on the cloud. A returned block that is not (G, d_model) raises
     `DimensionError` and one that is not finite raises `DomainError`, so a
     broken side network never decodes silently. The provider may instead
     return a callable that waits for the block; `logits_for(..., draft)` then
@@ -300,7 +281,6 @@ class DecodeOutcome:
     tokens: list[int]
     gate_trace: list[int]
     stopped_by_eos: bool
-    hidden_calls: int
 
 
 def greedy_decode(step_model, prompt_ids, max_new_tokens, eos_id=None, on_emit=None) -> DecodeOutcome:
@@ -324,7 +304,7 @@ def greedy_decode(step_model, prompt_ids, max_new_tokens, eos_id=None, on_emit=N
         if eos_id is not None and tok == eos_id:
             stopped = True
             break
-    return DecodeOutcome(tokens, trace, stopped, getattr(step_model, "hidden_calls", 0))
+    return DecodeOutcome(tokens, trace, stopped)
 
 
 @dataclass(frozen=True)
@@ -370,7 +350,6 @@ def beam_decode(
     prompt_ids,
     beam_width: int,
     max_new_tokens: int,
-    vocab_size: int,
     eos_id=None,
     on_emit=None,
 ) -> DecodeOutcome:
@@ -409,32 +388,15 @@ def beam_decode(
         list(best.tokens),
         list(best.trace),
         bool(best.tokens and eos_id is not None and best.tokens[-1] == eos_id),
-        getattr(step_model, "hidden_calls", 0),
     )
 
 
-def run_decode(step_model, prompt_ids, dcfg: DecodeConfig, vocab_size: int, eos_id=None, on_emit=None) -> DecodeOutcome:
+def run_decode(step_model, prompt_ids, dcfg: DecodeConfig, eos_id=None, on_emit=None) -> DecodeOutcome:
     if dcfg.strategy == "beam":
         return beam_decode(
-            step_model, prompt_ids, dcfg.beam_width, dcfg.max_new_tokens, vocab_size, eos_id, on_emit
+            step_model, prompt_ids, dcfg.beam_width, dcfg.max_new_tokens, eos_id, on_emit
         )
     return greedy_decode(step_model, prompt_ids, dcfg.max_new_tokens, eos_id, on_emit)
-
-
-def beam_search(
-    model: "SpaModel",
-    prompt_ids,
-    width: int,
-    max_new_tokens: int,
-    policy: str = "spa",
-    wire_mode: str = DEFAULT_WIRE_MODE,
-    eos_id=None,
-) -> DecodeOutcome:
-    """Model-level convenience wrapper around beam_decode."""
-    return beam_decode(
-        local_step_model(model, policy, wire_mode),
-        prompt_ids, width, max_new_tokens, model.config.vocab_size, eos_id,
-    )
 
 
 @dataclass
@@ -450,13 +412,12 @@ def decode_monolithic(
     model: SpaModel, prompt_ids, dcfg: DecodeConfig, eos_id=None
 ) -> MonolithicResult:
     """The split pipeline's mathematics executed in one process."""
-    cfg = model.config
     step_model = local_step_model(model, dcfg.policy, dcfg.wire_mode)
-    outcome = run_decode(step_model, prompt_ids, dcfg, cfg.vocab_size, eos_id)
+    outcome = run_decode(step_model, prompt_ids, dcfg, eos_id)
     return MonolithicResult(
         tokens=outcome.tokens,
         gate_trace=outcome.gate_trace,
         stopped_by_eos=outcome.stopped_by_eos,
-        counter=TransmissionCounter.build(outcome.tokens, outcome.gate_trace, outcome.hidden_calls),
+        counter=TransmissionCounter.build(outcome.tokens, outcome.gate_trace, step_model.hidden_calls),
         gate_log=list(step_model.gate_log),
     )

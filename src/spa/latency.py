@@ -11,7 +11,9 @@ conventional reading) and the network term
     t_net = n_tokens * M * (tau + t_data)
 
 where M is the per-token transmission count of the architecture: fixed
-for the baselines, the measured gate usage for spa (`table_m`). The
+for the baselines (`table_m`); for spa, the side round trips a decode made
+per emitted token (`TransmissionCounter.transmissions_per_token`), which
+is the gate's usage rate under greedy decoding only. The
 comparison table also carries a bundled reference column set, measured on a
 32-layer cloud deployment, because the reference rows' per-transmission
 costs are not mutually consistent under any single (tau + t_data)
@@ -43,7 +45,7 @@ def table_m(n_layers: int, usage: float) -> dict[str, float]:
     """M of each table architecture, in table order, on an n_layers cloud:
     LoRA and adapters exchange activations at every layer (adapters twice),
     the LST baseline (Sung et al., arXiv 2206.06522) consults its side
-    network once per token, and spa at its gate usage."""
+    network once per token, and spa at the M given as `usage`."""
     return {"lora": float(n_layers), "adapter": 2.0 * n_layers, "lst": 1.0, "spa": usage}
 
 
@@ -163,7 +165,8 @@ def build_comparison_table(
     per_arch_cost: dict[str, float] | None = None,
 ) -> list[ArchLatencyRow]:
     """One row per architecture; modeled and reference columns side by side.
-    `usage` is spa's M, its gate usage rate."""
+    `usage` is spa's M, its round trips per emitted token (the gate's usage
+    rate under greedy decoding)."""
     if n_layers < 1:
         raise DomainError("n_layers must be >= 1")
     if not 0.0 <= usage <= 1.0:

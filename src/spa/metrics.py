@@ -15,9 +15,6 @@ from typing import Iterable
 import numpy as np
 
 from . import numcore as nc
-# usage_percentage (and its UndefinedMetricError) is re-exported: it lives
-# beside count_transmissions, which defines every policy's M from it
-from .decoding import usage_percentage
 from .errors import ContractError, UndefinedMetricError
 from .model import POLICY_GATE_MODES, BaseTrace, SpaModel, served_gate, teacher_forced
 from .tokenizer import ByteTokenizer
@@ -59,6 +56,16 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     r = lcs / len(ref)
     f = 2 * p * r / (p + r) if p + r > 0 else 0.0
     return RougeScore(p, r, f)
+
+
+def usage_percentage(gate_trace) -> float:
+    """100 x (decisions that used the side path) / (total decisions): the
+    gate's usage, not M, which counts round trips
+    (`TransmissionCounter.transmissions_per_token`)."""
+    trace = np.asarray(gate_trace, dtype=np.float64)
+    if trace.size == 0:
+        raise UndefinedMetricError("usage percentage is undefined for an empty gate trace")
+    return 100.0 * (float(trace.sum()) / trace.size)
 
 
 def scored_ids(documents: list[str], max_seq_len: int) -> list[np.ndarray | None]:

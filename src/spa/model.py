@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -161,10 +161,6 @@ class ParamBundle:
             t.requires_grad = False
             t.grad = None
 
-    def thaw(self) -> None:
-        for t in self._tensors.values():
-            t.requires_grad = True
-
     @property
     def frozen(self) -> bool:
         return all(not t.requires_grad for t in self._tensors.values())
@@ -269,14 +265,6 @@ class SpaModel:
 
     def trainable_tensors(self) -> list[Tensor]:
         return self.side.tensors() + self.gate.tensors()
-
-    def all_named(self) -> Iterator[tuple[str, Tensor]]:
-        for name, t in self.base.named():
-            yield f"base.{name}", t
-        for name, t in self.side.named():
-            yield f"side.{name}", t
-        for name, t in self.gate.named():
-            yield f"gate.{name}", t
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .corpus import make_synthetic_personalized_corpus
-from .decoding import DecodeConfig, count_transmissions, decode_monolithic
+from .decoding import DecodeConfig, TransmissionCounter, decode_monolithic
 from .latency import LatencyProfile, build_comparison_table, format_rows
 from .metrics import perplexities, rouge_l, usage_percentage
 from .model import SpaModel
@@ -118,36 +118,37 @@ def run_experiment_suite(cfg: SuiteConfig, log=None) -> SuiteReport:
             prompts.append(([BOS, *tok.encode(head)], tail))
         tier_perplexities = perplexities(model, test_docs)
 
-        spa_trace: list[int] = []
         for policy in POLICY_ORDER:
             run_id = f"{tier}-{policy}"
             dcfg = DecodeConfig(max_new_tokens=cfg.max_new_tokens, policy=policy)
             rouge_vals = []
             traces: list[int] = []
+            trips = 0
             for prompt_ids, reference in prompts:
                 result = decode_monolithic(model, prompt_ids, dcfg, eos_id=EOS)
                 text = tok.decode(result.tokens)
                 rouge_vals.append(rouge_l(text, reference).f_measure)
                 traces.extend(result.gate_trace)
-            if policy == "spa":
-                spa_trace = traces
+                trips += result.counter.hidden_round_trips
+            counter = TransmissionCounter(hidden_round_trips=trips, tokens_generated=len(traces))
             row = ExperimentRow(
                 run_id=run_id,
                 tier=tier,
                 policy=policy,
-                ratio=count_transmissions(traces),
+                ratio=counter.transmissions_per_token,
                 usage_percent=usage_percentage(traces) if traces else None,
                 rouge_f=float(np.mean(rouge_vals)) if rouge_vals else None,
                 perplexity=tier_perplexities[policy],
             )
             report.rows.append(row)
+            if policy == "spa":
+                spa_row = row
             say(f"{run_id}: ratio {row.ratio:.3f} rouge {row.rouge_f:.3f} "
                 f"ppl {row.perplexity:.2f}")
 
-        usage = usage_percentage(spa_trace) if spa_trace else 0.0
-        report.usage_by_tier[tier] = usage
+        report.usage_by_tier[tier] = spa_row.usage_percent or 0.0
         lat_rows = build_comparison_table(
-            cfg.profile, usage / 100.0, model.config.n_layers, n_tokens=cfg.max_new_tokens
+            cfg.profile, spa_row.ratio, model.config.n_layers, n_tokens=cfg.max_new_tokens
         )
         audit = (
             f"side parameters: {100 * model.side_fraction():.2f}% of base; "

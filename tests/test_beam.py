@@ -131,7 +131,7 @@ class TestReductions:
             model = make_model(seed)
             prompt = [int(t) for t in np.random.default_rng(seed).integers(1, CFG.vocab_size, 3)]
             greedy = greedy_decode(fresh_step_model(model), prompt, 5, eos_id=EOS_ID)
-            beam = beam_decode(fresh_step_model(model), prompt, 1, 5, CFG.vocab_size, eos_id=EOS_ID)
+            beam = beam_decode(fresh_step_model(model), prompt, 1, 5, eos_id=EOS_ID)
             assert beam.tokens == greedy.tokens, f"seed {seed}"
             assert beam.gate_trace == greedy.gate_trace
 
@@ -152,7 +152,7 @@ class TestExhaustiveOracle:
             prompt = [3, 5]
             expected_tokens, expected_score = exhaustive_two_step(model, prompt)
             beam = beam_decode(
-                fresh_step_model(model), prompt, CFG.vocab_size, 2, CFG.vocab_size, eos_id=EOS_ID
+                fresh_step_model(model), prompt, CFG.vocab_size, 2, eos_id=EOS_ID
             )
             assert beam.tokens == expected_tokens, f"seed {seed}"
             got = sequence_score(model, prompt, beam.tokens)
@@ -173,7 +173,7 @@ class TestPruningOracle:
             for wire_mode in ("final", "all_layers"):
                 got_model = fresh_step_model(model, wire_mode, pending=pending)
                 want_model = fresh_step_model(model, wire_mode)
-                got = beam_decode(got_model, prompt, width, 6, CFG.vocab_size, eos_id=EOS_ID)
+                got = beam_decode(got_model, prompt, width, 6, eos_id=EOS_ID)
                 tokens, trace, counts = reference_beam(
                     want_model, prompt, width, 6, CFG.vocab_size, eos_id=EOS_ID
                 )
@@ -193,7 +193,7 @@ class TestPruningOracle:
             prompt = [2, 7, 4]
             got_model = fresh_step_model(model, pending=pending)
             want_model = fresh_step_model(model)
-            got = beam_decode(got_model, prompt, width, 5, CFG.vocab_size)
+            got = beam_decode(got_model, prompt, width, 5)
             tokens, trace, counts = reference_beam(want_model, prompt, width, 5, CFG.vocab_size)
             assert (got.tokens, got.gate_trace) == (tokens, trace), f"seed {seed}"
             assert got_model.gate_log == want_model.gate_log
@@ -212,7 +212,7 @@ class TestPruningOracle:
             prompt = [int(t) for t in np.random.default_rng(seed).integers(1, CFG.vocab_size, 2)]
             got_model = fresh_step_model(model)
             want_model = fresh_step_model(model)
-            got = beam_decode(got_model, prompt, width, 3, CFG.vocab_size, eos_id=EOS_ID)
+            got = beam_decode(got_model, prompt, width, 3, eos_id=EOS_ID)
             tokens, trace, seen = reference_beam(
                 want_model, prompt, width, 3, CFG.vocab_size, eos_id=EOS_ID
             )
@@ -231,7 +231,7 @@ class TestScoreProperty:
             model = make_model(100 + seed)
             prompt = [int(t) for t in np.random.default_rng(seed).integers(1, CFG.vocab_size, 2)]
             greedy = greedy_decode(fresh_step_model(model), prompt, 4, eos_id=EOS_ID)
-            beam = beam_decode(fresh_step_model(model), prompt, 3, 4, CFG.vocab_size, eos_id=EOS_ID)
+            beam = beam_decode(fresh_step_model(model), prompt, 3, 4, eos_id=EOS_ID)
             g = sequence_score(model, prompt, greedy.tokens)
             b = sequence_score(model, prompt, beam.tokens)
             assert b >= g - 1e-12, f"seed {seed}: beam {b} < greedy {g}"
@@ -263,7 +263,7 @@ class TestKVCache:
 
         step_model.logits_for = logits_for
         # 2 + 20 tokens slide past max_seq_len = 16
-        beam_decode(step_model, [3, 5], width, 20, CFG.vocab_size)
+        beam_decode(step_model, [3, 5], width, 20)
         assert max(windows for windows, _ in sizes) == width
         assert max(rows for _, rows in sizes) == width
         # slid windows are never kept, so nothing is left after the last step
@@ -289,7 +289,7 @@ class TestKVCache:
         if strategy == "greedy":
             greedy_decode(step_model, [3, 5], 20)
         else:
-            beam_decode(step_model, [3, 5], width, 20, CFG.vocab_size)
+            beam_decode(step_model, [3, 5], width, 20)
         # this step's windows, and the prefetched next ones beside them
         assert max(kept for kept, _ in sizes) == width
         assert max(ahead for _, ahead in sizes) == width
@@ -316,6 +316,6 @@ class TestKVCache:
             return real_logits_for(contexts, draft)
 
         step_model.logits_for = logits_for
-        beam_decode(step_model, [4, 1], 3, 18, CFG.vocab_size, eos_id=EOS_ID)
+        beam_decode(step_model, [4, 1], 3, 18, eos_id=EOS_ID)
         assert len(calls) == len(steps)
         assert [shape[0] for shape in calls] == steps

@@ -38,13 +38,19 @@ def model():
     return m
 
 
+def all_named(model):
+    """Every parameter of the model as ("group.name", tensor)."""
+    return [(f"{group}.{name}", t) for group in ("base", "side", "gate")
+            for name, t in getattr(model, group).named()]
+
+
 class TestRoundTrip:
     def test_load_reproduces_every_parameter_bitwise(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_model(model, path, kind="full")
         loaded = load_checkpoint(path)
         rebuilt = loaded.build_model()
-        for (name, orig), (_, new) in zip(model.all_named(), rebuilt.all_named()):
+        for (name, orig), (_, new) in zip(all_named(model), all_named(rebuilt)):
             assert np.array_equal(orig.data, new.data), name
 
     def test_save_load_save_is_byte_identical(self, model, tmp_path):
@@ -253,7 +259,7 @@ class TestLoadingDrawsNothing:
             built = loaded.build_model()
             assert built.base.frozen
             assert all(t.requires_grad for t in built.trainable_tensors())
-            for (name, orig), (_, new) in zip(model.all_named(), built.all_named()):
+            for (name, orig), (_, new) in zip(all_named(model), all_named(built)):
                 assert np.array_equal(orig.data, new.data), name
         if "gate" in groups:
             base, gate = loaded.build_cloud_parts()
@@ -281,10 +287,10 @@ class TestBuildsShareNoMemory:
         save_model(model, path, kind="full")
         loaded = load_checkpoint(path)
         a, b = loaded.build_model(), loaded.build_model()
-        want = [(name, t.data.tobytes()) for name, t in b.all_named()]
-        for _, t in a.all_named():
+        want = [(name, t.data.tobytes()) for name, t in all_named(b)]
+        for _, t in all_named(a):
             t.data -= 1.0
-        assert [(name, t.data.tobytes()) for name, t in b.all_named()] == want
+        assert [(name, t.data.tobytes()) for name, t in all_named(b)] == want
         assert a.side.digest() != b.side.digest()
         assert loaded.build_side_parts().digest() == b.side.digest() == model.side.digest()
 

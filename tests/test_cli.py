@@ -244,7 +244,9 @@ class TestDevicePathErrors:
         assert code == EXIT_RUNTIME
         out, err = capsys.readouterr()
         assert out == "ok\n"
-        assert "tokens=2 M=0.500" in err
+        # M counts round trips: the scripted cloud sent no BASE_HIDDENS, so
+        # none was made, although the first token's gate bit is 1
+        assert "tokens=2 M=0.000 round_trips=0" in err
         assert (f"session incomplete: cloud error {ErrorCode.INTERNAL.value}: "
                 "scripted failure") in err
 

@@ -1,5 +1,6 @@
 """Tokenizer round-trips, corpus splits, and the synthetic generator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +8,9 @@ from hypothesis import strategies as st
 from spa.corpus import (
     Corpus,
     TIER_DOC_COUNTS,
+    _documents,
     load_text_dir,
     make_synthetic_personalized_corpus,
-    personalized_skeletons,
-    word_position_difference,
     write_text_dir,
 )
 from spa.errors import ContractError
@@ -61,8 +61,15 @@ class TestSyntheticCorpus:
 
     def test_personalization_changes_over_10_percent_of_positions(self):
         _, pers = make_synthetic_personalized_corpus(5, "small")
-        skeletons = personalized_skeletons(5, "small")
-        rate = word_position_difference(pers.documents, skeletons)
+        # the same documents rendered without substitution: the seed + 1 draw
+        skeletons = _documents(np.random.default_rng(5 + 1), TIER_DOC_COUNTS["small"],
+                               substitute=False)
+        differing = total = 0
+        for a, b in zip(pers.documents, skeletons, strict=True):
+            wa, wb = a.split(), b.split()
+            total += max(len(wa), len(wb))
+            differing += abs(len(wa) - len(wb)) + sum(x != y for x, y in zip(wa, wb))
+        rate = differing / total
         assert rate > 0.10, f"substitution rate only {rate:.3f}"
 
     def test_tier_sizes_strictly_increase(self):

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spa.decoding
 import spa.model
 from spa import numcore as nc
 from spa.decoding import (
     DecodeConfig,
-    count_transmissions,
+    TransmissionCounter,
     decode_monolithic,
     local_step_model,
 )
@@ -190,22 +191,42 @@ class TestEveryPolicy:
 
 
 class TestTransmissionCount:
-    """M, round trips per token, is the mean of the emitted gate bits under
-    every policy and search."""
+    """M is the side round trips made per emitted token, under every policy
+    and search. Under greedy that is exactly the mean of the emitted gate
+    bits; beam search also pays for steps gated only on hypotheses it drops."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("strategy", ["greedy", "beam"])
-    def test_m_is_the_gate_bit_mean(self, policy, strategy):
+    def test_m_is_the_gate_bit_mean(self, policy, strategy, monkeypatch):
+        calls = []
+        provider = spa.decoding.local_side_provider
+
+        def counting_provider(config, side):
+            provide = provider(config, side)
+
+            def counted(step, payload):
+                calls.append(step)
+                return provide(step, payload)
+
+            return counted
+
+        monkeypatch.setattr(spa.decoding, "local_side_provider", counting_provider)
         prompt = [BOS, *ByteTokenizer().encode("the amber")]
         dcfg = DecodeConfig(max_new_tokens=6, strategy=strategy, beam_width=4, policy=policy)
         result = decode_monolithic(gated_model(), prompt, dcfg)
-        m = result.counter.transmissions_per_token
-        assert m == usage_percentage(result.gate_trace) / 100.0
+        bits, counter = result.gate_trace, result.counter
+        m = counter.transmissions_per_token
+        assert counter.hidden_round_trips == len(calls)
+        assert m == len(calls) / len(result.tokens)
+        if strategy == "greedy":
+            assert m == sum(bits) / len(bits)
+        else:  # each emitted gated step made a trip; dropped hypotheses may add more
+            assert sum(bits) <= len(calls)
         if policy != "spa":
             assert m == float(policy == "always_side")
 
     def test_empty_trace_gives_zero(self):
-        assert count_transmissions([]) == 0.0
+        assert TransmissionCounter().transmissions_per_token == 0.0
         for policy in POLICIES:
             dcfg = DecodeConfig(max_new_tokens=0, policy=policy)
             result = decode_monolithic(gated_model(), [BOS], dcfg)

@@ -141,7 +141,8 @@ class TestBaseForward:
     def test_past_under_a_tape_rejected(self, tiny_model):
         with nc.no_grad():
             head = base_forward(TINY, tiny_model.base, [3, 1])
-        tiny_model.base.thaw()
+        for t in tiny_model.base.tensors():
+            t.requires_grad = True
         with Tape(), pytest.raises(ContractError):
             base_forward(TINY, tiny_model.base, [4], head.kv)
 
@@ -172,7 +173,8 @@ class TestBaseForward:
             for n in (0, 4):
                 with pytest.raises(ContractError):
                     base_forward(TINY, tiny_model.base, [3, 1, 4], last=n)
-        tiny_model.base.thaw()
+        for t in tiny_model.base.tensors():
+            t.requires_grad = True
         with Tape(), pytest.raises(ContractError):
             base_forward(TINY, tiny_model.base, [3, 1, 4], last=1)
 
@@ -460,7 +462,7 @@ class TestIncrementalDecode:
             def decode(step_model):
                 if width == 1:
                     return greedy_decode(step_model, prompt, 8, eos_id)
-                return beam_decode(step_model, prompt, width, 8, LADDER_CFG.vocab_size, eos_id)
+                return beam_decode(step_model, prompt, width, 8, eos_id)
 
             provider = recording_provider(model)
             batched = CloudStepModel(
@@ -502,7 +504,7 @@ class TestIncrementalDecode:
         if width == 1:
             greedy_decode(step_model, prompt, 8)
         else:
-            beam_decode(step_model, prompt, width, 8, LADDER_CFG.vocab_size)
+            beam_decode(step_model, prompt, width, 8)
         assert forwards[0][:2] == (window - 3, False), "the first step is not a prefill"
         assert (window, False) in [f[:2] for f in forwards[1:]], "no slid window was recomputed"
         assert all(kwargs == {"last": 1} for *_, kwargs in forwards)

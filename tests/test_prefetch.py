@@ -300,7 +300,7 @@ class TestForwards:
         model = make_model(5, LOUD_SIDE)
         step_model = local_step_model(model, policy)
         dcfg = DecodeConfig(max_new_tokens=30, strategy=strategy, beam_width=3, policy=policy)
-        run_decode(step_model, [2, 7, 1], dcfg, CFG.vocab_size)
+        run_decode(step_model, [2, 7, 1], dcfg)
         assert count.forwards == count.steps == 30
         assert step_model.prefetches == step_model.prefetch_hits == 0
 
@@ -350,8 +350,8 @@ class TestPendingReplies:
         pending = self.step_model(model, lambda step, payload: lambda: provide(step, payload))
         at_once = self.step_model(model, provide)
         for prompt in prompts(10, 3) + prompts(11, 2, lo=20, hi=24):
-            got = beam_decode(pending, prompt, width, 12, CFG.vocab_size, eos_id=EOS_ID)
-            want = beam_decode(at_once, prompt, width, 12, CFG.vocab_size, eos_id=EOS_ID)
+            got = beam_decode(pending, prompt, width, 12, eos_id=EOS_ID)
+            want = beam_decode(at_once, prompt, width, 12, eos_id=EOS_ID)
             assert (got.tokens, got.gate_trace) == (want.tokens, want.gate_trace)
         assert pending.gate_log == at_once.gate_log
         assert at_once.prefetches == 0

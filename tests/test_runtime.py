@@ -124,10 +124,6 @@ class StepSpy:
         self.inner = inner
         self.bits: list[list[int]] = []
 
-    @property
-    def hidden_calls(self) -> int:
-        return self.inner.hidden_calls
-
     def logits_for(self, contexts, draft=None):
         logits, bits = self.inner.logits_for(contexts, draft)
         self.bits.append(list(bits))
@@ -588,7 +584,9 @@ class TestDeviceSideValidation:
         assert result.error == f"cloud error {ErrorCode.INTERNAL.value}: boom"
         assert (result.tokens, result.gate_trace) == ([3, 5], [1, 0])
         assert len(result.gate_trace) == len(result.tokens)
-        assert result.counter.transmissions_per_token == 0.5
+        # M counts round trips: this cloud sent no BASE_HIDDENS, so none
+        # was made, although the first token's gate bit is 1
+        assert result.counter.transmissions_per_token == 0.0
 
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_base_hiddens_chunk_other_than_one_is_protocol_violation(self, chunk):
@@ -749,7 +747,7 @@ class TestStepModelChecksSideBlocks:
             CFG, model.base, model.gate, "always_side", "all_layers", provide, itertools.count()
         )
         dcfg = DecodeConfig(max_new_tokens=5, strategy=strategy, beam_width=2, policy="always_side")
-        return run_decode(step_model, [1, 2, 3], dcfg, CFG.vocab_size)
+        return run_decode(step_model, [1, 2, 3], dcfg), step_model
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -773,8 +771,10 @@ class TestStepModelChecksSideBlocks:
             self._decode(provide, strategy)
 
     def test_finite_block_of_the_right_shape_decodes(self):
-        outcome = self._decode(lambda step, payload: np.zeros((len(payload), CFG.d_model)), "greedy")
-        assert len(outcome.tokens) == 5 and outcome.hidden_calls == 5
+        outcome, step_model = self._decode(
+            lambda step, payload: np.zeros((len(payload), CFG.d_model)), "greedy"
+        )
+        assert len(outcome.tokens) == 5 and step_model.hidden_calls == 5
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam"])
     def test_decode_monolithic_with_a_nan_side_network_raises(self, strategy):
@@ -1028,21 +1028,24 @@ class TestOverTcp:
             assert result.completed and result.error is None
             assert spy.base_hiddens > 0
             per_token = spy.base_hiddens / len(result.tokens)
-            assert result.counter.round_trips_per_token == per_token
+            assert result.counter.transmissions_per_token == per_token
             deadline = time.monotonic() + 5
             while server.sessions[-1].counter is None and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert server.sessions[-1].counter.round_trips_per_token == per_token
+            record = server.sessions[-1]
+            assert record.counter.transmissions_per_token == per_token
+            assert record.base_hiddens_sent == spy.base_hiddens
+            bits = result.gate_trace
             if strategy == "greedy":
-                assert per_token == result.counter.transmissions_per_token
+                assert per_token == sum(bits) / len(bits)
             else:
                 # one frame per gated step carries every gated live hypothesis,
                 # so a step costs at most one round trip; the emitted
-                # hypothesis is one of them, so M cannot exceed the count
-                assert result.counter.transmissions_per_token <= per_token <= 1.0
-                assert sum(spy.chunks) == sum(server.sessions[-1].gate_log)
+                # hypothesis is one of them, so its gated steps are among the trips
+                assert sum(bits) <= spy.base_hiddens <= dcfg.max_new_tokens
+                assert sum(spy.chunks) == sum(record.gate_log)
                 if policy == "always_side":
-                    assert per_token == result.counter.transmissions_per_token == 1.0
+                    assert per_token == 1.0
                     assert max(spy.chunks) == width
         finally:
             server.shutdown()
@@ -1055,7 +1058,7 @@ class TestOverTcp:
         prompt = [3, 1, 4]
         steps = StepSpy(local_step_model(model, policy, dcfg.wire_mode))
         mono = decode_monolithic(model, prompt, dcfg)
-        spied = run_decode(steps, prompt, dcfg, CFG.vocab_size)
+        spied = run_decode(steps, prompt, dcfg)
         assert (spied.tokens, spied.gate_trace) == (mono.tokens, mono.gate_trace)
         gated_steps = [sum(bits) for bits in steps.bits if any(bits)]
         endpoint = CloudEndpoint.from_model(model, frame_timeout=5.0)

@@ -368,9 +368,7 @@ class TestBaseFeatures:
         tcfg = TrainConfig(**{**TCFG.to_dict(), "epochs": 1})
 
         def perturb(model):
-            model.base.thaw()
             model.base["layers.0.ffn.w1"].data[0, 0] += 0.5
-            model.base.freeze()
 
         def expected(corpus, perturbed):
             model = fresh_model()

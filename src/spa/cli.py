@@ -39,7 +39,7 @@ from .training import (
     side_objective,
 )
 from .transport import DEFAULT_TIMEOUT
-from .wire import DEFAULT_WIRE_MODE, POLICIES, WIRE_MODES
+from .wire import DEFAULT_WIRE_MODE, POLICIES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,7 +47,6 @@ EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
 
 POLICY_FLAGS = {p.replace("_", "-"): p for p in POLICIES}
-WIRE_FLAGS = tuple(m.replace("_", "-") for m in WIRE_MODES)
 
 
 class UsageError(SpaError):
@@ -83,7 +82,7 @@ def _require_dir(path: str, flag: str) -> Path:
 # flags whose name is not their setting's key with "-" for "_"
 _FLAG_NAMES = {"learning_rate": "--lr", "n_layers": "--layers", "n_heads": "--heads"}
 # [train] keys that only side training reads
-_SIDE_ONLY = ("gate_margin", "usage_weight")
+_SIDE_ONLY = ("gate_margin",)
 
 
 def _setting_flags(parser, section: str, keys, helps=None) -> None:
@@ -121,7 +120,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve", help="run the cloud endpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--listen", required=True, help="host:port")
-    p.add_argument("--wire", choices=WIRE_FLAGS, default=DEFAULT_WIRE_MODE.replace("_", "-"))
 
     p = sub.add_parser("generate", help="generate text through a cloud session")
     p.add_argument("--connect", required=True, help="host:port of the cloud endpoint")
@@ -138,7 +136,6 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=sorted(POLICY_FLAGS), default="spa")
     p.add_argument("--beam", type=int, default=1)
     p.add_argument("--max-new", type=int, default=50)
-    p.add_argument("--wire", choices=WIRE_FLAGS, default=DEFAULT_WIRE_MODE.replace("_", "-"))
 
     p = sub.add_parser("bench-latency", help="emit the latency comparison table")
     p.add_argument("--profile", default=None, help="key=value latency profile file")
@@ -146,8 +143,6 @@ def build_parser() -> _Parser:
     p.add_argument("--usage", type=float, default=0.62)
     p.add_argument("--tokens", type=int, default=50)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--cdev-divides", action="store_true",
-                   help="divide by the device count instead of multiplying")
     p.add_argument("--arch-cost", action="append", default=[],
                    metavar="ARCH=SECONDS", help="per-architecture tau+T_data override")
 
@@ -247,12 +242,10 @@ def _cmd_train_side(cfg, args) -> int:
 
 def _cmd_serve(cfg, args) -> int:
     host, port = _addr(args.listen)
-    wire = args.wire.replace("-", "_")
-    server = serve_cloud(_require_file(args.checkpoint, "--checkpoint"),
-                         (host, port), wire_mode=wire, start=False)
+    server = serve_cloud(_require_file(args.checkpoint, "--checkpoint"), (host, port), start=False)
     # flush: callers watching a pipe need the address before serve blocks
     print(f"cloud endpoint listening on {server.address[0]}:{server.address[1]} "
-          f"(wire mode {wire})", flush=True)
+          f"(wire mode {DEFAULT_WIRE_MODE})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -264,9 +257,8 @@ def _decode_config(args) -> DecodeConfig:
     return DecodeConfig(
         max_new_tokens=args.max_new,
         strategy="beam" if args.beam > 1 else "greedy",
-        beam_width=max(args.beam, 1),
+        beam_width=args.beam,
         policy=POLICY_FLAGS[args.policy],
-        wire_mode=getattr(args, "wire", DEFAULT_WIRE_MODE).replace("-", "_"),
     )
 
 
@@ -324,8 +316,7 @@ def _cmd_bench_latency(cfg, args) -> int:
         except ValueError:
             raise UsageError(f"--arch-cost: expected ARCH=SECONDS, got {spec!r}") from None
     rows = build_comparison_table(
-        profile, args.usage, args.layers, n_tokens=args.tokens,
-        cdev_divides=args.cdev_divides, per_arch_cost=per_arch or None,
+        profile, args.usage, args.layers, n_tokens=args.tokens, per_arch_cost=per_arch or None,
     )
     print(format_rows(rows, args.format), end="")
     return EXIT_OK

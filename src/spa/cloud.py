@@ -1,13 +1,14 @@
 """Cloud endpoint: serves split-decoding sessions over any transport.
 
-Session flow (device drives): HELLO handshake with a compatibility digest,
-one PROMPT, then for each decode step that gates at least one row a single
-BASE_HIDDENS -> SIDE_OUTPUT round trip carrying all of that step's gated
-rows (one for greedy, up to the beam width for beam search); every emitted
-token is one TOKEN frame carrying its gate bit, and the session ends with
-EOS. Any failure ends the session with at most one ERROR frame, whose code
-the error carries (`spa.wire`); step indices increase strictly across all
-frames the cloud initiates.
+Session flow (device drives): HELLO handshake with a compatibility digest
+and the wire mode the endpoint serves, one PROMPT, then for each decode
+step that gates at least one row a single BASE_HIDDENS -> SIDE_OUTPUT
+round trip carrying all of that step's gated rows (one for greedy, up to
+the beam width for beam search); every emitted token is one TOKEN frame
+carrying its gate bit, and the session ends with EOS. Any failure ends the
+session with at most one ERROR frame, whose code the error carries
+(`spa.wire`); step indices increase strictly across all frames the cloud
+initiates.
 
 The wire side provider sends a step's BASE_HIDDENS at once and returns the
 pending reply, which reads SIDE_OUTPUT and checks its step and shape. On a
@@ -176,6 +177,10 @@ class CloudEndpoint:
         if hello.digest != self.digest:
             raise ProtocolViolation("model compatibility digest mismatch",
                                     ErrorCode.DIGEST_MISMATCH)
+        if hello.wire_mode != self.wire_mode:
+            raise ProtocolViolation(
+                f"wire mode {hello.wire_mode} not served (this endpoint serves {self.wire_mode})"
+            )
         transport.send(Hello(PROTOCOL_VERSION, self.wire_mode, self.digest))
 
         prompt = self._recv(transport, Prompt, "expected PROMPT after HELLO")

@@ -5,8 +5,7 @@ Total latency for a generation decomposes additively:
     t_total = t_on_devices + t_pretrained + t_net
 
 with the device term F_data * C_devices / f_e per token (the device-count
-factor multiplies, deliberately verbatim; pass cdev_divides=True for the
-conventional reading) and the network term
+factor multiplies, as the paper writes it) and the network term
 
     t_net = n_tokens * M * (tau + t_data)
 
@@ -107,14 +106,10 @@ def parse_profile(path: str | Path) -> LatencyProfile:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def t_on_devices(profile: LatencyProfile, cdev_divides: bool = False) -> float:
+def t_on_devices(profile: LatencyProfile) -> float:
     """Device compute seconds per token: F_data * C_devices / f_e."""
     if profile.f_e <= 0:
         raise DomainError("f_e must be positive")
-    if cdev_divides:
-        if profile.c_devices == 0:
-            raise DomainError("c_devices must be positive when dividing")
-        return profile.f_data / (profile.c_devices * profile.f_e)
     return profile.f_data * profile.c_devices / profile.f_e
 
 
@@ -126,17 +121,11 @@ def t_net(profile: LatencyProfile, m: float, n_tokens: int, per_tx_cost: float |
     return n_tokens * m * cost
 
 
-def t_total(
-    profile: LatencyProfile,
-    m: float,
-    n_tokens: int,
-    cdev_divides: bool = False,
-    per_tx_cost: float | None = None,
-) -> float:
+def t_total(profile: LatencyProfile, m: float, n_tokens: int) -> float:
     return (
-        t_on_devices(profile, cdev_divides) * n_tokens
+        t_on_devices(profile) * n_tokens
         + profile.t_pretrained * n_tokens
-        + t_net(profile, m, n_tokens, per_tx_cost)
+        + t_net(profile, m, n_tokens)
     )
 
 
@@ -161,7 +150,6 @@ def build_comparison_table(
     usage: float,
     n_layers: int,
     n_tokens: int = 50,
-    cdev_divides: bool = False,
     per_arch_cost: dict[str, float] | None = None,
 ) -> list[ArchLatencyRow]:
     """One row per architecture; modeled and reference columns side by side.
@@ -175,7 +163,7 @@ def build_comparison_table(
     per_arch_cost = per_arch_cost or {}
     for arch, m in table_m(n_layers, usage).items():
         cost = per_arch_cost.get(arch)
-        dev = t_on_devices(profile, cdev_divides) * n_tokens
+        dev = t_on_devices(profile) * n_tokens
         pre = profile.t_pretrained * n_tokens
         net = t_net(profile, m, n_tokens, cost)
         ref = REFERENCE_ROWS.get(arch)

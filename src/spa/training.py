@@ -14,15 +14,17 @@ The side/gate objective over a batch is
 
     token_loss("on")                              fused teacher-forced NLL
   + cross_entropy(gate logits, labels)            labels: side-gain > margin
-  + usage_weight * mean(P(use side))              keeps the gate from
+  + USAGE_WEIGHT * mean(P(use side))              keeps the gate from
                                                   defaulting to "always on"
 
-each a mean over the batch's positions. The fused NLL fuses every row: the
-`always_side` function, and what `spa` serves on a gated row. Only the side
-learns from it; the gate learns from the other two terms. The labels
-(side-path CATE > margin, `TokenLossTrace.cate`) are constants within a
-step, read from the target log-probs of the fused NLL's own cross-entropy,
-so a batch runs one output projection and one vocab-wide log softmax.
+each a mean over the batch's positions. USAGE_WEIGHT is fixed; the margin
+(`TrainConfig.gate_margin`) is the one setting that trades M against
+quality. The fused NLL fuses every row: the `always_side` function, and
+what `spa` serves on a gated row. Only the side learns from it; the gate
+learns from the other two terms. The labels (side-path CATE > margin,
+`TokenLossTrace.cate`) are constants within a step, read from the target
+log-probs of the fused NLL's own cross-entropy, so a batch runs one output
+projection and one vocab-wide log softmax.
 
 The base is frozen during side training, so its features over the corpus
 never change: `BaseFeatures` holds them, computed once by `base_forward` in
@@ -70,6 +72,8 @@ from .numcore import Tape, Tensor
 from .tokenizer import ByteTokenizer
 
 LR_GRID = (2e-4, 5e-4, 1e-3)
+# the usage term's weight in the side/gate objective
+USAGE_WEIGHT = 0.01
 
 
 class TrainingDivergedError(SpaError):
@@ -83,7 +87,6 @@ class TrainConfig:
     epochs: int = 15
     seed: int = 0
     gate_margin: float = 0.0
-    usage_weight: float = 0.01
     block_size: int = 48
 
     def to_dict(self) -> dict:
@@ -189,6 +192,11 @@ def _train_epochs(
     opt = Adam(params, tcfg.learning_rate)
     rng = np.random.default_rng(tcfg.seed)
     result = TrainResult()
+    # glibc trims a free heap top past twice the largest mmapped block freed
+    # so far; freeing one untouched 8 MiB block keeps each batch's
+    # temporaries on the heap instead of trimmed and faulted back in, which
+    # cost ~20% of a side-training epoch under some heap layouts
+    np.empty(1 << 23, np.uint8)
     for epoch in range(tcfg.epochs):
         order = rng.permutation(n_blocks)
         losses = []
@@ -331,7 +339,7 @@ def side_objective(
         labels = gate_labels(trace, tcfg.gate_margin)
     gate_ce = nc.cross_entropy(trace.gate_logits, labels)
     usage = nc.column(nc.softmax(trace.gate_logits), 1).mean()
-    return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, tcfg.usage_weight))
+    return nc.add(nc.add(fused_nll, gate_ce), nc.smul(usage, USAGE_WEIGHT))
 
 
 def train_side_and_gate(model: SpaModel, tcfg: TrainConfig, corpus: Corpus,

@@ -18,9 +18,10 @@ Payload layouts:
     EOS            (empty)
     ERROR          u16 code | u16 length | UTF-8 message
 
-The cloud's wire mode governs a session: its HELLO names the mode it
-serves, and the device checks every BASE_HIDDENS block against it. The
-wire_mode byte of the device's HELLO is not read.
+The cloud serves one wire mode. The device's HELLO names the mode it
+decodes in, and the cloud refuses a HELLO of any other mode; its own HELLO
+names the mode it serves, and the device checks every BASE_HIDDENS block
+against it.
 
 A decode step makes at most one BASE_HIDDENS -> SIDE_OUTPUT round trip.
 BASE_HIDDENS carries every row the gate sent to the side in that step:
@@ -53,6 +54,7 @@ that found it; the error raised carries the frame's code:
     oversize frame             OVERSIZE            cloud
     HELLO of another version   VERSION_MISMATCH    cloud
     HELLO of another digest    DIGEST_MISMATCH     cloud
+    HELLO of another wire mode PROTOCOL_VIOLATION  cloud
     broken session rule        PROTOCOL_VIOLATION  cloud or device
     anything else              INTERNAL            cloud
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, subcommand wiring, config file handling."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -63,6 +64,52 @@ class TestUsage:
     def test_missing_required_flag_names_it(self, capsys):
         assert main(["pretrain", "--out", "x.ckpt"]) == EXIT_USAGE
         assert "--corpus" in capsys.readouterr().err
+
+    def test_each_subcommand_has_exactly_its_settings(self):
+        (subcommands,) = [a for a in spa.cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: [s for a in p._actions for s in a.option_strings
+                        if s not in ("-h", "--help")]
+                 for name, p in subcommands.choices.items()}
+        train = ["--lr", "--batch-size", "--epochs", "--seed"]
+        assert flags == {
+            "make-corpus": ["--seed", "--tier", "--out"],
+            "pretrain": ["--corpus", "--out", *train, "--block-size", "--layers", "--d-model",
+                         "--heads", "--d-ff", "--max-seq-len", "--side-reduction"],
+            "train-side": ["--base", "--corpus", "--out-dir", *train, "--gate-margin",
+                           "--block-size"],
+            "serve": ["--checkpoint", "--listen"],
+            "generate": ["--connect", "--side-checkpoint", "--prompt", "--policy", "--beam",
+                         "--max-new", "--timeout"],
+            "decode-local": ["--checkpoint", "--prompt", "--policy", "--beam", "--max-new"],
+            "bench-latency": ["--profile", "--layers", "--usage", "--tokens", "--format",
+                              "--arch-cost"],
+            "eval": ["--checkpoint", "--corpus", "--policy", "--seed"],
+            "report": ["--checkpoint", "--out", "--seed", "--prompts", "--max-new", "--profile"],
+            "grad-check": ["--seed", "--trials", "--tol"],
+        }
+        assert {section: list(keys) for section, keys in SCHEMA.items()} == {
+            "model": ["n_layers", "d_model", "n_heads", "d_ff", "max_seq_len", "side_reduction"],
+            "train": ["learning_rate", "batch_size", "epochs", "seed", "gate_margin",
+                      "block_size"],
+            "latency": ["profile"],
+        }
+
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--checkpoint", "c.ckpt", "--listen", "127.0.0.1:0", "--wire", "final"],
+         "unrecognized arguments: --wire final"),
+        (["decode-local", "--checkpoint", "c.ckpt", "--prompt", "a", "--wire", "all-layers"],
+         "unrecognized arguments: --wire all-layers"),
+        (["bench-latency", "--cdev-divides"], "unrecognized arguments: --cdev-divides"),
+        (["train-side", "--base", "b.ckpt", "--corpus", "docs", "--out-dir", "out",
+          "--usage-weight", "0.1"], "unrecognized arguments: --usage-weight 0.1"),
+        (["--config", "{cfg}", "bench-latency"], "unknown key 'usage_weight' in [train]"),
+    ], ids=["serve", "decode-local", "bench-latency", "train-side", "config-file"])
+    def test_a_retired_setting_is_usage_error(self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "spa.cfg"
+        cfg.write_text("[train]\nusage_weight = 0.1\n")
+        assert main([arg.replace("{cfg}", str(cfg)) for arg in argv]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_nonexistent_corpus_dir_names_flag(self, capsys, tmp_path):
         code = main(["pretrain", "--corpus", str(tmp_path / "nope"), "--out",
@@ -195,7 +242,8 @@ class TestDevicePathErrors:
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(f"error: cannot connect to 127.0.0.1:{port}")
 
-    @pytest.mark.parametrize("flag, value", [("--max-new", "70000"), ("--beam", "65536")])
+    @pytest.mark.parametrize("flag, value", [("--max-new", "70000"), ("--beam", "65536"),
+                                             ("--beam", "0")])
     def test_generate_with_a_wire_field_out_of_range_is_runtime_error(
         self, full_ckpt, side_ckpt, capsys, flag, value
     ):
@@ -207,7 +255,9 @@ class TestDevicePathErrors:
         finally:
             server.shutdown()
         assert code == EXIT_RUNTIME
-        assert capsys.readouterr().err.startswith("error: Prompt: field out of range")
+        # a beam below 1 fails DecodeConfig, one past u16 the PROMPT's encoding
+        want = "beam_width must be >= 1" if value == "0" else "Prompt: field out of range"
+        assert capsys.readouterr().err.startswith(f"error: {want}")
 
     def test_cloud_error_after_tokens_is_an_incomplete_session(self, side_ckpt, capsys):
         # a scripted cloud streams two tokens, then fails; the device must
@@ -266,6 +316,13 @@ class TestDevicePathErrors:
                      "--max-new", "-3"])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: max_new_tokens must be >= 0")
+
+    @pytest.mark.parametrize("beam", ["0", "-3"])
+    def test_decode_local_with_beam_below_one_is_runtime_error(self, full_ckpt, capsys, beam):
+        code = main(["decode-local", "--checkpoint", str(full_ckpt), "--prompt", "x",
+                     "--beam", beam])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: beam_width must be >= 1")
 
 
 class TestServeCommand:

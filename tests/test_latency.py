@@ -36,10 +36,6 @@ class TestOnDevices:
         p2 = LatencyProfile(f_data=5e8, c_devices=2, f_e=1e9)
         assert t_on_devices(p2) == 2 * t_on_devices(p1)
 
-    def test_cdev_divides_flag_gives_conventional_reading(self):
-        p2 = LatencyProfile(f_data=5e8, c_devices=2, f_e=1e9)
-        assert t_on_devices(p2, cdev_divides=True) == pytest.approx(0.25)
-
     def test_zero_capability_rejected(self):
         with pytest.raises(DomainError):
             LatencyProfile(f_e=0.0)

@@ -82,25 +82,8 @@ def test_full_cli_pipeline(tmp_path, capsys):
                              "--max-new", "8"]) == EXIT_OK
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1]
-        finally:
-            server.terminate()
-            server.wait(timeout=10)
 
-    # a second endpoint shipping all per-layer hiddens must agree with the
-    # local decoder running the same wire mode
-    with subprocess.Popen(
-        [sys.executable, "-c",
-         "from spa.cli import main; import sys; "
-         "sys.exit(main(['serve', '--checkpoint', sys.argv[1], "
-         "'--listen', '127.0.0.1:0', '--wire', 'all-layers']))",
-         str(out / "cloud.ckpt")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    ) as server:  # leaving the block closes the pipes
-        try:
-            banner = server.stdout.readline()
-            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-            assert match, f"no listen banner: {banner!r}"
-            addr = f"{match.group(1)}:{match.group(2)}"
+            # the split decode over the wire agrees with the local decoder
             assert main(["generate", "--connect", addr,
                          "--side-checkpoint", str(out / "side.ckpt"),
                          "--prompt", "the quiet", "--policy", "spa",
@@ -108,7 +91,7 @@ def test_full_cli_pipeline(tmp_path, capsys):
             over_wire = capsys.readouterr().out
             assert main(["decode-local", "--checkpoint", str(out / "full.ckpt"),
                          "--prompt", "the quiet", "--policy", "spa",
-                         "--max-new", "8", "--wire", "all-layers"]) == EXIT_OK
+                         "--max-new", "8"]) == EXIT_OK
             local = capsys.readouterr().out
             assert over_wire == local
         finally:

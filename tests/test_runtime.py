@@ -69,9 +69,10 @@ def make_bundle(model: SpaModel) -> SideBundle:
     )
 
 
-def loopback_session(model, bundle, prompt_ids, dcfg, wire_mode="final", wrap=None):
-    """One session over a loopback TCP pair; `wrap`, if given, wraps the device end."""
-    endpoint = CloudEndpoint.from_model(model, wire_mode=wire_mode, frame_timeout=5.0)
+def loopback_session(model, bundle, prompt_ids, dcfg, wrap=None):
+    """One session over a loopback TCP pair with an endpoint serving `dcfg`'s
+    wire mode; `wrap`, if given, wraps the device end."""
+    endpoint = CloudEndpoint.from_model(model, wire_mode=dcfg.wire_mode, frame_timeout=5.0)
     dev_end, cloud_end = tcp_pair()
     record_box = {}
 
@@ -144,7 +145,7 @@ class TestSplitMonolithicEquivalence:
                 policy="spa", wire_mode=wire_mode,
             )
             mono = decode_monolithic(model, prompt, dcfg)
-            split, record, _ = loopback_session(model, bundle, prompt, dcfg, wire_mode)
+            split, record, _ = loopback_session(model, bundle, prompt, dcfg)
             assert split.completed and split.error is None
             assert split.tokens == mono.tokens, f"trial {trial}"
             assert split.gate_trace == mono.gate_trace
@@ -175,11 +176,40 @@ class TestHandshake:
         bundle = make_bundle(model)
         bad = SideBundle(bundle.config, bundle.side, "ab" * 32)
         result, record, _ = loopback_session(
-            model, bad, [1], DecodeConfig(max_new_tokens=2, policy="spa")
+            model, bad, [1], DecodeConfig(max_new_tokens=2, policy="spa", wire_mode="final")
         )
         assert not result.completed
         assert "rejected" in result.error
         assert str(ErrorCode.DIGEST_MISMATCH.value) in result.error
+
+    @pytest.mark.parametrize("device_mode, cloud_mode", [("final", "all_layers"),
+                                                         ("all_layers", "final")])
+    def test_hello_of_another_wire_mode_is_refused_before_the_prompt(self, device_mode,
+                                                                     cloud_mode):
+        # served anyway, the cloud would send its own mode's hiddens and the
+        # tokens would differ from decode_monolithic under the device's config
+        model = make_model(4)
+        endpoint = CloudEndpoint.from_model(model, wire_mode=cloud_mode, frame_timeout=2.0)
+        dev_end, cloud_end = tcp_pair()
+        box = {}
+        t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
+        t.start()
+        dcfg = DecodeConfig(max_new_tokens=4, policy="always_side", wire_mode=device_mode)
+        result = run_device(make_bundle(model), dcfg, prompt_ids=[1], transport=dev_end,
+                            frame_timeout=5.0)
+        t.join(timeout=10)
+        assert not t.is_alive()
+        message = f"wire mode {device_mode} not served (this endpoint serves {cloud_mode})"
+        assert not result.completed and result.tokens == []
+        assert result.error == (
+            f"handshake rejected: {ErrorCode.PROTOCOL_VIOLATION.value}: {message}"
+        )
+        assert result.counter.hidden_round_trips == 0
+        record = box["record"]
+        assert record.error == message
+        # the cloud read the HELLO alone: no PROMPT, no forward
+        assert record.counter.frames_received == 1 and record.counter.frames_sent == 1
+        assert record.prompt_len == 0 and record.gate_log == []
 
     def test_wrong_version_rejected(self):
         # version 1 sent one round trip per gated row with a 1-D SIDE_OUTPUT;
@@ -191,7 +221,7 @@ class TestHandshake:
             dev_end, cloud_end = tcp_pair()
             t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
             t.start()
-            dev_end.send(Hello(version, "final", endpoint.digest))
+            dev_end.send(Hello(version, "all_layers", endpoint.digest))
             reply = dev_end.recv(timeout=5)
             t.join(timeout=5)
             assert not t.is_alive()
@@ -218,7 +248,8 @@ class TestAccounting:
         model = make_model(5)
         bundle = make_bundle(model)
         result, record, _ = loopback_session(
-            model, bundle, [1, 2], DecodeConfig(max_new_tokens=10, policy="base_only")
+            model, bundle, [1, 2],
+            DecodeConfig(max_new_tokens=10, policy="base_only", wire_mode="final"),
         )
         assert result.completed
         assert record.base_hiddens_sent == 0
@@ -229,7 +260,7 @@ class TestAccounting:
         model = make_model(6)
         bundle = make_bundle(model)
         result, record, _ = loopback_session(
-            model, bundle, [3, 4], DecodeConfig(max_new_tokens=8, policy="spa")
+            model, bundle, [3, 4], DecodeConfig(max_new_tokens=8, policy="spa", wire_mode="final")
         )
         assert result.completed
         assert record.base_hiddens_sent == sum(record.gate_log)
@@ -237,7 +268,8 @@ class TestAccounting:
     def test_beam_hidden_frames_match_gate_log_including_hypothesis_steps(self):
         model = make_model(6)
         bundle = make_bundle(model)
-        dcfg = DecodeConfig(max_new_tokens=5, strategy="beam", beam_width=3, policy="spa")
+        dcfg = DecodeConfig(max_new_tokens=5, strategy="beam", beam_width=3, policy="spa",
+                            wire_mode="final")
         spies = []
 
         def spy(transport):
@@ -262,7 +294,8 @@ class TestAccounting:
         bundle = make_bundle(model)
         for policy in POLICIES:
             result, record, _ = loopback_session(
-                model, bundle, [5], DecodeConfig(max_new_tokens=6, policy=policy)
+                model, bundle, [5],
+                DecodeConfig(max_new_tokens=6, policy=policy, wire_mode="final"),
             )
             assert result.completed, policy
             cloud, dev = record.counter, result.counter
@@ -277,7 +310,8 @@ class TestAccounting:
         model = make_model(8)
         bundle = make_bundle(model)
         result, record, _ = loopback_session(
-            model, bundle, [2], DecodeConfig(max_new_tokens=7, policy="always_side")
+            model, bundle, [2],
+            DecodeConfig(max_new_tokens=7, policy="always_side", wire_mode="final"),
         )
         assert result.counter.transmissions_per_token == 1.0
         assert record.base_hiddens_sent == len(result.tokens)
@@ -290,7 +324,7 @@ class TestProtocolViolations:
         dev_end, cloud_end = tcp_pair()
         t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
         t.start()
-        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
         assert isinstance(dev_end.recv(timeout=5), Hello)
         dev_end.send(Prompt((1,), "always_side", "greedy", 1, 3))
         msg = dev_end.recv(timeout=5)
@@ -310,7 +344,7 @@ class TestProtocolViolations:
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
-        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
         assert isinstance(dev_end.recv(timeout=5), Hello)
         dev_end.send(Prompt((1, 2), "always_side", strategy, width, 3))
         msg = dev_end.recv(timeout=5)
@@ -361,7 +395,7 @@ class TestProtocolViolations:
         dev_end, cloud_end = tcp_pair()
         t = threading.Thread(target=endpoint.handle_session, args=(cloud_end,))
         t.start()
-        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
         assert isinstance(dev_end.recv(timeout=5), Hello)
         dev_end.send(Prompt((1, CFG.vocab_size + 3), "spa"))
         reply = dev_end.recv(timeout=5)
@@ -376,7 +410,7 @@ class TestProtocolViolations:
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
-        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
         assert isinstance(dev_end.recv(timeout=5), Hello)
         dev_end.send(prompt)
         reply = dev_end.recv(timeout=5)
@@ -388,7 +422,8 @@ class TestProtocolViolations:
         model = make_model(9)
         bundle = make_bundle(model)
         dcfg = DecodeConfig(
-            max_new_tokens=2, strategy="beam", beam_width=MAX_BEAM_WIDTH, policy="base_only"
+            max_new_tokens=2, strategy="beam", beam_width=MAX_BEAM_WIDTH, policy="base_only",
+            wire_mode="final",
         )
         result, _, _ = loopback_session(model, bundle, [1], dcfg)
         assert result.completed and result.error is None
@@ -403,7 +438,7 @@ class TestProtocolViolations:
         model = make_model(9)
         bundle = make_bundle(model)
         at_cap = [1 + i % (CFG.vocab_size - 1) for i in range(MAX_PROMPT_TOKENS)]
-        dcfg = DecodeConfig(max_new_tokens=MAX_NEW_TOKENS, policy="base_only")
+        dcfg = DecodeConfig(max_new_tokens=MAX_NEW_TOKENS, policy="base_only", wire_mode="final")
         result, record, _ = loopback_session(model, bundle, at_cap, dcfg)
         assert result.completed and result.error is None
         assert record.prompt_len == MAX_PROMPT_TOKENS
@@ -424,7 +459,7 @@ class TestProtocolViolations:
             raw = socket.create_connection(server.address, timeout=5)
             dev_end = SocketTransport(raw)
             try:
-                dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+                dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
                 assert isinstance(dev_end.recv(timeout=5), Hello)
                 frame = bytearray(encode_frame(Prompt((1,), "spa")))
                 policy_at = HEADER_LEN + 4 + 4  # after the id count and the one id
@@ -460,7 +495,7 @@ class TestProtocolViolations:
         box = {}
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
-        dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+        dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
         assert isinstance(dev_end.recv(timeout=5), Hello)
         dev_end.send(Prompt((1, 2), "spa", "greedy", 1, 3))
         after = self.frames_until_close(dev_end)
@@ -477,7 +512,7 @@ class TestProtocolViolations:
         t = threading.Thread(target=lambda: box.update(record=endpoint.handle_session(cloud_end)))
         t.start()
         if stage != "HELLO":
-            dev_end.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+            dev_end.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
             assert isinstance(dev_end.recv(timeout=5), Hello)
         if stage == "SIDE_OUTPUT":
             dev_end.send(Prompt((1, 2), "always_side", "greedy", 1, 3))
@@ -513,7 +548,7 @@ class TestDeviceSideValidation:
         t.start()
         result = run_device(
             bundle,
-            DecodeConfig(max_new_tokens=4, policy="spa"),
+            DecodeConfig(max_new_tokens=4, policy="spa", wire_mode="final"),
             prompt_ids=[1],
             transport=dev_end,
             frame_timeout=5.0,
@@ -541,7 +576,7 @@ class TestDeviceSideValidation:
         t.start()
         result = run_device(
             bundle,
-            DecodeConfig(max_new_tokens=4, policy="spa"),
+            DecodeConfig(max_new_tokens=4, policy="spa", wire_mode="final"),
             prompt_ids=[1],
             transport=dev_end,
             frame_timeout=5.0,
@@ -573,7 +608,7 @@ class TestDeviceSideValidation:
         t.start()
         result = run_device(
             bundle,
-            DecodeConfig(max_new_tokens=4, policy="spa"),
+            DecodeConfig(max_new_tokens=4, policy="spa", wire_mode="final"),
             prompt_ids=[1],
             transport=dev_end,
             frame_timeout=5.0,
@@ -641,7 +676,8 @@ class TestDeviceSideValidation:
         t.start()
         result = run_device(
             bundle,
-            DecodeConfig(max_new_tokens=4, strategy="beam", beam_width=width, policy="always_side"),
+            DecodeConfig(max_new_tokens=4, strategy="beam", beam_width=width, policy="always_side",
+                         wire_mode=wire_mode),
             prompt_ids=[1],
             transport=dev_end,
             frame_timeout=2.0,
@@ -687,7 +723,7 @@ class TestDeviceSideValidation:
         t.start()
         result = run_device(
             bundle,
-            DecodeConfig(max_new_tokens=4, policy="always_side"),
+            DecodeConfig(max_new_tokens=4, policy="always_side", wire_mode=wire_mode),
             prompt_ids=[1],
             transport=dev_end,
             frame_timeout=2.0,
@@ -1006,7 +1042,7 @@ class TestOverTcp:
             client = SocketTransport.connect(host, port, timeout=5)
             try:
                 assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-                client.send(Hello(PROTOCOL_VERSION, "final", endpoint.digest))
+                client.send(Hello(PROTOCOL_VERSION, "all_layers", endpoint.digest))
                 assert isinstance(client.recv(timeout=5), Hello)
             finally:
                 client.close()
